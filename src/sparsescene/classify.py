@@ -2,13 +2,14 @@
 
 All decisions share one mechanism: frames are coded against a concatenation
 of per-source dictionaries and each source is scored by the sum of its atoms'
-weights (its "block" of the weight vector).  Noise typing codes every frame
-against the speaker and noise dictionaries jointly — speech energy is
+weights (its "block" of the weight vector).  :func:`classify_noise` codes the
+frames once against ``[all speakers | all noises]`` — speech energy is
 absorbed by the speaker blocks, so the per-frame winner among the noise
 blocks stays reliable even where speech is present.  The switch between the
-two mixture halves is the change point that makes the per-frame noise
-decisions before and after it maximally consistent; speaker identity is
-ranked by block scores accumulated over speech frames.
+two noise types is the change point that makes the per-frame noise decisions
+before and after it maximally consistent.  The returned decision carries the
+weight matrix, so :func:`rank_speakers` (and the separation mask) read their
+block scores off the same coding instead of coding the frames again.
 """
 
 from __future__ import annotations
@@ -33,34 +34,40 @@ def block_score_matrix(
 
 @dataclass
 class NoiseDecision:
-    """Outcome of noise typing over a two-half mixture."""
+    """Outcome of noise typing, with the coding every decision is read from.
+
+    ``weights[:, j]`` codes frame ``frames[j]`` against ``dictionary``, whose
+    column blocks ``groups`` lists as ``(kind, label, slice)``.
+    """
 
     noise_first: str
     noise_second: str
     transition_s: float
     frame_labels: list[str]
     frame_times: np.ndarray
+    frames: np.ndarray
+    dictionary: np.ndarray
+    groups: list[tuple[str, str, slice]]
+    weights: np.ndarray
+
+    def block(self, kind: str, label: str) -> slice:
+        """Columns of ``dictionary`` (rows of ``weights``) holding one source."""
+        return next(g[2] for g in self.groups if g[:2] == (kind, label))
 
 
 def _best_changepoint(votes: np.ndarray, n_labels: int) -> tuple[int, int, int]:
-    """(first_idx, second_idx, split) maximising prefix/suffix vote agreement."""
-    n = votes.size
-    counts = np.zeros((n_labels, n + 1), dtype=np.int64)
-    for g in range(n_labels):
-        counts[g, 1:] = np.cumsum(votes == g)
-    total = counts[:, -1]
-    best = (-1, 0, min(1, n_labels - 1), 0)
-    for split in range(n + 1):
-        left = counts[:, split]
-        right = total - left
-        for a in range(n_labels):
-            for b in range(n_labels):
-                if a == b:
-                    continue
-                s = int(left[a] + right[b])
-                if s > best[0]:
-                    best = (s, a, b, split)
-    return best[1], best[2], best[3]
+    """(first_idx, second_idx, split) maximising prefix/suffix vote agreement.
+
+    Ties go to the first maximum in (split, first, second) order.
+    """
+    left = np.zeros((votes.size + 1, n_labels), dtype=np.int64)
+    np.cumsum(votes[:, None] == np.arange(n_labels), axis=0, out=left[1:])
+    right = left[-1] - left
+    agreement = left[:, :, None] + right[:, None, :]
+    diagonal = np.arange(n_labels)
+    agreement[:, diagonal, diagonal] = -1
+    split, a, b = np.unravel_index(np.argmax(agreement), agreement.shape)
+    return int(a), int(b), int(split)
 
 
 def classify_noise(
@@ -70,11 +77,10 @@ def classify_noise(
     *,
     frame_mask: np.ndarray | None = None,
     stride: int = 1,
-    with_speaker_blocks: bool = True,
     solver: str = "mu",
     **solver_kwargs,
 ) -> NoiseDecision:
-    """Identify the noise type of each half and locate the switch point.
+    """Identify the noise type of each side of the switch and locate it.
 
     Parameters
     ----------
@@ -85,9 +91,8 @@ def classify_noise(
         speaker blocks soak up the speech energy, so no mask is needed).
     stride : int
         Keep every ``stride``-th considered frame; a cheap speed knob that
-        coarsens the switch-point resolution accordingly.
-    with_speaker_blocks : bool
-        Include the bank's speaker dictionaries in the coding dictionary.
+        coarsens the switch-point resolution accordingly.  Separation needs
+        every frame coded, so the analysis pipeline always uses 1.
     """
     n_frames = mag.shape[1]
     considered = (
@@ -100,8 +105,7 @@ def classify_noise(
     labels = list(bank.noise_labels)
     if not labels:
         raise ValueError("bank holds no noise dictionaries")
-    speaker_labels = list(bank.speaker_labels) if with_speaker_blocks else []
-    D, groups = bank.concatenated(speaker_labels=speaker_labels, noise_labels=labels)
+    D, groups = bank.concatenated(speaker_labels=bank.speaker_labels, noise_labels=labels)
     noise_groups = [g for g in groups if g[0] == "noise"]
     W = code_frames(mag[:, considered], D, solver=solver, **solver_kwargs)
     scores = block_score_matrix(W, noise_groups)
@@ -123,48 +127,28 @@ def classify_noise(
         transition_s=transition,
         frame_labels=[labels[i] for i in frame_label_idx],
         frame_times=times,
+        frames=considered,
+        dictionary=D,
+        groups=groups,
+        weights=W,
     )
 
 
 def rank_speakers(
-    mag: np.ndarray,
-    bank: DictionaryBank,
-    config: StftConfig,
-    *,
-    speech_mask: np.ndarray,
-    noise_context: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    solver: str = "mu",
-    **solver_kwargs,
+    mag: np.ndarray, decision: NoiseDecision, speech_mask: np.ndarray
 ) -> list[str]:
-    """Rank speaker labels by accumulated block score over speech frames.
+    """Rank speaker labels by their block scores summed over speech frames.
 
-    ``noise_context`` optionally supplies per-half noise atoms that are
-    appended to the dictionary so noise energy in the speech frames has
-    somewhere to go other than the speaker blocks.
+    The scores come from ``decision``'s weights.  When ``speech_mask`` marks
+    none of the coded frames, the 20 loudest coded frames stand in for speech.
     """
-    speakers = list(bank.speaker_labels)
+    speakers = [g for g in decision.groups if g[0] == "speaker"]
     if not speakers:
         raise ValueError("bank holds no speaker dictionaries")
-    n_frames = mag.shape[1]
-    half_edge = n_frames // 2
-    frames = np.flatnonzero(speech_mask)
-    if frames.size == 0:
-        energy = np.sum(mag * mag, axis=0)
-        take = min(20, n_frames)
-        frames = np.sort(np.argsort(energy)[::-1][:take])
-
-    totals = np.zeros(len(speakers))
-    D_spk, groups = bank.concatenated(speaker_labels=speakers)
-    for half in (0, 1):
-        in_half = frames[(frames < half_edge) if half == 0 else (frames >= half_edge)]
-        if in_half.size == 0:
-            continue
-        context = noise_context[half]
-        D = D_spk if context is None or context.size == 0 else np.concatenate(
-            [D_spk, context], axis=1
-        )
-        W = code_frames(mag[:, in_half], D, solver=solver, **solver_kwargs)
-        scores = block_score_matrix(W[: D_spk.shape[1], :], groups)
-        totals += np.sum(scores, axis=1)
+    columns = np.flatnonzero(np.asarray(speech_mask, dtype=bool)[decision.frames])
+    if columns.size == 0:
+        energy = np.sum(mag[:, decision.frames] ** 2, axis=0)
+        columns = np.argsort(energy)[::-1][:20]
+    totals = np.sum(block_score_matrix(decision.weights[:, columns], speakers), axis=1)
     order = np.argsort(-totals, kind="stable")
-    return [speakers[i] for i in order]
+    return [speakers[i][1] for i in order]

@@ -20,15 +20,13 @@ import numpy as np
 from .bank import DictionaryBank
 from .corpus import Corpus, generate_corpus, write_wav
 from .errors import DataError
-from .features import StftConfig, frame_energies, magnitudes
+from .features import StftConfig
 from .manifest import Manifest
-from .classify import classify_noise, rank_speakers
-from .regimes import EvalParams, RegimeContext, run_regime
+from .regimes import EvalParams, RegimeContext, analyze, run_regime
 from .report import result_to_json, write_aggregate, write_csv
 from .scenario import MixScenario, generate_scenarios, render_scenario
-from .separate import SeparationResult, estimate_snr_db, separate
+from .separate import SeparationResult, estimate_snr_db
 from .training import learn_bank
-from .vad import detect_speech_frames, frames_to_intervals
 
 __all__ = ["run_manifest", "simulate_manifest", "prepare_corpus", "analyze_signal"]
 
@@ -280,51 +278,22 @@ def analyze_signal(
     Returns a JSON-friendly analysis (speech spans, noise types, switch
     point, speaker ranking, estimated SNR) plus the separated components.
     """
-    params = params or EvalParams()
     fp = bank.feature_params
     config = StftConfig(
         sample_rate=int(fp.get("sample_rate", 8000)),
         n_fft=int(fp.get("n_fft", 256)),
         hop=int(fp.get("hop", 128)),
     )
-    x = np.asarray(samples, dtype=np.float64)
-    mag = magnitudes(x, config)
-    energies = frame_energies(x, config)
-    speech_mask = detect_speech_frames(energies, params.vad_primary_k)
-    spans = frames_to_intervals(speech_mask, config, params.min_speech_frames)
-    decision = classify_noise(
-        mag,
-        bank,
-        config,
-        stride=params.classify_stride,
-        solver=params.solver,
-        **params.solver_kwargs(),
-    )
-    noise_atoms = (
-        bank.get_noise(decision.noise_first).atoms,
-        bank.get_noise(decision.noise_second).atoms,
-    )
-    rank = rank_speakers(
-        mag,
-        bank,
-        config,
-        speech_mask=speech_mask,
-        noise_context=noise_atoms,
-        solver=params.solver,
-        **params.solver_kwargs(),
-    )
-    speaker_atoms = bank.get_speaker(rank[0]).atoms
-    sep = separate(
-        x, speaker_atoms, noise_atoms, config, solver=params.solver, **params.solver_kwargs()
-    )
-    est_snr = estimate_snr_db(sep, spans or None, config)
+    found = analyze(samples, bank, config, params or EvalParams())
+    sep = found.separation
+    est_snr = estimate_snr_db(sep, found.speech_spans or None, config)
     analysis = {
-        "speech_spans_s": [[round(a, 4), round(b, 4)] for a, b in spans],
-        "noise_first": decision.noise_first,
-        "noise_second": decision.noise_second,
-        "noise_transition_s": round(decision.transition_s, 4),
-        "speaker_ranking": list(rank),
-        "speaker": rank[0],
+        "speech_spans_s": [[round(a, 4), round(b, 4)] for a, b in found.speech_spans],
+        "noise_first": found.noise.noise_first,
+        "noise_second": found.noise.noise_second,
+        "noise_transition_s": round(found.noise.transition_s, 4),
+        "speaker_ranking": list(found.speaker_ranking),
+        "speaker": found.speaker_ranking[0],
         "estimated_snr_db": round(est_snr, 3) if np.isfinite(est_snr) else None,
     }
     return analysis, sep

@@ -54,10 +54,6 @@ class StftConfig:
             return 0
         return 1 + (n_samples - self.n_fft) // self.hop
 
-    def frame_center(self, index: int) -> float:
-        """Time in seconds of the centre of frame ``index``."""
-        return (index * self.hop + self.n_fft / 2) / self.sample_rate
-
 
 def stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """Complex spectrogram of shape ``(n_bins, n_frames)``.

@@ -86,7 +86,6 @@ class Manifest:
                 min_speech_frames=int(eval_d.get("min_speech_frames", 3)),
                 solver=str(eval_d.get("solver", "mu")),
                 coding_iters=int(eval_d.get("coding_iters", 400)),
-                classify_stride=int(eval_d.get("classify_stride", 1)),
                 snr_reference=str(eval_d.get("snr_reference", "active_span")),
             )
         except (TypeError, ValueError) as exc:

@@ -1,11 +1,14 @@
 """Evaluation regimes: what the system is allowed to know about a mixture.
 
-A *regime* fixes which dictionaries and which ground-truth facts the pipeline
-may use when processing a rendered scenario:
+Every regime runs the same blind pipeline, :func:`analyze`, which codes each
+frame once against a bank's ``[speakers | noises]``.  A *regime* only fixes
+which bank view that pipeline sees and which ground-truth facts replace its
+answers when a rendered scenario is scored:
 
 ``ground_truth``
-    Oracle conditions — true speaker and noise dictionaries, true speech
-    spans.  Upper bound for separation quality.
+    Oracle conditions — a view holding only the true speaker and noise
+    dictionaries, the true labels, and the true speech spans for the SNR
+    estimate.  Upper bound for separation quality.
 ``complete``
     Fully blind, but every source in the mixture has a dictionary in the
     bank.  Speech spans come from the energy-clustering detector; noise
@@ -16,9 +19,9 @@ may use when processing a rendered scenario:
     remaining dictionaries.  Removal is enforced through a restricted bank
     view whose access counters prove the removed entries are never read.
 ``updated_noise``
-    The true noise dictionaries are replaced by dictionaries learned from
-    the noise-only region of the mixture itself (the region outside the
-    ground-truth utterance spans is assumed known).
+    The bank's noise dictionaries are replaced by two learned from the
+    noise-only region of each half of the mixture itself (the region outside
+    the ground-truth utterance spans is assumed known).
 ``updated_speaker``
     Speaker dictionaries are relearned with additional enrollment material
     before the otherwise blind pipeline runs.
@@ -31,17 +34,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .bank import DictionaryBank
-from .classify import classify_noise, rank_speakers
+from .classify import NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
-from .dictionary import learn_dictionary
+from .dictionary import LearnedDictionary, learn_dictionary
 from .features import StftConfig, frame_energies, magnitudes
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
-from .separate import estimate_snr_db, separate
+from .separate import SeparationResult, estimate_snr_db, separate
 from .training import _gate_silence, learn_bank
 from .vad import (
     detect_speech_frames,
@@ -50,7 +54,15 @@ from .vad import (
     miss_false_rates,
 )
 
-__all__ = ["ALL_REGIMES", "EvalParams", "RegimeContext", "RunResult", "run_regime"]
+__all__ = [
+    "ALL_REGIMES",
+    "Analysis",
+    "EvalParams",
+    "RegimeContext",
+    "RunResult",
+    "analyze",
+    "run_regime",
+]
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +85,6 @@ class EvalParams:
     min_speech_frames: int = 3
     solver: str = "mu"
     coding_iters: int = 400
-    classify_stride: int = 1
     snr_reference: str = "active_span"
 
     def to_dict(self) -> dict:
@@ -83,7 +94,6 @@ class EvalParams:
             "min_speech_frames": self.min_speech_frames,
             "solver": self.solver,
             "coding_iters": self.coding_iters,
-            "classify_stride": self.classify_stride,
             "snr_reference": self.snr_reference,
         }
 
@@ -131,7 +141,25 @@ class RegimeContext:
         return self._updated_speaker_bank
 
     def bank_for(self, regime: str, rendered: RenderedScenario) -> DictionaryBank:
+        """The bank view the pipeline codes against under ``regime``."""
         sc = rendered.scenario
+        if regime == "ground_truth":
+            speakers, noises = {sc.speaker}, {sc.noise_first, sc.noise_second}
+            missing = (speakers - set(self.bank.speaker_labels)) | (
+                noises - set(self.bank.noise_labels)
+            )
+            if missing:
+                raise KeyError(f"bank lacks the true sources {sorted(missing)}")
+            return self.bank.restricted(
+                exclude_speakers=set(self.bank.speaker_labels) - speakers,
+                exclude_noises=set(self.bank.noise_labels) - noises,
+            )
+        if regime == "updated_noise":
+            first, second = _adapted_noises(rendered, self)
+            view = self.bank.restricted(exclude_noises=self.bank.noise_labels)
+            return view.with_replaced("noise", "adapted_first", first).with_replaced(
+                "noise", "adapted_second", second
+            )
         if regime == "out_of_set_noise":
             return self.bank.restricted(exclude_noises={sc.noise_first, sc.noise_second})
         if regime == "out_of_set_speaker":
@@ -172,24 +200,18 @@ class RunResult:
     error: str | None = None
 
 
-def _adapted_noise_atoms(
-    mag: np.ndarray,
-    rendered: RenderedScenario,
-    ctx: RegimeContext,
-) -> tuple[np.ndarray, np.ndarray]:
+def _adapted_noises(
+    rendered: RenderedScenario, ctx: RegimeContext
+) -> tuple[LearnedDictionary, LearnedDictionary]:
     """Learn one noise dictionary per half from the mixture's noise-only frames."""
-    n_frames = mag.shape[1]
     config = ctx.config
+    mag = magnitudes(rendered.mixture, config)
+    n_frames = mag.shape[1]
     speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
-    half_edge = n_frames // 2
+    first_half = np.arange(n_frames) < n_frames // 2
     p = ctx.bank.params
     out = []
-    for half in (0, 1):
-        in_half = np.zeros(n_frames, dtype=bool)
-        if half == 0:
-            in_half[:half_edge] = True
-        else:
-            in_half[half_edge:] = True
+    for half, in_half in enumerate((first_half, ~first_half)):
         feats = _gate_silence(mag[:, in_half & ~speech_mask])
         if feats.shape[1] == 0:
             feats = mag[:, in_half]
@@ -204,8 +226,53 @@ def _adapted_noise_atoms(
                 np.random.SeedSequence([rendered.scenario.seed, half])
             ),
         )
-        out.append(learned.atoms)
+        out.append(learned)
     return out[0], out[1]
+
+
+@dataclass
+class Analysis:
+    """What the blind pipeline finds in one signal."""
+
+    speech_spans: list[tuple[float, float]]
+    noise: NoiseDecision
+    speaker_ranking: list[str]
+    separation: SeparationResult
+
+
+def analyze(
+    samples: np.ndarray,
+    bank: DictionaryBank,
+    config: StftConfig,
+    params: EvalParams,
+    on_stage: Callable[[str], None] = lambda stage: None,
+) -> Analysis:
+    """The blind pipeline: code every frame once, read every decision off it.
+
+    All frames are coded against ``bank``'s ``[speakers | noises]``.  Noise
+    votes and the switch come from the noise blocks, the speaker ranking from
+    the speaker blocks over detected speech, and the Wiener mask from the top
+    speaker's block of the model over the whole model.  ``on_stage`` is told
+    the name of each stage as it starts.
+    """
+    on_stage("features")
+    x = np.asarray(samples, dtype=np.float64)
+    mag = magnitudes(x, config)
+    energies = frame_energies(x, config)
+    on_stage("vad")
+    speech_mask = detect_speech_frames(energies, params.vad_primary_k)
+    spans = frames_to_intervals(speech_mask, config, params.min_speech_frames)
+    on_stage("noise_id")
+    decision = classify_noise(
+        mag, bank, config, solver=params.solver, **params.solver_kwargs()
+    )
+    on_stage("speaker_id")
+    ranking = rank_speakers(mag, decision, speech_mask)
+    on_stage("separation")
+    sep = separate(
+        x, decision.dictionary, decision.weights, decision.block("speaker", ranking[0]), config
+    )
+    return Analysis(spans, decision, ranking, sep)
 
 
 def run_regime(
@@ -227,93 +294,46 @@ def run_regime(
         noise_second_true=sc.noise_second,
         transition_true_s=sc.transition_s,
     )
-    stage = "features"
+    stage = ["features"]
     try:
         mixture = rendered.mixture.astype(np.float64)
-        mag = magnitudes(mixture, config)
-        n_frames = mag.shape[1]
         energies = frame_energies(mixture, config)
 
-        stage = "vad"
+        stage.append("vad")
         for k in params.vad_ks:
             mask_k = detect_speech_frames(energies, k)
             spans_k = frames_to_intervals(mask_k, config, params.min_speech_frames)
             res.vad_rates[k] = miss_false_rates(sc.speech_spans, spans_k)
-        primary_mask = detect_speech_frames(energies, params.vad_primary_k)
-        detected_spans = frames_to_intervals(
-            primary_mask, config, params.min_speech_frames
-        )
 
-        bank_view = ctx.bank_for(regime, rendered)
-        gt_spans = rendered.speech_spans
+        stage.append("noise_id")
+        found = analyze(mixture, ctx.bank_for(regime, rendered), config, params, stage.append)
 
-        stage = "noise_id"
+        decision = found.noise
         if regime == "ground_truth":
             res.noise_first_pred = sc.noise_first
             res.noise_second_pred = sc.noise_second
             res.noise_correct = True
-            noise_atoms = (
-                bank_view.get_noise(sc.noise_first).atoms,
-                bank_view.get_noise(sc.noise_second).atoms,
-            )
-        elif regime == "updated_noise":
-            noise_atoms = _adapted_noise_atoms(mag, rendered, ctx)
+            others = sorted(set(ctx.bank.speaker_labels) - {sc.speaker})
+            rank = (sc.speaker, *others)
         else:
-            decision = classify_noise(
-                mag,
-                bank_view,
-                config,
-                stride=params.classify_stride,
-                solver=params.solver,
-                **params.solver_kwargs(),
-            )
-            res.noise_first_pred = decision.noise_first
-            res.noise_second_pred = decision.noise_second
-            res.noise_correct = (
-                decision.noise_first == sc.noise_first
-                and decision.noise_second == sc.noise_second
-            )
-            res.transition_pred_s = decision.transition_s
-            res.transition_abs_error_s = abs(decision.transition_s - sc.transition_s)
-            noise_atoms = (
-                bank_view.get_noise(decision.noise_first).atoms,
-                bank_view.get_noise(decision.noise_second).atoms,
-            )
+            if regime != "updated_noise":
+                res.noise_first_pred = decision.noise_first
+                res.noise_second_pred = decision.noise_second
+                res.noise_correct = (
+                    decision.noise_first == sc.noise_first
+                    and decision.noise_second == sc.noise_second
+                )
+                res.transition_pred_s = decision.transition_s
+                res.transition_abs_error_s = abs(decision.transition_s - sc.transition_s)
+            rank = tuple(found.speaker_ranking)
+        res.speaker_rank = rank
+        res.speaker_pred = rank[0]
+        res.speaker_correct = rank[0] == sc.speaker
+        res.speaker_top3_correct = sc.speaker in rank[:3]
 
-        stage = "speaker_id"
-        if regime == "ground_truth":
-            others = sorted(set(bank_view.speaker_labels) - {sc.speaker})
-            res.speaker_pred = sc.speaker
-            res.speaker_rank = (sc.speaker, *others)
-            res.speaker_correct = True
-            res.speaker_top3_correct = True
-        else:
-            rank = rank_speakers(
-                mag,
-                bank_view,
-                config,
-                speech_mask=primary_mask,
-                noise_context=noise_atoms,
-                solver=params.solver,
-                **params.solver_kwargs(),
-            )
-            res.speaker_rank = tuple(rank)
-            res.speaker_pred = rank[0]
-            res.speaker_correct = rank[0] == sc.speaker
-            res.speaker_top3_correct = sc.speaker in rank[:3]
-        speaker_atoms = bank_view.get_speaker(res.speaker_pred).atoms
-
-        stage = "separation"
-        sep = separate(
-            mixture,
-            speaker_atoms,
-            noise_atoms,
-            config,
-            solver=params.solver,
-            **params.solver_kwargs(),
-        )
-
-        stage = "metrics"
+        stage.append("metrics")
+        sep = found.separation
+        gt_spans = rendered.speech_spans
         if params.snr_reference == "active_span":
             ref_speech = restrict_to_spans(rendered.speech, gt_spans, config.sample_rate)
             ref_noise = restrict_to_spans(rendered.noise, gt_spans, config.sample_rate)
@@ -323,13 +343,15 @@ def run_regime(
         res.input_snr_db = snr_db(ref_speech, ref_noise)
         res.sdr_db = si_sdr_db(ref_speech, est_speech)
         res.sdr_gain_db = res.sdr_db - res.input_snr_db
-        known_spans = gt_spans if regime in ("ground_truth", "updated_noise") else detected_spans
+        known_spans = (
+            gt_spans if regime in ("ground_truth", "updated_noise") else found.speech_spans
+        )
         res.est_snr_db = estimate_snr_db(
             sep, known_spans if params.snr_reference == "active_span" else None, config
         )
         res.snr_error_db = res.est_snr_db - res.input_snr_db
     except Exception as exc:  # noqa: BLE001 - failures become part of the result
-        log.warning("run %s/%s failed at %s: %s", sc.scenario_id, regime, stage, exc)
-        res.failure_stage = stage
+        log.warning("run %s/%s failed at %s: %s", sc.scenario_id, regime, stage[-1], exc)
+        res.failure_stage = stage[-1]
         res.error = f"{type(exc).__name__}: {exc}"
     return res

@@ -1,10 +1,11 @@
 """Source separation by spectral Wiener masking.
 
-Each mixture half is coded against ``[speaker_atoms | noise_atoms]``; the
-ratio of the speaker part of the model to the whole model gives a soft mask
-that is applied to the complex mixture spectrogram.  The noise estimate uses
-the complementary mask so the two resynthesized signals sum (up to windowing
-at the edges) back to the mixture.
+Separation reuses the coding of the whole mixture against
+``[speaker atoms | noise atoms]`` that noise typing made: the ratio of the
+speech atoms' part of the model to the whole model gives a soft mask that is
+applied to the complex mixture spectrogram.  The noise estimate uses the
+complementary mask so the two resynthesized signals sum (up to windowing at
+the edges) back to the mixture.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .features import StftConfig, istft, stft
 from .metrics import restrict_to_spans, snr_db
-from .solvers import EPS, code_frames
+from .solvers import EPS
 
 __all__ = ["SeparationResult", "separate", "estimate_snr_db"]
 
@@ -31,33 +32,22 @@ class SeparationResult:
 
 def separate(
     mixture: np.ndarray,
-    speaker_atoms: np.ndarray,
-    noise_atoms_by_half: tuple[np.ndarray, np.ndarray],
+    dictionary: np.ndarray,
+    weights: np.ndarray,
+    speech_atoms: slice,
     config: StftConfig,
-    *,
-    solver: str = "mu",
-    **solver_kwargs,
 ) -> SeparationResult:
     """Split ``mixture`` into speech and noise estimates.
 
-    ``noise_atoms_by_half`` supplies the noise dictionary for each half of
-    the signal (the two halves may carry different noise types).
+    ``weights`` codes every frame of the mixture's magnitude spectrogram
+    against ``dictionary``; ``speech_atoms`` selects the dictionary columns
+    (and weight rows) that model speech.
     """
     X = stft(mixture, config)
-    mag = np.abs(X)
-    n_frames = mag.shape[1]
-    half_edge = n_frames // 2
-    mask = np.zeros_like(mag)
-    n_spk = speaker_atoms.shape[1]
-    for half, frames in ((0, np.arange(half_edge)), (1, np.arange(half_edge, n_frames))):
-        if frames.size == 0:
-            continue
-        noise_atoms = noise_atoms_by_half[half]
-        D = np.concatenate([speaker_atoms, noise_atoms], axis=1)
-        W = code_frames(mag[:, frames], D, solver=solver, **solver_kwargs)
-        speech_model = speaker_atoms @ W[:n_spk, :]
-        total_model = D @ W
-        mask[:, frames] = speech_model / (total_model + EPS)
+    if weights.shape[1] != X.shape[1]:
+        raise ValueError("separation needs a weight column for every frame")
+    speech_model = dictionary[:, speech_atoms] @ weights[speech_atoms, :]
+    mask = speech_model / (dictionary @ weights + EPS)
     np.clip(mask, 0.0, 1.0, out=mask)
 
     n = mixture.shape[0]
@@ -78,7 +68,6 @@ def estimate_snr_db(
     """
     speech, noise = result.speech, result.noise
     if spans:
-        n = speech.shape[0]
         speech = restrict_to_spans(speech, spans, config.sample_rate)
         noise = restrict_to_spans(noise, spans, config.sample_rate)
         if speech.size == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import StftConfig
+from .features import StftConfig, frame_times
 
 __all__ = [
     "detect_speech_frames",
@@ -24,7 +24,7 @@ __all__ = [
 _LOG_FLOOR = 1e-20
 
 
-def _kmeans_1d(values: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans_1d(values: np.ndarray, k: int, n_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iteration on scalars; returns (labels, centers)."""
     v = np.asarray(values, dtype=np.float64)
     uniq = np.unique(v)
@@ -45,17 +45,14 @@ def _kmeans_1d(values: np.ndarray, k: int, rng: np.random.Generator, n_iter: int
     return labels, centers
 
 
-def detect_speech_frames(
-    energies: np.ndarray, k: int = 2, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def detect_speech_frames(energies: np.ndarray, k: int = 2) -> np.ndarray:
     """Boolean speech mask per frame from k-way clustering of log energies."""
     if k < 2:
         raise ValueError("need at least two clusters to separate speech from background")
-    rng = rng if rng is not None else np.random.default_rng(0)
     loge = np.log(np.maximum(np.asarray(energies, dtype=np.float64), _LOG_FLOOR))
     if loge.size == 0:
         return np.zeros(0, dtype=bool)
-    labels, centers = _kmeans_1d(loge, k, rng)
+    labels, centers = _kmeans_1d(loge, k)
     threshold = 0.5 * (centers.max() + centers.min())
     speech_clusters = np.flatnonzero(centers >= threshold)
     return np.isin(labels, speech_clusters)
@@ -85,7 +82,7 @@ def intervals_to_frame_mask(
     intervals: list[tuple[float, float]], n_frames: int, config: StftConfig
 ) -> np.ndarray:
     """Frame mask marking frames whose centre falls inside any interval."""
-    centers = (np.arange(n_frames) * config.hop + config.n_fft / 2) / config.sample_rate
+    centers = frame_times(n_frames, config)
     mask = np.zeros(n_frames, dtype=bool)
     for t0, t1 in intervals:
         mask |= (centers >= t0) & (centers <= t1)

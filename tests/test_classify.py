@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sparsescene as ss
+from sparsescene import classify
 from sparsescene.bank import DictionaryBank
-from sparsescene.classify import block_score_matrix
+from sparsescene.classify import _best_changepoint, block_score_matrix
 from sparsescene.dictionary import LearnedDictionary
 from sparsescene.features import frame_times
 
@@ -63,6 +66,45 @@ def test_classify_noise_finds_labels_and_switch(toy_bank, stft_config):
     assert decision.transition_s == pytest.approx(expected, abs=1e-9)
     assert decision.frame_labels[:20] == ["alpha"] * 20
     assert decision.frame_labels[20:] == ["beta"] * 20
+    # the coding behind the votes covers every frame against [speakers | noises]
+    assert [g[:2] for g in decision.groups] == [
+        ("speaker", "sA"),
+        ("speaker", "sB"),
+        ("noise", "alpha"),
+        ("noise", "beta"),
+    ]
+    assert decision.dictionary.shape == (8, 8)
+    assert decision.weights.shape == (8, 40)
+    assert np.array_equal(decision.frames, np.arange(40))
+    assert decision.block("noise", "beta") == slice(6, 8)
+
+
+def _brute_force_changepoint(votes, n_labels):
+    """Reference search: every split, every ordered label pair, first maximum wins."""
+    best = (-1, 0, min(1, n_labels - 1), 0)
+    for split in range(votes.size + 1):
+        for a in range(n_labels):
+            for b in range(n_labels):
+                if a == b:
+                    continue
+                agree = int(np.sum(votes[:split] == a) + np.sum(votes[split:] == b))
+                if agree > best[0]:
+                    best = (agree, a, b, split)
+    return best[1], best[2], best[3]
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n_labels: st.tuples(
+            st.just(n_labels),
+            st.lists(st.integers(0, n_labels - 1), min_size=0, max_size=300),
+        )
+    )
+)
+def test_changepoint_matches_brute_force_search(case):
+    n_labels, votes = case
+    votes = np.asarray(votes, dtype=np.int64)
+    assert _best_changepoint(votes, n_labels) == _brute_force_changepoint(votes, n_labels)
 
 
 def test_speech_energy_does_not_flip_noise_votes(toy_bank, stft_config):
@@ -109,36 +151,45 @@ def test_classify_noise_requires_noise_dictionaries(toy_bank, stft_config):
         ss.classify_noise(np.ones((8, 4)), only_speakers, stft_config)
 
 
+def _speech_mask(frames, n_frames=40):
+    mask = np.zeros(n_frames, dtype=bool)
+    mask[list(frames)] = True
+    return mask
+
+
 def test_rank_speakers_orders_by_block_energy(toy_bank, stft_config):
     mag = _toy_mag(speech_frames=(3, 4, 5, 24, 25))
-    mask = np.zeros(40, dtype=bool)
-    mask[[3, 4, 5, 24, 25]] = True
-    ranking = ss.rank_speakers(mag, toy_bank, stft_config, speech_mask=mask)
+    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    ranking = ss.rank_speakers(mag, decision, _speech_mask((3, 4, 5, 24, 25)))
     assert ranking == ["sA", "sB"]
     assert sorted(ranking) == sorted(toy_bank.speaker_labels)
 
 
-def test_rank_speakers_uses_noise_context(toy_bank, stft_config):
-    # Speech frames also carry 'beta' noise energy overlapping speaker 'sB'
-    # bins would be ideal, but supports are disjoint here; instead verify the
-    # context path runs and leaves the ranking intact.
+def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, stft_config, monkeypatch):
+    # Ranking sums the speaker blocks of the weights noise typing coded; it
+    # never codes again, so moving weight between blocks moves the ranking.
     mag = _toy_mag(speech_frames=(3, 4, 26, 27))
-    mask = np.zeros(40, dtype=bool)
-    mask[[3, 4, 26, 27]] = True
-    alpha = toy_bank.get_noise("alpha").atoms
-    beta = toy_bank.get_noise("beta").atoms
-    ranking = ss.rank_speakers(
-        mag, toy_bank, stft_config, speech_mask=mask, noise_context=(alpha, beta)
-    )
-    assert ranking[0] == "sA"
+    decision = ss.classify_noise(mag, toy_bank, stft_config)
+
+    def no_coding(*args, **kwargs):
+        raise AssertionError("rank_speakers must not code frames")
+
+    monkeypatch.setattr(classify, "code_frames", no_coding)
+    mask = _speech_mask((3, 4, 26, 27))
+    assert ss.rank_speakers(mag, decision, mask)[0] == "sA"
+    spk_a, spk_b = decision.block("speaker", "sA"), decision.block("speaker", "sB")
+    decision.weights[spk_b, :] = 2.0 * decision.weights[spk_a, :]
+    assert ss.rank_speakers(mag, decision, mask) == ["sB", "sA"]
 
 
 def test_rank_speakers_falls_back_to_loud_frames(toy_bank, stft_config):
     mag = _toy_mag(speech_frames=(10, 11))
     empty = np.zeros(40, dtype=bool)
-    ranking = ss.rank_speakers(mag, toy_bank, stft_config, speech_mask=empty)
+    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    ranking = ss.rank_speakers(mag, decision, empty)
     assert ranking[0] == "sA"
 
     no_speakers = toy_bank.restricted(exclude_speakers=["sA", "sB"])
+    decision = ss.classify_noise(mag, no_speakers, stft_config)
     with pytest.raises(ValueError):
-        ss.rank_speakers(mag, no_speakers, stft_config, speech_mask=empty)
+        ss.rank_speakers(mag, decision, empty)

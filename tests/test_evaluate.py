@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import sparsescene as ss
+from sparsescene import solvers
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import LearnedDictionary
 from sparsescene.errors import DataError
@@ -163,3 +165,60 @@ def test_analyze_signal_runs_the_blind_pipeline(corpus, kmeans_bank):
     assert analysis["speaker"] == analysis["speaker_ranking"][0]
     assert sep.speech.shape == rendered.mixture.shape
     assert sep.noise.shape == rendered.mixture.shape
+
+
+@pytest.fixture()
+def coding_calls(monkeypatch):
+    """Count ``code_frames`` calls through every sparsescene module binding."""
+    calls = []
+    original = solvers.code_frames
+
+    def counted(features, *args, **kwargs):
+        calls.append(features.shape)
+        return original(features, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparsescene.") and getattr(module, "code_frames", None) is original:
+            monkeypatch.setattr(module, "code_frames", counted)
+    return calls
+
+
+@pytest.fixture()
+def short_rendered(corpus):
+    scenario = ss.generate_scenarios(
+        corpus, 1, seed=0, half_duration_s=6.0, utterances_per_half=1
+    )[0]
+    return ss.render_scenario(corpus, scenario, snr_db=0.0)
+
+
+def test_analyze_signal_codes_the_clip_once(short_rendered, kmeans_bank, coding_calls):
+    ss.analyze_signal(kmeans_bank, short_rendered.mixture, ss.EvalParams(coding_iters=50))
+    n_frames = ss.magnitudes(short_rendered.mixture, ss.StftConfig()).shape[1]
+    assert coding_calls == [(129, n_frames)]
+
+
+@pytest.mark.parametrize("regime", ss.ALL_REGIMES)
+def test_every_regime_codes_the_clip_once(
+    regime, short_rendered, corpus, stft_config, kmeans_bank, coding_calls
+):
+    ctx = ss.RegimeContext(kmeans_bank, corpus, stft_config, ss.EvalParams(coding_iters=50))
+    result = ss.run_regime(short_rendered, regime, ctx)
+    assert result.failure_stage is None, result.error
+    n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
+    assert coding_calls == [(129, n_frames)]
+
+
+def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans_bank):
+    mixture = short_rendered.mixture
+    analysis, sep = ss.analyze_signal(kmeans_bank, mixture)
+    config = ss.StftConfig()
+    decision = ss.classify_noise(
+        ss.magnitudes(mixture, config), kmeans_bank, config, **ss.EvalParams().solver_kwargs()
+    )
+    assert analysis["noise_first"] == decision.noise_first
+    assert analysis["noise_second"] == decision.noise_second
+    assert analysis["noise_transition_s"] == round(decision.transition_s, 4)
+
+    interior = slice(config.n_fft, len(mixture) - config.n_fft)
+    resum = sep.speech + sep.noise
+    assert np.allclose(resum[interior], mixture[interior], rtol=0, atol=1e-9)

@@ -42,14 +42,13 @@ def test_from_dict_round_trip(tmp_path):
         "methods": ["kmeans", "random"],
         "snrs_db": [0, 10],
         "regimes": ["ground_truth", "complete"],
-        "eval": {"coding_iters": 123, "classify_stride": 2},
+        "eval": {"coding_iters": 123},
     }
     m = Manifest.from_dict(d)
     assert m.seed == 5
     assert m.methods == ("kmeans", "random")
     assert m.snrs_db == (0.0, 10.0)
     assert m.eval_params.coding_iters == 123
-    assert m.eval_params.classify_stride == 2
     # Untouched knobs keep their defaults.
     assert m.eval_params.vad_primary_k == 2
 

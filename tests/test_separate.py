@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene.features import istft, stft
+from sparsescene.features import istft, magnitudes, stft
 
 
 def _tone(freq, n, sr=8000, amp=0.3):
@@ -12,7 +12,11 @@ def _tone(freq, n, sr=8000, amp=0.3):
 
 @pytest.fixture()
 def synthetic_mixture(stft_config):
-    """A tone ('speech') plus band noise, with matched one-atom dictionaries."""
+    """A tone ('speech') plus band noise, coded against matched one-atom dictionaries.
+
+    Yields the mixture, its clean parts, the ``[speech | noise]`` dictionary,
+    the weights coding every mixture frame, and the speech atoms' slice.
+    """
     sr = stft_config.sample_rate
     n = 4 * sr
     rng = np.random.default_rng(0)
@@ -24,12 +28,14 @@ def synthetic_mixture(stft_config):
         m = np.mean(np.abs(stft(x, stft_config)), axis=1, keepdims=True)
         return m / np.linalg.norm(m)
 
-    return mixture, speech, noise, atom_of(speech), (atom_of(noise), atom_of(noise))
+    D = np.concatenate([atom_of(speech), atom_of(noise)], axis=1)
+    W = ss.code_frames(magnitudes(mixture, stft_config), D, solver="mu")
+    return mixture, speech, noise, D, W, slice(0, 1)
 
 
 def test_mask_is_a_valid_soft_mask(synthetic_mixture, stft_config):
-    mixture, _, _, spk, noise_by_half = synthetic_mixture
-    result = ss.separate(mixture, spk, noise_by_half, stft_config)
+    mixture, _, _, D, W, spk = synthetic_mixture
+    result = ss.separate(mixture, D, W, spk, stft_config)
     assert result.mask.min() >= 0.0
     assert result.mask.max() <= 1.0
     assert result.speech.shape == mixture.shape
@@ -37,8 +43,8 @@ def test_mask_is_a_valid_soft_mask(synthetic_mixture, stft_config):
 
 
 def test_components_sum_back_to_the_mixture(synthetic_mixture, stft_config):
-    mixture, _, _, spk, noise_by_half = synthetic_mixture
-    result = ss.separate(mixture, spk, noise_by_half, stft_config)
+    mixture, _, _, D, W, spk = synthetic_mixture
+    result = ss.separate(mixture, D, W, spk, stft_config)
     # Complementary masks mean speech + noise == istft(X), which matches the
     # input away from the windowed edges.
     resum = result.speech + result.noise
@@ -49,12 +55,29 @@ def test_components_sum_back_to_the_mixture(synthetic_mixture, stft_config):
 
 
 def test_separation_improves_on_the_mixture(synthetic_mixture, stft_config):
-    mixture, speech, noise, spk, noise_by_half = synthetic_mixture
-    result = ss.separate(mixture, spk, noise_by_half, stft_config)
+    mixture, speech, noise, D, W, spk = synthetic_mixture
+    result = ss.separate(mixture, D, W, spk, stft_config)
     interior = slice(stft_config.n_fft, len(mixture) - stft_config.n_fft)
     before = ss.si_sdr_db(speech[interior], mixture[interior])
     after = ss.si_sdr_db(speech[interior], result.speech[interior])
     assert after > before + 3.0
+
+
+def test_mask_is_the_speech_share_of_the_model(synthetic_mixture, stft_config):
+    mixture, _, _, D, W, spk = synthetic_mixture
+    result = ss.separate(mixture, D, W, spk, stft_config)
+    model = D @ W
+    expected = np.clip(np.outer(D[:, 0], W[0]) / (model + 1e-12), 0.0, 1.0)
+    assert np.allclose(result.mask, expected, rtol=0, atol=1e-12)
+    # speech-only atoms take the whole frame; no speech atoms leave it to noise
+    assert np.allclose(ss.separate(mixture, D, W, slice(0, 2), stft_config).mask[model > 0], 1.0)
+    assert np.all(ss.separate(mixture, D, W, slice(0, 0), stft_config).mask == 0.0)
+
+
+def test_separation_needs_every_frame_coded(synthetic_mixture, stft_config):
+    mixture, _, _, D, W, spk = synthetic_mixture
+    with pytest.raises(ValueError):
+        ss.separate(mixture, D, W[:, ::2], spk, stft_config)
 
 
 def test_estimate_snr_restricts_to_spans(stft_config):
