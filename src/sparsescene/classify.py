@@ -75,7 +75,6 @@ def classify_noise(
     bank: DictionaryBank,
     config: StftConfig,
     *,
-    frame_mask: np.ndarray | None = None,
     stride: int = 1,
     solver: str = "mu",
     **solver_kwargs,
@@ -86,22 +85,13 @@ def classify_noise(
     ----------
     mag : np.ndarray
         Magnitude spectrogram of the whole mixture, ``(P, N)``.
-    frame_mask : np.ndarray, optional
-        Boolean mask of frames to use; by default every frame is used (the
-        speaker blocks soak up the speech energy, so no mask is needed).
     stride : int
-        Keep every ``stride``-th considered frame; a cheap speed knob that
+        Code only every ``stride``-th frame; a cheap speed knob that
         coarsens the switch-point resolution accordingly.  Separation needs
         every frame coded, so the analysis pipeline always uses 1.
     """
     n_frames = mag.shape[1]
-    considered = (
-        np.flatnonzero(frame_mask) if frame_mask is not None else np.arange(n_frames)
-    )
-    if considered.size < 2:
-        considered = np.arange(n_frames)
-    if stride > 1:
-        considered = considered[::stride]
+    considered = np.arange(n_frames)[::stride]
     labels = list(bank.noise_labels)
     if not labels:
         raise ValueError("bank holds no noise dictionaries")

@@ -149,10 +149,7 @@ def run_manifest(
             bank = banks[method]
         else:
             bank = _bank_for(manifest, corpus, method, out_dir, resume)
-        ctx = RegimeContext(bank, corpus, config, manifest.eval_params)
-        if "updated_speaker" in manifest.regimes:
-            ctx.updated_speaker_bank()  # learn once, before any threads share ctx
-        contexts[method] = ctx
+        contexts[method] = RegimeContext(bank, corpus, config, manifest.eval_params)
 
     jobs: list[tuple[str, MixScenario, str, float, str]] = []
     skipped_rows: list[dict] = []
@@ -178,6 +175,9 @@ def run_manifest(
                         except (OSError, json.JSONDecodeError) as exc:
                             log.warning("cannot reuse row %s (%s); recomputing", row_path, exc)
                     jobs.append((key, scenario, regime, snr, method))
+
+    for method in dict.fromkeys(job[4] for job in jobs if job[2] == "updated_speaker"):
+        contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
 
     def execute(job: tuple[str, MixScenario, str, float, str]) -> dict:
         key, scenario, regime, snr, method = job
@@ -284,7 +284,12 @@ def analyze_signal(
         n_fft=int(fp.get("n_fft", 256)),
         hop=int(fp.get("hop", 128)),
     )
-    found = analyze(samples, bank, config, params or EvalParams())
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < config.n_fft:
+        raise DataError(f"signal has {x.size} samples; analysis needs at least {config.n_fft}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("signal holds non-finite samples (NaN or Inf)")
+    found = analyze(x, bank, config, params or EvalParams())
     sep = found.separation
     est_snr = estimate_snr_db(sep, found.speech_spans or None, config)
     analysis = {

@@ -9,8 +9,9 @@ alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .dictionary import METHODS
 from .errors import DataError
@@ -64,6 +65,7 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, d: dict, *, base_dir: Path | None = None) -> "Manifest":
+        """Read a manifest object: one key per field, ``eval_params`` under ``eval``."""
         d = dict(d)
         version = d.pop("schema_version", MANIFEST_SCHEMA_VERSION)
         if version != MANIFEST_SCHEMA_VERSION:
@@ -73,55 +75,14 @@ class Manifest:
             )
         if "corpus_dir" not in d:
             raise DataError("manifest is missing required key 'corpus_dir'")
-        corpus_dir = Path(d.pop("corpus_dir"))
-        if base_dir is not None and not corpus_dir.is_absolute():
-            corpus_dir = base_dir / corpus_dir
         eval_d = d.pop("eval", {})
         if not isinstance(eval_d, dict):
             raise DataError("manifest key 'eval' must be an object")
-        try:
-            params = EvalParams(
-                vad_ks=tuple(eval_d.get("vad_ks", (2, 3, 4))),
-                vad_primary_k=int(eval_d.get("vad_primary_k", 2)),
-                min_speech_frames=int(eval_d.get("min_speech_frames", 3)),
-                solver=str(eval_d.get("solver", "mu")),
-                coding_iters=int(eval_d.get("coding_iters", 400)),
-                snr_reference=str(eval_d.get("snr_reference", "active_span")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid eval parameters: {exc}") from exc
-        known = {
-            "generate_corpus_seed",
-            "corpus_noise_seconds",
-            "seed",
-            "n_scenarios",
-            "half_duration_s",
-            "utterances_per_half",
-            "speaker_split",
-            "methods",
-            "n_atoms",
-            "tw",
-            "tb",
-            "bank_seed",
-            "snrs_db",
-            "regimes",
-            "parallelism",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown manifest keys {sorted(unknown)}")
-        kwargs = {}
-        for key in known & set(d):
-            value = d[key]
-            if key in ("methods", "regimes"):
-                value = tuple(str(v) for v in value)
-            elif key == "snrs_db":
-                value = tuple(float(v) for v in value)
-            kwargs[key] = value
-        try:
-            return cls(corpus_dir=corpus_dir, eval_params=params, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid manifest: {exc}") from exc
+        params = EvalParams(**_typed(EvalParams, eval_d, "eval"))
+        kwargs = _typed(cls, d, "manifest", exclude="eval_params")
+        if base_dir is not None and not kwargs["corpus_dir"].is_absolute():
+            kwargs["corpus_dir"] = base_dir / kwargs["corpus_dir"]
+        return cls(eval_params=params, **kwargs)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "Manifest":
@@ -137,20 +98,26 @@ class Manifest:
             raise DataError(f"manifest {path} must contain a JSON object")
         return cls.from_dict(data, base_dir=path.parent)
 
-    def canonical(self) -> dict:
-        """Plain-type view of everything that affects results (for hashing)."""
-        return {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "generate_corpus_seed": self.generate_corpus_seed,
-            "corpus_noise_seconds": self.corpus_noise_seconds,
-            "seed": self.seed,
-            "n_scenarios": self.n_scenarios,
-            "half_duration_s": self.half_duration_s,
-            "utterances_per_half": self.utterances_per_half,
-            "speaker_split": self.speaker_split,
-            "n_atoms": self.n_atoms,
-            "tw": self.tw,
-            "tb": self.tb,
-            "bank_seed": self.bank_seed,
-            "eval": self.eval_params.to_dict(),
-        }
+
+def _typed(cls, d: dict, what: str, exclude: str = "") -> dict:
+    """``d`` with each value converted to the type of ``cls``'s field of that name."""
+    unknown = set(d) - ({f.name for f in fields(cls)} - {exclude})
+    if unknown:
+        raise DataError(f"unknown {what} keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    try:
+        return {key: _convert(hints[key], value) for key, value in d.items()}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid {what} value: {exc}") from exc
+
+
+def _convert(tp, value):
+    """``value`` as a ``tp``: a plain type, ``tuple[T, ...]`` or ``T | None``."""
+    args = [a for a in get_args(tp) if a is not type(None)]
+    if get_origin(tp) is tuple:
+        return tuple(_convert(args[0], v) for v in value)
+    if args:
+        return None if value is None else _convert(args[0], value)
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return tp(value)

@@ -33,7 +33,7 @@ stage at which they occurred rather than aborting a whole evaluation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,7 @@ from .bank import DictionaryBank
 from .classify import NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
+from .errors import DataError
 from .features import StftConfig, frame_energies, magnitudes
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
@@ -87,15 +88,20 @@ class EvalParams:
     coding_iters: int = 400
     snr_reference: str = "active_span"
 
+    def __post_init__(self) -> None:
+        if self.solver not in ("mu", "asna"):
+            raise DataError(f"solver must be 'mu' or 'asna', not {self.solver!r}")
+        if self.snr_reference not in ("active_span", "segment"):
+            raise DataError(
+                f"snr_reference must be 'active_span' or 'segment', not {self.snr_reference!r}"
+            )
+        if self.coding_iters < 1 or self.min_speech_frames < 1:
+            raise DataError("coding_iters and min_speech_frames must be at least 1")
+        if not self.vad_ks:
+            raise DataError("vad_ks lists no cluster counts")
+
     def to_dict(self) -> dict:
-        return {
-            "vad_ks": list(self.vad_ks),
-            "vad_primary_k": self.vad_primary_k,
-            "min_speech_frames": self.min_speech_frames,
-            "solver": self.solver,
-            "coding_iters": self.coding_iters,
-            "snr_reference": self.snr_reference,
-        }
+        return asdict(self)
 
     def solver_kwargs(self) -> dict:
         """Extra arguments for the batch coder implied by these parameters."""
@@ -171,7 +177,10 @@ class RegimeContext:
 
 @dataclass
 class RunResult:
-    """Everything measured for one (scenario, regime, SNR) run."""
+    """Everything measured for one (scenario, regime, SNR) run.
+
+    The field order is the column order of ``report.csv``.
+    """
 
     scenario_id: str
     regime: str

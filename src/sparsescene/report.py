@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 from statistics import fmean, pstdev
 
@@ -30,35 +31,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-ROW_COLUMNS = [
-    "schema_version",
-    "run_key",
-    "scenario_id",
-    "regime",
-    "method",
-    "snr_nominal_db",
-    "speaker_true",
-    "noise_first_true",
-    "noise_second_true",
-    "transition_true_s",
-    "speaker_pred",
-    "speaker_rank",
-    "speaker_correct",
-    "speaker_top3_correct",
-    "noise_first_pred",
-    "noise_second_pred",
-    "noise_correct",
-    "transition_pred_s",
-    "transition_abs_error_s",
-    "input_snr_db",
-    "sdr_db",
-    "sdr_gain_db",
-    "est_snr_db",
-    "snr_error_db",
-    "vad_rates",
-    "failure_stage",
-    "error",
-]
+ROW_COLUMNS = ["schema_version", "run_key", *(f.name for f in fields(RunResult))]
 
 
 def _clean(value):
@@ -70,37 +43,15 @@ def _clean(value):
 
 def result_to_json(result: RunResult, run_key: str) -> dict:
     """Typed row dictionary for one run (stored under ``rows/<key>.json``)."""
+    row = asdict(result)
+    row["speaker_rank"] = list(result.speaker_rank)
+    row["vad_rates"] = {
+        str(k): [_clean(v[0]), _clean(v[1])] for k, v in sorted(result.vad_rates.items())
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "run_key": run_key,
-        "scenario_id": result.scenario_id,
-        "regime": result.regime,
-        "method": result.method,
-        "snr_nominal_db": result.snr_nominal_db,
-        "speaker_true": result.speaker_true,
-        "noise_first_true": result.noise_first_true,
-        "noise_second_true": result.noise_second_true,
-        "transition_true_s": result.transition_true_s,
-        "speaker_pred": result.speaker_pred,
-        "speaker_rank": list(result.speaker_rank),
-        "speaker_correct": result.speaker_correct,
-        "speaker_top3_correct": result.speaker_top3_correct,
-        "noise_first_pred": result.noise_first_pred,
-        "noise_second_pred": result.noise_second_pred,
-        "noise_correct": result.noise_correct,
-        "transition_pred_s": _clean(result.transition_pred_s),
-        "transition_abs_error_s": _clean(result.transition_abs_error_s),
-        "input_snr_db": _clean(result.input_snr_db),
-        "sdr_db": _clean(result.sdr_db),
-        "sdr_gain_db": _clean(result.sdr_gain_db),
-        "est_snr_db": _clean(result.est_snr_db),
-        "snr_error_db": _clean(result.snr_error_db),
-        "vad_rates": {
-            str(k): [_clean(v[0]), _clean(v[1])]
-            for k, v in sorted(result.vad_rates.items())
-        },
-        "failure_stage": result.failure_stage,
-        "error": result.error,
+        **{name: _clean(value) for name, value in row.items()},
     }
 
 

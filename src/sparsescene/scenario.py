@@ -15,7 +15,7 @@ float32 sum, so the stored components add up to the mixture bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -105,35 +105,12 @@ class MixScenario:
             raise ValueError("each half needs at least one utterance")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "speaker": self.speaker,
-            "noise_first": self.noise_first,
-            "noise_second": self.noise_second,
-            "half_duration_s": self.half_duration_s,
-            "utterances": [
-                {
-                    "utterance": u.utterance,
-                    "start_s": u.start_s,
-                    "duration_s": u.duration_s,
-                    "half": u.half,
-                }
-                for u in self.utterances
-            ],
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixScenario":
-        return cls(
-            scenario_id=d["scenario_id"],
-            speaker=d["speaker"],
-            noise_first=d["noise_first"],
-            noise_second=d["noise_second"],
-            half_duration_s=d["half_duration_s"],
-            utterances=tuple(UtterancePlacement(**u) for u in d["utterances"]),
-            seed=d["seed"],
-        )
+        utterances = tuple(UtterancePlacement(**u) for u in d["utterances"])
+        return cls(**{**d, "utterances": utterances})
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -117,16 +117,8 @@ def test_speech_energy_does_not_flip_noise_votes(toy_bank, stft_config):
     assert decision.noise_second == "beta"
 
 
-def test_classify_noise_respects_mask_and_stride(toy_bank, stft_config):
+def test_classify_noise_respects_stride(toy_bank, stft_config):
     mag = _toy_mag()
-    mask = np.zeros(40, dtype=bool)
-    mask[5:15] = True
-    mask[25:35] = True
-    masked = ss.classify_noise(mag, toy_bank, stft_config, frame_mask=mask)
-    assert masked.noise_first == "alpha"
-    assert masked.noise_second == "beta"
-    assert masked.frame_times.size == 20
-
     strided = ss.classify_noise(mag, toy_bank, stft_config, stride=4)
     assert strided.noise_first == "alpha"
     assert strided.noise_second == "beta"

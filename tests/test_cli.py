@@ -152,6 +152,13 @@ def test_classify_with_missing_wav_is_a_data_error(cli_bank, tmp_path, capsys):
     assert main(["classify", "--bank", str(cli_bank), "--wav", str(missing)]) == 2
 
 
+def test_classify_with_nan_samples_is_a_data_error(cli_bank, tmp_path, capsys):
+    wav = tmp_path / "nan.wav"
+    ss.write_wav(wav, np.full(4000, np.nan), 8000)
+    assert main(["classify", "--bank", str(cli_bank), "--wav", str(wav)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_separate_writes_component_wavs(cli_bank, short_wav, tmp_path, capsys):
     prefix = tmp_path / "sep" / "mix"
     code, summary = _run(
@@ -247,3 +254,16 @@ def test_evaluate_with_missing_manifest_is_a_data_error(tmp_path, capsys):
         ["evaluate", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "eval_params", [{"snr_reference": "whole"}, {"solver": "nmf"}, {"coding_iter": 100}]
+)
+def test_evaluate_with_bad_eval_params_is_a_data_error(
+    corpus_root, tmp_path, capsys, eval_params
+):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), "eval": eval_params}))
+    code = main(["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()

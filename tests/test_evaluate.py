@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene import solvers
+from sparsescene import regimes, solvers
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import LearnedDictionary
 from sparsescene.errors import DataError
 from sparsescene.evaluate import prepare_corpus, run_key
 from sparsescene.manifest import Manifest
+from sparsescene.scenario import MixScenario, UtterancePlacement
 
 
 def _small_manifest(corpus_root, **overrides):
@@ -63,6 +64,24 @@ def test_rows_are_stored_under_their_content_key(corpus_root, kmeans_bank, tmp_p
     assert row_path.stem == expected
 
 
+def test_run_key_is_pinned():
+    # Resuming an existing campaign depends on keys staying the same.
+    scenario = MixScenario(
+        scenario_id="s0007",
+        speaker="spk2",
+        noise_first="hum",
+        noise_second="band",
+        half_duration_s=6.0,
+        utterances=(
+            UtterancePlacement("spk2/utt09.wav", 1.25, 2.5, 0),
+            UtterancePlacement("spk2/utt10.wav", 7.5, 1.75, 1),
+        ),
+        seed=12345,
+    )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "24d8a5eedaaccc74cb75"
+
+
 def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, tmp_path):
     manifest = _small_manifest(corpus_root)
     out = tmp_path / "out"
@@ -87,6 +106,27 @@ def test_parallel_execution_matches_serial_output(corpus_root, kmeans_bank, tmp_
     ss.run_manifest(threaded, out2, banks={"kmeans": kmeans_bank})
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
+
+
+def test_updated_speaker_bank_is_learned_only_for_pending_runs(
+    corpus_root, kmeans_bank, tmp_path, monkeypatch
+):
+    calls = []
+    original = regimes.learn_bank
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regimes, "learn_bank", counted)
+    manifest = _small_manifest(corpus_root, regimes=("complete", "updated_speaker"))
+    out = tmp_path / "out"
+    first = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert first["n_computed"] == 2 and first["n_failed"] == 0
+    assert calls == ["kmeans"]
+    again = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert again["n_skipped"] == 2
+    assert calls == ["kmeans"]
 
 
 def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
@@ -222,3 +262,21 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     interior = slice(config.n_fft, len(mixture) - config.n_fft)
     resum = sep.speech + sep.noise
     assert np.allclose(resum[interior], mixture[interior], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_samples", [0, 255])
+def test_analyze_signal_rejects_signals_shorter_than_a_frame(kmeans_bank, n_samples):
+    with pytest.raises(DataError, match="at least 256"):
+        ss.analyze_signal(kmeans_bank, np.ones(n_samples))
+    analysis, _ = ss.analyze_signal(kmeans_bank, np.ones(256), ss.EvalParams(coding_iters=5))
+    assert analysis["speaker"] in kmeans_bank.speaker_labels
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_signal_rejects_non_finite_samples(short_rendered, kmeans_bank, bad):
+    samples = short_rendered.mixture.astype(np.float64)
+    samples[100] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        ss.analyze_signal(kmeans_bank, samples)
+    with pytest.raises(DataError, match="non-finite"):
+        ss.analyze_signal(kmeans_bank, np.full(4000, np.nan))

@@ -27,11 +27,19 @@ def test_defaults_are_sensible(tmp_path):
         dict(snrs_db=()),
         dict(n_scenarios=0),
         dict(parallelism=0),
+        dict(eval_params=dict(solver="nmf")),
+        dict(eval_params=dict(snr_reference="whole")),
+        dict(eval_params=dict(coding_iters=0)),
+        dict(eval_params=dict(min_speech_frames=0)),
+        dict(eval_params=dict(vad_ks=())),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
     with pytest.raises(DataError):
-        Manifest(corpus_dir=tmp_path, **kwargs)
+        Manifest(
+            corpus_dir=tmp_path,
+            **{k: EvalParams(**v) if k == "eval_params" else v for k, v in kwargs.items()},
+        )
 
 
 def test_from_dict_round_trip(tmp_path):
@@ -53,9 +61,37 @@ def test_from_dict_round_trip(tmp_path):
     assert m.eval_params.vad_primary_k == 2
 
 
+def test_values_take_their_field_types(tmp_path):
+    m = Manifest.from_dict(
+        {
+            "corpus_dir": str(tmp_path),
+            "generate_corpus_seed": None,
+            "half_duration_s": 6,
+            "eval": {"vad_ks": [2, 3], "coding_iters": "50"},
+        }
+    )
+    assert m.generate_corpus_seed is None
+    assert m.half_duration_s == 6.0 and isinstance(m.half_duration_s, float)
+    assert m.eval_params == EvalParams(vad_ks=(2, 3), coding_iters=50)
+    with pytest.raises(DataError, match="invalid manifest value"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "n_scenarios": "many"})
+    with pytest.raises(DataError, match="not a whole number"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iters": 99.9}})
+    with pytest.raises(DataError, match="invalid eval value"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"vad_ks": 2}})
+
+
 def test_unknown_keys_are_rejected(tmp_path):
     with pytest.raises(DataError, match="unknown manifest keys"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "banana": 1})
+    with pytest.raises(DataError, match="unknown manifest keys"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval_params": {}})
+
+
+def test_unknown_eval_keys_are_rejected(tmp_path):
+    # A typo must not silently fall back to the default iteration count.
+    with pytest.raises(DataError, match=r"unknown eval keys \['coding_iter'\]"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iter": 100}})
 
 
 def test_missing_corpus_dir_is_rejected():
@@ -92,11 +128,3 @@ def test_from_file_rejects_bad_json(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         Manifest.from_file(tmp_path / "absent.json")
 
-
-def test_canonical_view_is_json_serialisable_and_stable(tmp_path):
-    m1 = Manifest(corpus_dir=tmp_path / "a")
-    m2 = Manifest(corpus_dir=tmp_path / "b")  # location must not affect results
-    c1 = json.dumps(m1.canonical(), sort_keys=True)
-    c2 = json.dumps(m2.canonical(), sort_keys=True)
-    assert c1 == c2
-    assert json.loads(c1)["eval"]["solver"] == "mu"

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sparsescene import report
+from sparsescene.regimes import RunResult
 
 
 def _row(**overrides):
@@ -128,3 +129,75 @@ def test_write_aggregate_round_trips(tmp_path):
     on_disk = json.loads(path.read_text())
     assert on_disk == returned
     assert on_disk["schema_version"] == report.SCHEMA_VERSION
+
+
+def test_result_to_json_cleans_and_normalises_values():
+    result = RunResult(
+        scenario_id="s0007",
+        regime="complete",
+        method="kmeans",
+        snr_nominal_db=5.0,
+        speaker_true="spk2",
+        noise_first_true="hum",
+        noise_second_true="band",
+        transition_true_s=6.0,
+        speaker_pred="spk2",
+        speaker_rank=("spk2", "spk1", "spk3"),
+        speaker_correct=True,
+        speaker_top3_correct=True,
+        noise_first_pred="hum",
+        noise_second_pred="am",
+        noise_correct=False,
+        transition_pred_s=6.25,
+        transition_abs_error_s=0.25,
+        input_snr_db=5.0,
+        sdr_db=math.inf,
+        sdr_gain_db=math.inf,
+        est_snr_db=math.nan,
+        snr_error_db=math.nan,
+        vad_rates={3: (12.5, math.nan), 2: (0.0, 25.0)},
+    )
+    row = report.result_to_json(result, "abc")
+    assert row == {
+        "schema_version": 1,
+        "run_key": "abc",
+        "scenario_id": "s0007",
+        "regime": "complete",
+        "method": "kmeans",
+        "snr_nominal_db": 5.0,
+        "speaker_true": "spk2",
+        "noise_first_true": "hum",
+        "noise_second_true": "band",
+        "transition_true_s": 6.0,
+        "speaker_pred": "spk2",
+        "speaker_rank": ["spk2", "spk1", "spk3"],
+        "speaker_correct": True,
+        "speaker_top3_correct": True,
+        "noise_first_pred": "hum",
+        "noise_second_pred": "am",
+        "noise_correct": False,
+        "transition_pred_s": 6.25,
+        "transition_abs_error_s": 0.25,
+        "input_snr_db": 5.0,
+        "sdr_db": None,
+        "sdr_gain_db": None,
+        "est_snr_db": None,
+        "snr_error_db": None,
+        "vad_rates": {"2": [0.0, 25.0], "3": [12.5, None]},
+        "failure_stage": None,
+        "error": None,
+    }
+    assert list(row["vad_rates"]) == ["2", "3"]
+
+
+def test_report_columns_keep_their_order(tmp_path):
+    path = tmp_path / "report.csv"
+    report.write_csv([], path)
+    assert path.read_text() == (
+        "schema_version,run_key,scenario_id,regime,method,snr_nominal_db,"
+        "speaker_true,noise_first_true,noise_second_true,transition_true_s,"
+        "speaker_pred,speaker_rank,speaker_correct,speaker_top3_correct,"
+        "noise_first_pred,noise_second_pred,noise_correct,transition_pred_s,"
+        "transition_abs_error_s,input_snr_db,sdr_db,sdr_gain_db,est_snr_db,"
+        "snr_error_db,vad_rates,failure_stage,error\n"
+    )
