@@ -208,6 +208,8 @@ def generate_corpus(
     noise type and per speaker from the root seed, so any single entry is
     reproducible independently of the others.
     """
+    if not noise_seconds > 0:
+        raise DataError(f"noise_seconds must be positive, not {noise_seconds}")
     out = Path(out_dir)
     (out / "noise").mkdir(parents=True, exist_ok=True)
     root = np.random.SeedSequence(seed)

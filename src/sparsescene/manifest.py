@@ -60,6 +60,10 @@ class Manifest:
             raise DataError("manifest lists no SNRs")
         if self.n_scenarios < 1:
             raise DataError("n_scenarios must be at least 1")
+        if self.n_atoms < 1:
+            raise DataError("n_atoms must be at least 1")
+        if not self.corpus_noise_seconds > 0:
+            raise DataError("corpus_noise_seconds must be positive")
         if self.parallelism < 1:
             raise DataError("parallelism must be at least 1")
 

@@ -99,6 +99,8 @@ class EvalParams:
             raise DataError("coding_iters and min_speech_frames must be at least 1")
         if not self.vad_ks:
             raise DataError("vad_ks lists no cluster counts")
+        if self.vad_primary_k < 2 or min(self.vad_ks) < 2:
+            raise DataError("vad_primary_k and every vad_ks entry must be at least 2")
 
     def to_dict(self) -> dict:
         return asdict(self)

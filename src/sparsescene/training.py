@@ -67,6 +67,8 @@ def learn_bank(
     """
     if method not in METHODS:
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
+    if n_atoms < 1:
+        raise DataError(f"n_atoms must be at least 1, not {n_atoms}")
     config = config or StftConfig(sample_rate=corpus.sample_rate)
     if config.sample_rate != corpus.sample_rate:
         raise DataError("feature configuration does not match the corpus sample rate")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
+from sparsescene import cli
 from sparsescene.cli import main
 
 
@@ -60,6 +61,43 @@ def test_missing_required_flag_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.delenv("SPARSESCENE_OUT", raising=False)
     assert main(["make-corpus"]) == 1
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, _, flags) in cli._COMMANDS.items() for flag in flags],
+    ids=lambda v: v if isinstance(v, str) else v.name,
+)
+def test_every_flag_shows_its_default_and_reads_its_environment_variable(
+    monkeypatch, capsys, command, flag
+):
+    option = "--" + flag.name.replace("_", "-")
+    assert main([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    entry = help_text.rsplit(option + " ", 1)[1].split(" --")[0]
+    assert entry.startswith(f"{flag.name.upper()} {flag.help}")
+    if flag.default not in (None, cli.REQUIRED):
+        assert entry.endswith(f"default {flag.default})")
+
+    samples = {str: "given", int: "7", float: "0.5", cli.parse_bool: "false"}
+    text = flag.choices[0] if flag.choices else samples[flag.parse]
+    monkeypatch.setenv(f"SPARSESCENE_{flag.name.upper()}", text)
+    argv = [command]
+    for other in cli._COMMANDS[command][2]:
+        if other.default is cli.REQUIRED and other is not flag:
+            argv += ["--" + other.name.replace("_", "-"), "given"]
+    options = cli._resolve(cli.build_parser().parse_args(argv), {})
+    assert getattr(options, flag.name) == flag.parse(text)
+
+
+@pytest.mark.parametrize(
+    "argv", [["learn-dict", "--atoms", "0"], ["make-corpus", "--noise-seconds", "-1"]]
+)
+def test_non_positive_sizes_are_data_errors(corpus_root, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    corpus = ["--corpus", str(corpus_root)] if argv[0] == "learn-dict" else []
+    assert main([*argv, *corpus, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_make_corpus_writes_a_corpus(tmp_path, capsys):
@@ -257,7 +295,14 @@ def test_evaluate_with_missing_manifest_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "eval_params", [{"snr_reference": "whole"}, {"solver": "nmf"}, {"coding_iter": 100}]
+    "eval_params",
+    [
+        {"snr_reference": "whole"},
+        {"solver": "nmf"},
+        {"coding_iter": 100},
+        {"vad_primary_k": 1},
+        {"vad_ks": [1]},
+    ],
 )
 def test_evaluate_with_bad_eval_params_is_a_data_error(
     corpus_root, tmp_path, capsys, eval_params

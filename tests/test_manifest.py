@@ -32,6 +32,10 @@ def test_defaults_are_sensible(tmp_path):
         dict(eval_params=dict(coding_iters=0)),
         dict(eval_params=dict(min_speech_frames=0)),
         dict(eval_params=dict(vad_ks=())),
+        dict(n_atoms=0),
+        dict(corpus_noise_seconds=0.0),
+        dict(eval_params=dict(vad_primary_k=1)),
+        dict(eval_params=dict(vad_ks=(1,))),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
