@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.cluster.vq import kmeans2
 
+from .errors import DataError
+
 __all__ = [
     "METHODS",
     "LearnedDictionary",
@@ -243,6 +245,11 @@ def learn_dictionary(
         method's between-source test.
     rng : np.random.Generator, optional
         Source of randomness; defaults to a fixed seed for reproducibility.
+
+    Raises
+    ------
+    DataError
+        If every frame is silent (or there are no frames).
     """
     if method not in METHODS:
         raise ValueError(f"unknown dictionary method {method!r}; choose from {METHODS}")
@@ -254,7 +261,7 @@ def learn_dictionary(
     live = np.linalg.norm(F, axis=0) > 1e-12
     F = F[:, live]
     if F.shape[1] == 0:
-        raise ValueError("no non-silent frames to learn from")
+        raise DataError("no non-silent frames to learn from")
     if n_atoms < 1:
         raise ValueError("n_atoms must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)

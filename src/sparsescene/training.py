@@ -87,15 +87,18 @@ def learn_bank(
             if kind == "noise"
             else speaker_training_features(corpus, label, config, speaker_splits)
         )
-        learned = learn_dictionary(
-            feats,
-            method,
-            n_atoms,
-            tw=tw,
-            tb=tb,
-            prior_atoms=np.concatenate(prior, axis=1) if prior else None,
-            rng=np.random.default_rng(child),
-        )
+        try:
+            learned = learn_dictionary(
+                feats,
+                method,
+                n_atoms,
+                tw=tw,
+                tb=tb,
+                prior_atoms=np.concatenate(prior, axis=1) if prior else None,
+                rng=np.random.default_rng(child),
+            )
+        except DataError as exc:
+            raise DataError(f"{kind} {label!r}: {exc}") from None
         log.debug("learned %s/%s: %d atoms", kind, label, learned.atoms.shape[1])
         prior.append(learned.atoms)
         (noises if kind == "noise" else speakers)[label] = learned

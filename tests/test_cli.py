@@ -100,6 +100,15 @@ def test_non_positive_sizes_are_data_errors(corpus_root, tmp_path, capsys, argv)
     assert not out.exists()
 
 
+def test_learn_dict_on_a_corpus_without_noise_training_frames_is_a_data_error(tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    assert main(["make-corpus", "--out", str(corpus), "--noise-seconds", "0.01"]) == 0
+    out = tmp_path / "bank.npz"
+    assert main(["learn-dict", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert "noise 'am': no non-silent frames" in caplog.text
+    assert not out.exists()
+
+
 def test_make_corpus_writes_a_corpus(tmp_path, capsys):
     out = tmp_path / "corpus"
     code, summary = _run(

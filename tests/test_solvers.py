@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsescene.solvers import code_frames, generalized_kl, solve_asna, solve_mu
+from sparsescene.solvers import EPS, FLOOR, code_frames, generalized_kl, solve_asna, solve_mu
 
 
 def _random_problem(seed, P=12, M=8):
@@ -53,6 +53,74 @@ def test_multiplicative_updates_batch_matches_single_column():
     X = solve_mu(Y, B, n_iter=500)
     assert np.allclose(X[:, 0], solve_mu(y1, B, n_iter=500))
     assert np.allclose(X[:, 1], solve_mu(y2, B, n_iter=500))
+
+
+@pytest.mark.parametrize("c", [2.0**-100, 2.0**100], ids=["2**-100", "2**100"])
+def test_multiplicative_updates_are_scale_equivariant_bit_for_bit(c):
+    y1, B = _random_problem(9)
+    y2, _ = _random_problem(10)
+    Y = np.stack([y1, np.zeros(12), 3.0 * y2], axis=1)
+    X = solve_mu(Y, B, n_iter=300)
+    assert np.array_equal(solve_mu(c * Y, B, n_iter=300), c * X)
+
+
+def test_multiplicative_update_weights_stay_at_or_above_the_floor():
+    # Rows 0-3 are silent in y and carry 6-13 % of every unused atom's mass, so
+    # those atoms shrink geometrically; without the floor they would pass
+    # float32's subnormal range within a few hundred sweeps.
+    rng = np.random.default_rng(3)
+    B = rng.uniform(0.2, 1.0, (12, 8))
+    used = [0, 2, 5]
+    unused = [1, 3, 4, 6, 7]
+    B[:4, used] = 0.0
+    B[:4, unused] *= 0.25
+    B /= np.linalg.norm(B, axis=0)
+    x0 = np.zeros(8)
+    x0[used] = [0.5, 1.2, 0.3]
+    Y = np.stack([B @ x0, np.zeros(12)], axis=1)
+    X = solve_mu(Y, B, n_iter=3000)
+    scale = 2.0 ** np.frexp(np.mean(Y))[1]
+    assert np.all(X[:, 1] == 0.0)
+    assert np.all(X[:, 0] >= FLOOR * scale)
+    assert np.all(X[unused, 0] == FLOOR * scale)
+    assert not np.any((X != 0.0) & (X < np.finfo(np.float64).tiny))
+    assert generalized_kl(Y[:, 0], B @ X[:, 0]) <= 1e-7
+
+
+def _reference_mu(Y, B, n_iter):
+    """Float64 multiplicative updates with neither scaling nor floor."""
+    M = B.shape[1]
+    colsum = np.sum(B, axis=0)
+    X = np.full((M, Y.shape[1]), np.maximum(np.mean(Y), EPS) / M)
+    Bt_scaled = (B / colsum[None, :]).T
+    for _ in range(n_iter):
+        X *= Bt_scaled @ (Y / np.maximum(B @ X, EPS))
+    return X
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=4, max_value=24),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-8, max_value=8),
+)
+def test_float32_sweeps_reach_the_float64_objective(seed, P, atoms_per_bin, N, decade):
+    # Up to twice as many atoms as bins; the pipeline codes 129 bins against
+    # 160 atoms.
+    M = max(1, round(atoms_per_bin * P))
+    rng = np.random.default_rng(seed)
+    B = np.abs(rng.standard_normal((P, M))) + 0.05
+    B /= np.linalg.norm(B, axis=0)
+    Y = (np.abs(rng.standard_normal((P, N))) + 0.01) * 10.0**decade
+    f = generalized_kl(Y, B @ solve_mu(Y, B, n_iter=400))
+    f_ref = generalized_kl(Y, B @ _reference_mu(Y, B, 400))
+    # Each sweep rounds the weights to float32, so after n sweeps they may sit
+    # n * eps apart (relative) from the float64 ones; near an exact fit, where
+    # the objective is about zero, that moves it by up to (n * eps)**2 * sum(Y).
+    drift = (400 * np.finfo(np.float32).eps) ** 2 * np.sum(Y)
+    assert abs(f - f_ref) <= 1e-5 * f_ref + drift
 
 
 def test_zero_observation_gets_zero_weights():
