@@ -3,21 +3,28 @@
 The bank maps speaker and noise-type labels to learned dictionaries and keeps
 a shared access counter per source.  Restricted views (with some sources
 removed) share the parent's counters, so a test can run a pipeline on a view
-and then assert that the removed sources were never consulted.
+and then assert that the removed sources were never consulted.  The bank
+also records how it was made (learning method, ``learn_bank`` parameters and
+STFT settings), and :meth:`DictionaryBank.load` accepts only what ``save`` writes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .dictionary import LearnedDictionary
 from .errors import DataError
+from .features import StftConfig
 
 __all__ = ["DictionaryBank"]
+
+#: the ``learn_bank`` arguments a bank records as ``params``
+RECIPE_KEYS = ("n_atoms", "tw", "tb", "seed")
 
 
 class DictionaryBank:
@@ -41,10 +48,19 @@ class DictionaryBank:
         self.access_counts: dict[tuple[str, str], int] = (
             _counters if _counters is not None else {}
         )
-        for label in self._speakers:
-            self.access_counts.setdefault(("speaker", label), 0)
-        for label in self._noises:
-            self.access_counts.setdefault(("noise", label), 0)
+        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
+            for label in table:
+                self.access_counts.setdefault((kind, label), 0)
+
+    @property
+    def stft_config(self) -> StftConfig:
+        """The STFT settings the atoms were learned with."""
+        return StftConfig(**self.feature_params)
+
+    @property
+    def _recipe(self) -> dict:
+        """How the bank was made: learning method and parameters, STFT settings."""
+        return dict(method=self.method, params=self.params, feature_params=self.feature_params)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -81,15 +97,11 @@ class DictionaryBank:
         blocks: list[np.ndarray] = []
         groups: list[tuple[str, str, slice]] = []
         start = 0
-        for label in speaker_labels:
-            atoms = self.get_speaker(label).atoms
+        wanted = [("speaker", label) for label in speaker_labels]
+        for kind, label in wanted + [("noise", label) for label in noise_labels]:
+            atoms = (self.get_speaker if kind == "speaker" else self.get_noise)(label).atoms
             blocks.append(atoms)
-            groups.append(("speaker", label, slice(start, start + atoms.shape[1])))
-            start += atoms.shape[1]
-        for label in noise_labels:
-            atoms = self.get_noise(label).atoms
-            blocks.append(atoms)
-            groups.append(("noise", label, slice(start, start + atoms.shape[1])))
+            groups.append((kind, label, slice(start, start + atoms.shape[1])))
             start += atoms.shape[1]
         if not blocks:
             raise ValueError("no dictionaries requested")
@@ -105,13 +117,9 @@ class DictionaryBank:
         """View without the given sources; shares this bank's access counters."""
         ex_s = set(exclude_speakers)
         ex_n = set(exclude_noises)
-        return DictionaryBank(
+        return self._view(
             {k: v for k, v in self._speakers.items() if k not in ex_s},
             {k: v for k, v in self._noises.items() if k not in ex_n},
-            method=self.method,
-            params=self.params,
-            feature_params=self.feature_params,
-            _counters=self.access_counts,
         )
 
     def with_replaced(
@@ -126,6 +134,12 @@ class DictionaryBank:
             noises[label] = replacement
         else:
             raise ValueError("kind must be 'speaker' or 'noise'")
+        return self._view(speakers, noises)
+
+    def _view(
+        self, speakers: Mapping[str, LearnedDictionary], noises: Mapping[str, LearnedDictionary]
+    ) -> "DictionaryBank":
+        """Bank of these sources with this bank's recipe and access counters."""
         return DictionaryBank(
             speakers,
             noises,
@@ -146,9 +160,7 @@ class DictionaryBank:
         meta = {
             "format": "sparsescene-bank",
             "version": 1,
-            "method": self.method,
-            "params": self.params,
-            "feature_params": self.feature_params,
+            **self._recipe,
             "speakers": sorted(self._speakers),
             "noises": sorted(self._noises),
             "dict_methods": {
@@ -165,53 +177,68 @@ class DictionaryBank:
 
     @classmethod
     def load(cls, path) -> "DictionaryBank":
+        """Read a bank written by :meth:`save`; anything else is a :class:`DataError`."""
         try:
             data = np.load(path, allow_pickle=False)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot read dictionary bank {path}: {exc}") from exc
         try:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("format") != "sparsescene-bank":
+            if not isinstance(meta, dict) or meta.get("format") != "sparsescene-bank":
                 raise KeyError("format")
-            speakers = {
-                label: LearnedDictionary(
-                    atoms=np.asarray(data[f"speaker/{label}/atoms"], dtype=np.float64),
-                    method=meta["dict_methods"][f"speaker/{label}"],
-                    appended=np.asarray(data[f"speaker/{label}/appended"], dtype=bool),
-                )
-                for label in meta["speakers"]
+            tables = {
+                kind: {
+                    label: LearnedDictionary(
+                        atoms=np.asarray(data[f"{kind}/{label}/atoms"], dtype=np.float64),
+                        method=meta["dict_methods"][f"{kind}/{label}"],
+                        appended=np.asarray(data[f"{kind}/{label}/appended"], dtype=bool),
+                    )
+                    for label in meta[f"{kind}s"]
+                }
+                for kind in ("speaker", "noise")
             }
-            noises = {
-                label: LearnedDictionary(
-                    atoms=np.asarray(data[f"noise/{label}/atoms"], dtype=np.float64),
-                    method=meta["dict_methods"][f"noise/{label}"],
-                    appended=np.asarray(data[f"noise/{label}/appended"], dtype=bool),
-                )
-                for label in meta["noises"]
-            }
+            bank = cls(
+                tables["speaker"],
+                tables["noise"],
+                method=meta["method"],
+                params=meta["params"],
+                feature_params=meta["feature_params"],
+            )
         except KeyError as exc:
-            raise DataError(f"{path} is not a valid dictionary bank") from exc
-        return cls(
-            speakers,
-            noises,
-            method=meta["method"],
-            params=meta.get("params", {}),
-            feature_params=meta.get("feature_params", {}),
-        )
+            raise DataError(f"{path} is not a valid dictionary bank: no {exc}") from exc
+        problem = bank._problem()
+        if problem:
+            raise DataError(f"dictionary bank {path}: {problem}")
+        return bank
+
+    def _problem(self) -> str | None:
+        """What keeps this bank from being one ``save`` writes, or None."""
+        p = self.params
+        if set(p) != set(RECIPE_KEYS) or not all(isinstance(v, (int, float)) for v in p.values()):
+            return f"params {p} are not numbers for exactly {RECIPE_KEYS}"
+        stft_keys = {f.name for f in fields(StftConfig)}
+        fp = self.feature_params
+        if set(fp) != stft_keys or not all(type(v) is int and v > 0 for v in fp.values()):
+            return f"feature_params {fp} are not positive integers for exactly {sorted(stft_keys)}"
+        n_bins = self.stft_config.n_bins
+        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
+            for label, d in table.items():
+                atoms, where = d.atoms, f"{kind} {label!r}"
+                if atoms.ndim != 2 or atoms.shape[0] != n_bins:
+                    shape, n_fft = atoms.shape, fp["n_fft"]
+                    return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
+                if not np.all(np.isfinite(atoms)):
+                    return f"{where} has non-finite atoms (NaN or Inf)"
+                if np.any(atoms < 0):
+                    return f"{where} has negative atoms"
+                if np.any(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) > 1e-6):
+                    return f"{where} has atoms that are not unit-norm"
+        return None
 
     def content_hash(self) -> str:
         """Stable digest of the bank's dictionaries and parameters."""
         h = hashlib.sha256()
-        h.update(
-            json.dumps(
-                {
-                    "method": self.method,
-                    "params": self.params,
-                    "feature_params": self.feature_params,
-                },
-                sort_keys=True,
-            ).encode("utf-8")
-        )
+        h.update(json.dumps(self._recipe, sort_keys=True).encode("utf-8"))
         for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
             for label in sorted(table):
                 d = table[label]

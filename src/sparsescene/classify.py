@@ -36,8 +36,8 @@ def block_score_matrix(
 class NoiseDecision:
     """Outcome of noise typing, with the coding every decision is read from.
 
-    ``weights[:, j]`` codes frame ``frames[j]`` against ``dictionary``, whose
-    column blocks ``groups`` lists as ``(kind, label, slice)``.
+    ``weights[:, j]`` codes frame ``j`` against ``dictionary``, whose column
+    blocks ``groups`` lists as ``(kind, label, slice)``.
     """
 
     noise_first: str
@@ -45,7 +45,6 @@ class NoiseDecision:
     transition_s: float
     frame_labels: list[str]
     frame_times: np.ndarray
-    frames: np.ndarray
     dictionary: np.ndarray
     groups: list[tuple[str, str, slice]]
     weights: np.ndarray
@@ -75,7 +74,6 @@ def classify_noise(
     bank: DictionaryBank,
     config: StftConfig,
     *,
-    stride: int = 1,
     solver: str = "mu",
     **solver_kwargs,
 ) -> NoiseDecision:
@@ -84,29 +82,24 @@ def classify_noise(
     Parameters
     ----------
     mag : np.ndarray
-        Magnitude spectrogram of the whole mixture, ``(P, N)``.
-    stride : int
-        Code only every ``stride``-th frame; a cheap speed knob that
-        coarsens the switch-point resolution accordingly.  Separation needs
-        every frame coded, so the analysis pipeline always uses 1.
+        Magnitude spectrogram of the whole mixture, ``(P, N)``; every frame
+        is coded.
     """
-    n_frames = mag.shape[1]
-    considered = np.arange(n_frames)[::stride]
     labels = list(bank.noise_labels)
     if not labels:
         raise ValueError("bank holds no noise dictionaries")
     D, groups = bank.concatenated(speaker_labels=bank.speaker_labels, noise_labels=labels)
     noise_groups = [g for g in groups if g[0] == "noise"]
-    W = code_frames(mag[:, considered], D, solver=solver, **solver_kwargs)
+    W = code_frames(mag, D, solver=solver, **solver_kwargs)
     scores = block_score_matrix(W, noise_groups)
     frame_label_idx = np.argmax(scores, axis=0)
 
     a_idx, b_idx, split = _best_changepoint(frame_label_idx, len(labels))
 
-    times = frame_times(n_frames, config)[considered]
+    times = frame_times(mag.shape[1], config)
     if split <= 0:
         transition = float(times[0])
-    elif split >= considered.size:
+    elif split >= times.size:
         transition = float(times[-1])
     else:
         transition = float(0.5 * (times[split - 1] + times[split]))
@@ -117,7 +110,6 @@ def classify_noise(
         transition_s=transition,
         frame_labels=[labels[i] for i in frame_label_idx],
         frame_times=times,
-        frames=considered,
         dictionary=D,
         groups=groups,
         weights=W,
@@ -130,14 +122,14 @@ def rank_speakers(
     """Rank speaker labels by their block scores summed over speech frames.
 
     The scores come from ``decision``'s weights.  When ``speech_mask`` marks
-    none of the coded frames, the 20 loudest coded frames stand in for speech.
+    no frame, the 20 loudest frames stand in for speech.
     """
     speakers = [g for g in decision.groups if g[0] == "speaker"]
     if not speakers:
         raise ValueError("bank holds no speaker dictionaries")
-    columns = np.flatnonzero(np.asarray(speech_mask, dtype=bool)[decision.frames])
+    columns = np.flatnonzero(speech_mask)
     if columns.size == 0:
-        energy = np.sum(mag[:, decision.frames] ** 2, axis=0)
+        energy = np.sum(mag**2, axis=0)
         columns = np.argsort(energy)[::-1][:20]
     totals = np.sum(block_score_matrix(decision.weights[:, columns], speakers), axis=1)
     order = np.argsort(-totals, kind="stable")

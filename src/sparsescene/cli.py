@@ -35,7 +35,6 @@ log = logging.getLogger(__name__)
 ENV_PREFIX = "SPARSESCENE_"
 
 
-
 def parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -129,7 +128,7 @@ def _cmd_simulate(o) -> dict:
 
 def _load_bank_and_wav(o) -> tuple[DictionaryBank, int, np.ndarray]:
     bank = DictionaryBank.load(o.bank)
-    sr = int(bank.feature_params.get("sample_rate", 8000))
+    sr = bank.stft_config.sample_rate
     _, samples = read_wav(Path(o.wav), expect_sr=sr)
     return bank, sr, samples
 
@@ -287,3 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         log.error("numerical failure: %s", exc)
         return 3
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

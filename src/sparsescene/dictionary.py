@@ -147,7 +147,7 @@ def _learn_ksvd(
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
     k = atoms.shape[1]
     for _ in range(n_iter):
-        X = solve_mu(frames, atoms, n_iter=60, tol=1e-6)
+        X = solve_mu(frames, atoms, n_iter=60)
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:
             order = np.argsort(X, axis=0)

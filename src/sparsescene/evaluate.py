@@ -20,7 +20,6 @@ import numpy as np
 from .bank import DictionaryBank
 from .corpus import Corpus, generate_corpus, write_wav
 from .errors import DataError
-from .features import StftConfig
 from .manifest import Manifest
 from .regimes import EvalParams, RegimeContext, analyze, run_regime
 from .report import result_to_json, write_aggregate, write_csv
@@ -61,33 +60,20 @@ def _bank_for(
     manifest: Manifest, corpus: Corpus, method: str, out_dir: Path, resume: bool
 ) -> DictionaryBank:
     """Learn (or reload) the dictionary bank for one method."""
-    wanted = {
-        "n_atoms": manifest.n_atoms,
-        "tw": manifest.tw,
-        "tb": manifest.tb,
-        "seed": manifest.bank_seed,
-    }
+    recipe = dict(
+        n_atoms=manifest.n_atoms, tw=manifest.tw, tb=manifest.tb, seed=manifest.bank_seed
+    )
     path = out_dir / "banks" / f"{method}.npz"
     if resume and path.exists():
         try:
             bank = DictionaryBank.load(path)
-            if bank.method == method and bank.params == wanted:
+            if bank.method == method and bank.params == recipe:
                 log.info("reusing bank %s", path)
                 return bank
             log.warning("bank %s does not match the manifest; relearning", path)
         except DataError as exc:
             log.warning("cannot reuse bank %s (%s); relearning", path, exc)
-    config = StftConfig(sample_rate=corpus.sample_rate)
-    bank = learn_bank(
-        corpus,
-        method,
-        manifest.n_atoms,
-        tw=manifest.tw,
-        tb=manifest.tb,
-        seed=manifest.bank_seed,
-        config=config,
-        speaker_splits=("train",),
-    )
+    bank = learn_bank(corpus, method, **recipe)
     path.parent.mkdir(parents=True, exist_ok=True)
     bank.save(path)
     return bank
@@ -137,7 +123,6 @@ def run_manifest(
     rows_dir.mkdir(parents=True, exist_ok=True)
 
     corpus = prepare_corpus(manifest)
-    config = StftConfig(sample_rate=corpus.sample_rate)
     scenarios = _scenarios_for(manifest, corpus)
     _write_json_atomic(
         out_dir / "scenarios.json", {"scenarios": [s.to_dict() for s in scenarios]}
@@ -149,7 +134,7 @@ def run_manifest(
             bank = banks[method]
         else:
             bank = _bank_for(manifest, corpus, method, out_dir, resume)
-        contexts[method] = RegimeContext(bank, corpus, config, manifest.eval_params)
+        contexts[method] = RegimeContext(bank, corpus, manifest.eval_params)
 
     jobs: list[tuple[str, MixScenario, str, float, str]] = []
     skipped_rows: list[dict] = []
@@ -278,12 +263,7 @@ def analyze_signal(
     Returns a JSON-friendly analysis (speech spans, noise types, switch
     point, speaker ranking, estimated SNR) plus the separated components.
     """
-    fp = bank.feature_params
-    config = StftConfig(
-        sample_rate=int(fp.get("sample_rate", 8000)),
-        n_fft=int(fp.get("n_fft", 256)),
-        hop=int(fp.get("hop", 128)),
-    )
+    config = bank.stft_config
     x = np.asarray(samples, dtype=np.float64)
     if x.size < config.n_fft:
         raise DataError(f"signal has {x.size} samples; analysis needs at least {config.n_fft}")

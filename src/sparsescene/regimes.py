@@ -23,8 +23,8 @@ answers when a rendered scenario is scored:
     noise-only region of each half of the mixture itself (the region outside
     the ground-truth utterance spans is assumed known).
 ``updated_speaker``
-    Speaker dictionaries are relearned with additional enrollment material
-    before the otherwise blind pipeline runs.
+    The bank is relearned with its own method and parameters on additional
+    speaker enrollment material before the otherwise blind pipeline runs.
 
 Each run yields a :class:`RunResult`; failures are captured per run with the
 stage at which they occurred rather than aborting a whole evaluation.
@@ -115,35 +115,29 @@ class EvalParams:
 class RegimeContext:
     """Bank, corpus and parameters shared by the runs of one evaluation."""
 
-    def __init__(
-        self,
-        bank: DictionaryBank,
-        corpus: Corpus,
-        config: StftConfig,
-        params: EvalParams | None = None,
-    ):
+    def __init__(self, bank: DictionaryBank, corpus: Corpus, params: EvalParams | None = None):
         self.bank = bank
         self.corpus = corpus
-        self.config = config
+        self.config = bank.stft_config
+        if self.config.sample_rate != corpus.sample_rate:
+            raise DataError(
+                f"the bank was learned at {self.config.sample_rate} Hz "
+                f"but the corpus is at {corpus.sample_rate} Hz"
+            )
         self.params = params or EvalParams()
         self._updated_speaker_bank: DictionaryBank | None = None
 
     def updated_speaker_bank(self) -> DictionaryBank:
-        """Bank with speaker dictionaries relearned on train + update splits.
+        """Bank relearned with this bank's recipe on train + update speaker splits.
 
         Learned once and cached; it does not depend on any scenario.
         """
         if self._updated_speaker_bank is None:
-            p = self.bank.params
             log.info("relearning speaker dictionaries with update split (%s)", self.bank.method)
             self._updated_speaker_bank = learn_bank(
                 self.corpus,
                 self.bank.method,
-                int(p.get("n_atoms", 20)),
-                tw=float(p.get("tw", 0.8)),
-                tb=float(p.get("tb", 0.8)),
-                seed=int(p.get("seed", 0)),
-                config=self.config,
+                **self.bank.params,
                 speaker_splits=("train", "update"),
             )
         return self._updated_speaker_bank
@@ -226,18 +220,12 @@ def _adapted_noises(
         feats = _gate_silence(mag[:, in_half & ~speech_mask])
         if feats.shape[1] == 0:
             feats = mag[:, in_half]
-        n_atoms = min(int(p.get("n_atoms", 20)), feats.shape[1])
-        learned = learn_dictionary(
-            feats,
-            ctx.bank.method,
-            n_atoms,
-            tw=float(p.get("tw", 0.8)),
-            tb=float(p.get("tb", 0.8)),
-            rng=np.random.default_rng(
-                np.random.SeedSequence([rendered.scenario.seed, half])
-            ),
+        rng = np.random.default_rng(np.random.SeedSequence([rendered.scenario.seed, half]))
+        out.append(
+            learn_dictionary(
+                feats, ctx.bank.method, p["n_atoms"], tw=p["tw"], tb=p["tb"], rng=rng
+            )
         )
-        out.append(learned)
     return out[0], out[1]
 
 

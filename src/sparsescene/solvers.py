@@ -35,6 +35,9 @@ EPS = 1e-12
 #: above float32's smallest normal number (1.2e-38)
 FLOOR = float(np.float32(1e-20))
 
+#: sweeps between :func:`solve_mu`'s early-stopping checks when ``tol > 0``
+CHECK_EVERY = 100
+
 
 def generalized_kl(y: np.ndarray, yhat: np.ndarray) -> float:
     """Generalized KL divergence ``sum(y*log(y/yhat) - y + yhat)`` with ``0*log(0) = 0``."""
@@ -68,7 +71,6 @@ def solve_mu(
     dictionary: np.ndarray,
     n_iter: int = 2000,
     tol: float = 0.0,
-    check_every: int = 100,
 ) -> np.ndarray:
     """Multiplicative-update minimisation of the generalized KL divergence.
 
@@ -94,7 +96,7 @@ def solve_mu(
         Maximum number of update sweeps.
     tol : float
         If positive, stop early once the relative decrease of the objective
-        (summed over columns, measured every ``check_every`` sweeps) falls
+        (summed over columns, measured every :data:`CHECK_EVERY` sweeps) falls
         below this value.  ``tol=0`` always runs the full ``n_iter`` sweeps.
 
     Returns
@@ -132,7 +134,7 @@ def solve_mu(
             np.matmul(Bt_scaled, ratio, out=update)
             Xl *= update
             np.maximum(Xl, FLOOR, out=Xl)
-            if tol > 0.0 and (it + 1) % check_every == 0:
+            if tol > 0.0 and (it + 1) % CHECK_EVERY == 0:
                 obj = generalized_kl(Yl, B @ (Xl.astype(np.float64) * scale))
                 if abs(prev - obj) <= tol * (1.0 + abs(obj)):
                     break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,22 +57,21 @@ def learn_bank(
     tw: float = 0.8,
     tb: float = 0.8,
     seed: int = 0,
-    config: StftConfig | None = None,
     speaker_splits: tuple[str, ...] = ("train",),
 ) -> DictionaryBank:
     """Learn one dictionary per noise type and per speaker.
 
-    Sources are processed in a fixed order (noises sorted by label, then
-    speakers sorted by label); the threshold method's between-source test
-    compares each candidate against all atoms accepted for earlier sources.
+    Features use the default STFT settings at the corpus's sample rate; the
+    bank records them and the learning arguments.  Sources are processed in
+    a fixed order (noises sorted by label, then speakers sorted by label);
+    the threshold method's between-source test compares each candidate
+    against all atoms accepted for earlier sources.
     """
     if method not in METHODS:
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
     if n_atoms < 1:
         raise DataError(f"n_atoms must be at least 1, not {n_atoms}")
-    config = config or StftConfig(sample_rate=corpus.sample_rate)
-    if config.sample_rate != corpus.sample_rate:
-        raise DataError("feature configuration does not match the corpus sample rate")
+    config = StftConfig(sample_rate=corpus.sample_rate)
     root = np.random.SeedSequence(seed)
     order = [("noise", label) for label in sorted(corpus.noises)] + [
         ("speaker", label) for label in sorted(corpus.speakers)
@@ -108,9 +108,5 @@ def learn_bank(
         noises,
         method=method,
         params={"n_atoms": n_atoms, "tw": tw, "tb": tb, "seed": seed},
-        feature_params={
-            "sample_rate": config.sample_rate,
-            "n_fft": config.n_fft,
-            "hop": config.hop,
-        },
+        feature_params=asdict(config),
     )

@@ -35,14 +35,12 @@ def _report(ok: bool, label: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def banks_all(corpus, stft_config, kmeans_bank):
+def banks_all(corpus, kmeans_bank):
     """One dictionary bank per learning method, identical settings."""
     banks = {"kmeans": kmeans_bank}
     for method in ss.METHODS:
         if method not in banks:
-            banks[method] = ss.learn_bank(
-                corpus, method, 20, tw=0.8, tb=0.8, seed=0, config=stft_config
-            )
+            banks[method] = ss.learn_bank(corpus, method, 20, tw=0.8, tb=0.8, seed=0)
     return banks
 
 
@@ -68,7 +66,7 @@ def noise_decisions(noise_scenes, banks_all, stft_config):
     for method, bank in banks_all.items():
         t0 = time.perf_counter()
         decisions[method] = [
-            (s, ss.classify_noise(mag, bank, stft_config, stride=2, **kwargs))
+            (s, ss.classify_noise(mag, bank, stft_config, **kwargs))
             for s, mag in scenes
         ]
         timing[method] = time.perf_counter() - t0
@@ -76,9 +74,9 @@ def noise_decisions(noise_scenes, banks_all, stft_config):
 
 
 @pytest.fixture(scope="module")
-def speaker_runs(corpus, stft_config, kmeans_bank):
+def speaker_runs(corpus, kmeans_bank):
     """Blind pipeline runs on 16 mixtures at 10 dB (4 per speaker)."""
-    ctx = ss.RegimeContext(kmeans_bank, corpus, stft_config, ss.EvalParams())
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams())
     out = []
     for s in ss.generate_scenarios(corpus, 16, seed=2026):
         rendered = ss.render_scenario(corpus, s, snr_db=10.0)
@@ -87,9 +85,9 @@ def speaker_runs(corpus, stft_config, kmeans_bank):
 
 
 @pytest.fixture(scope="module")
-def oracle_runs(corpus, stft_config, kmeans_bank):
+def oracle_runs(corpus, kmeans_bank):
     """Oracle-condition runs (true dictionaries and spans) on 12 mixtures at 0 dB."""
-    ctx = ss.RegimeContext(kmeans_bank, corpus, stft_config, ss.EvalParams())
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams())
     out = []
     for s in ss.generate_scenarios(corpus, 12, seed=5):
         rendered = ss.render_scenario(corpus, s, snr_db=0.0)
@@ -98,9 +96,9 @@ def oracle_runs(corpus, stft_config, kmeans_bank):
 
 
 @pytest.fixture(scope="module")
-def regime_comparison(corpus, stft_config, kmeans_bank):
+def regime_comparison(corpus, kmeans_bank):
     """Out-of-set vs adapted-noise runs with access-counter instrumentation."""
-    ctx = ss.RegimeContext(kmeans_bank, corpus, stft_config, ss.EvalParams())
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams())
     isolation_ok = True
     oos_noise, oos_speaker, adapted = [], [], []
     for s in ss.generate_scenarios(corpus, 8, seed=0):

@@ -20,7 +20,7 @@ def bank():
         {"hiss": mk(), "thump": mk()},
         method="random",
         params={"n_atoms": 3, "tw": 0.8, "tb": 0.8, "seed": 0},
-        feature_params={"sample_rate": 8000, "n_fft": 256, "hop": 128},
+        feature_params={"sample_rate": 8000, "n_fft": 10, "hop": 5},  # 6-row atoms
     )
 
 
@@ -110,6 +110,9 @@ def test_loading_garbage_raises_data_error(tmp_path):
     np.savez(tmp_path / "wrong.npz", other=np.zeros(3))
     with pytest.raises(DataError):
         DictionaryBank.load(tmp_path / "wrong.npz")
+    np.savez(tmp_path / "list.npz", meta=np.frombuffer(b"[]", dtype=np.uint8))
+    with pytest.raises(DataError):
+        DictionaryBank.load(tmp_path / "list.npz")
 
 
 def test_content_hash_is_stable_and_sensitive(bank, tmp_path):

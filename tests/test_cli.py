@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,63 @@ def test_classify_with_nan_samples_is_a_data_error(cli_bank, tmp_path, capsys):
     ss.write_wav(wav, np.full(4000, np.nan), 8000)
     assert main(["classify", "--bank", str(cli_bank), "--wav", str(wav)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _negate_first_atom(meta, arrays):
+    arrays["speaker/spk1/atoms"][:, 0] *= -1.0
+
+
+def _nan_atom(meta, arrays):
+    arrays["noise/am/atoms"][3, 1] = np.nan
+
+
+def _one_dimensional_atoms(meta, arrays):
+    arrays["noise/hum/atoms"] = arrays["noise/hum/atoms"][:, 0]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda meta, arrays: meta["feature_params"].update(n_fft=512), "n_fft 512 needs 257"),
+        (_negate_first_atom, "speaker 'spk1' has negative atoms"),
+        (_nan_atom, "noise 'am' has non-finite atoms"),
+        (lambda meta, arrays: meta.pop("params"), "no 'params'"),
+        (lambda meta, arrays: meta.pop("feature_params"), "no 'feature_params'"),
+        (_one_dimensional_atoms, "noise 'hum' atoms have shape (129,)"),
+        (lambda meta, arrays: meta["params"].update(n_atoms="4"), "are not numbers"),
+    ],
+    ids=[
+        "n_fft_mismatch",
+        "negative_atom",
+        "nan_atom",
+        "no_params",
+        "no_feature_params",
+        "one_dimensional_atoms",
+        "text_params",
+    ],
+)
+def test_classify_with_malformed_bank_is_a_data_error(
+    cli_bank, short_wav, tmp_path, caplog, tamper, message
+):
+    with np.load(cli_bank) as data:
+        arrays = {key: data[key].copy() for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    tamper(meta, arrays)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    assert main(["classify", "--bank", str(bad), "--wav", str(short_wav)]) == 2
+    assert message in caplog.text
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ss.__file__).parents[1]))
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-m", *args], env=env, capture_output=True, text=True
+    )
+    helped = run("sparsescene", "--help")
+    assert helped.returncode == 0 and "learn-dict" in helped.stdout
+    assert run("sparsescene.cli", "learn-dict").returncode == 1
 
 
 def test_separate_writes_component_wavs(cli_bank, short_wav, tmp_path, capsys):

@@ -129,6 +129,13 @@ def test_updated_speaker_bank_is_learned_only_for_pending_runs(
     assert calls == ["kmeans"]
 
 
+def test_bank_at_another_sample_rate_is_a_data_error(kmeans_bank, tmp_path):
+    root = ss.generate_corpus(tmp_path / "wide", seed=0, sample_rate=16000, noise_seconds=12)
+    manifest = _small_manifest(root)
+    with pytest.raises(DataError, match="8000 Hz but the corpus is at 16000 Hz"):
+        ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": kmeans_bank})
+
+
 def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
     # A bank whose labels do not match the corpus: every run fails at the
     # noise-lookup stage but the campaign still completes and reports it.
@@ -241,7 +248,7 @@ def test_analyze_signal_codes_the_clip_once(short_rendered, kmeans_bank, coding_
 def test_every_regime_codes_the_clip_once(
     regime, short_rendered, corpus, stft_config, kmeans_bank, coding_calls
 ):
-    ctx = ss.RegimeContext(kmeans_bank, corpus, stft_config, ss.EvalParams(coding_iters=50))
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams(coding_iters=50))
     result = ss.run_regime(short_rendered, regime, ctx)
     assert result.failure_stage is None, result.error
     n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
