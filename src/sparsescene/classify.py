@@ -90,7 +90,8 @@ def classify_noise(
         raise ValueError("bank holds no noise dictionaries")
     D, groups = bank.concatenated(speaker_labels=bank.speaker_labels, noise_labels=labels)
     noise_groups = [g for g in groups if g[0] == "noise"]
-    W = code_frames(mag, D, solver=solver, **solver_kwargs)
+    blocks = [g[2].start for g in groups]
+    W = code_frames(mag, D, solver=solver, blocks=blocks, **solver_kwargs)
     scores = block_score_matrix(W, noise_groups)
     frame_label_idx = np.argmax(scores, axis=0)
 

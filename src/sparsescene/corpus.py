@@ -60,7 +60,19 @@ def write_wav(path: Path, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def read_wav(path: Path, expect_sr: int | None = None) -> tuple[int, np.ndarray]:
-    """Read a mono WAV as float64 in [-1, 1]; raises DataError on problems."""
+    """Read a mono WAV as float64 in [-1, 1]; raises DataError on problems.
+
+    Problems include a file that cannot be parsed as mono audio at
+    ``expect_sr`` and samples that are NaN or infinite.
+    """
+    sr, x = _parse_wav(path, expect_sr)
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{path}: non-finite samples (NaN or Inf)")
+    return sr, x
+
+
+def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
+    """:func:`read_wav` without the check on sample values."""
     try:
         sr, data = wavfile.read(path)
     except (OSError, ValueError) as exc:
@@ -259,7 +271,12 @@ def generate_corpus(
 
 @dataclass
 class Corpus:
-    """Index over a corpus directory; unreadable entries are skipped with warnings."""
+    """Index over a corpus directory; unreadable entries are skipped with warnings.
+
+    An entry that reads as audio but holds non-finite samples stays listed and
+    raises :class:`DataError`, naming its file, when it is loaded: dropping it
+    would silently change the set of sources a bank is learned from.
+    """
 
     root: Path
     sample_rate: int
@@ -290,7 +307,7 @@ class Corpus:
         if noise_dir.is_dir():
             for wav in sorted(noise_dir.glob("*.wav")):
                 try:
-                    read_wav(wav, expect_sr=sample_rate)
+                    _parse_wav(wav, sample_rate)
                 except DataError as exc:
                     log.warning("skipping noise entry: %s", exc)
                     continue
@@ -311,7 +328,7 @@ class Corpus:
                                 continue
                             wav = spk / name
                             try:
-                                read_wav(wav, expect_sr=sample_rate)
+                                _parse_wav(wav, sample_rate)
                             except DataError as exc:
                                 log.warning("skipping utterance: %s", exc)
                                 continue

@@ -11,7 +11,9 @@ solvers approach the same optimum and can be used to cross-check each other:
     classic multiplicative updates; robust, supports many observation columns
     at once, converges slowly near the optimum.  The sweeps run in float32 on
     data scaled by a power of two, with a floor that keeps the weights out of
-    the subnormal range; the result is float64.
+    the subnormal range; the result is float64.  With ``tol > 0`` each column
+    stops once its share of weight per atom block settles, since the block
+    sums are what the classification stages read.
 ``solve_asna``
     an active-set Newton method; maintains a small set of non-zero weights,
     takes damped Newton steps on that set, and adds/removes atoms based on the
@@ -20,6 +22,8 @@ solvers approach the same optimum and can be used to cross-check each other:
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,8 +39,8 @@ EPS = 1e-12
 #: above float32's smallest normal number (1.2e-38)
 FLOOR = float(np.float32(1e-20))
 
-#: sweeps between :func:`solve_mu`'s early-stopping checks when ``tol > 0``
-CHECK_EVERY = 100
+#: sweeps between :func:`solve_mu`'s per-column stopping checks when ``tol > 0``
+CHECK_EVERY = 25
 
 
 def generalized_kl(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -66,25 +70,52 @@ def _check_inputs(y: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray, np
     return Y, B, single
 
 
+def _block_starts(blocks: Sequence[int] | None, n_atoms: int) -> np.ndarray:
+    """Validated start index of each contiguous atom block; one block per atom by default."""
+    if blocks is None:
+        return np.arange(n_atoms)
+    starts = np.asarray(blocks)
+    if (
+        starts.ndim != 1
+        or starts.size == 0
+        or not np.issubdtype(starts.dtype, np.integer)
+        or starts[0] != 0
+        or np.any(np.diff(starts) <= 0)
+        or starts[-1] >= n_atoms
+    ):
+        raise ValueError(
+            f"blocks must be increasing integer atom indices starting at 0 and "
+            f"below {n_atoms}, not {blocks!r}"
+        )
+    return starts
+
+
+def _block_shares(X: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each column's share of its total weight per atom block, in float64."""
+    sums = np.add.reduceat(X.astype(np.float64), starts, axis=0)
+    return sums / np.sum(sums, axis=0)
+
+
 def solve_mu(
     y: np.ndarray,
     dictionary: np.ndarray,
     n_iter: int = 2000,
     tol: float = 0.0,
+    blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Multiplicative-update minimisation of the generalized KL divergence.
 
     The sweeps run in float32 on the observations divided by ``scale``, the
     smallest power of two above their mean.  Dividing by a power of two is
-    exact and the updates are scale-equivariant: with ``tol=0``,
-    ``solve_mu(c * y, B)`` is ``c * solve_mu(y, B)`` bit for bit for any power
-    of two ``c`` that keeps ``c * y`` in range.  The model floor :data:`EPS`
-    and the weight floor :data:`FLOOR` apply in scaled units.  Flooring the
-    weights after each sweep keeps them far from float32's subnormal range,
-    where arithmetic is many times slower; Févotte & Idier (Neural Computation
-    2011) show that such a floor keeps the monotone descent of the updates.
-    The early-stopping test and the returned weights are float64 and in the
-    units of ``y``.
+    exact and the updates are scale-equivariant: ``solve_mu(c * y, B)`` is
+    ``c * solve_mu(y, B)`` bit for bit for any power of two ``c`` that keeps
+    ``c * y`` in range, whatever ``tol``, because the stopping test reads only
+    ratios of the scaled weights.  The model floor :data:`EPS` and the weight
+    floor :data:`FLOOR` apply in scaled units.  Flooring the weights after each
+    sweep keeps them far from float32's subnormal range, where arithmetic is
+    many times slower; Févotte & Idier (Neural Computation 2011) show that
+    such a floor keeps the monotone descent of the updates.  The returned
+    weights are float64 and in the units of ``y``.
 
     Parameters
     ----------
@@ -95,9 +126,16 @@ def solve_mu(
     n_iter : int
         Maximum number of update sweeps.
     tol : float
-        If positive, stop early once the relative decrease of the objective
-        (summed over columns, measured every :data:`CHECK_EVERY` sweeps) falls
-        below this value.  ``tol=0`` always runs the full ``n_iter`` sweeps.
+        If positive, every :data:`CHECK_EVERY` sweeps each column's share of
+        its total weight per atom block is compared with the previous check
+        (the first check compares with the uniform start).  A column whose
+        largest share change is at most ``tol`` stops there and leaves the
+        sweeps, which go on over the other columns.  ``tol=0`` runs every
+        column for the full ``n_iter`` sweeps.
+    blocks : sequence of int, optional
+        Start index of each contiguous block of atoms, beginning at 0 and
+        increasing; only the stopping test reads it.  The default puts each
+        atom in a block of its own.
 
     Returns
     -------
@@ -112,21 +150,21 @@ def solve_mu(
     colsum = np.sum(B, axis=0)
     if np.any(colsum <= 0):
         raise ValueError("dictionary contains an all-zero atom")
+    starts = _block_starts(blocks, M)
 
     X = np.zeros((M, N), dtype=np.float64)
     mean = float(np.mean(Y)) if Y.size else 0.0
     if mean > 0.0:
         scale = float(np.ldexp(1.0, np.frexp(mean)[1]))
-        live = np.sum(Y, axis=0) > EPS * scale
-        Yl = Y[:, live]
-        Ys = (Yl / scale).astype(np.float32)
+        live = np.flatnonzero(np.sum(Y, axis=0) > EPS * scale)
+        Ys = (Y[:, live] / scale).astype(np.float32)
         Bs = B.astype(np.float32)
         Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
-        Xl = np.full((M, Ys.shape[1]), mean / scale / M, dtype=np.float32)
+        Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32)
         Yhat = np.empty_like(Ys)
         ratio = np.empty_like(Ys)
         update = np.empty_like(Xl)
-        prev = np.inf
+        shares = _block_shares(Xl, starts) if tol > 0.0 else None
         for it in range(n_iter):
             np.matmul(Bs, Xl, out=Yhat)
             np.maximum(Yhat, EPS, out=Yhat)
@@ -135,10 +173,18 @@ def solve_mu(
             Xl *= update
             np.maximum(Xl, FLOOR, out=Xl)
             if tol > 0.0 and (it + 1) % CHECK_EVERY == 0:
-                obj = generalized_kl(Yl, B @ (Xl.astype(np.float64) * scale))
-                if abs(prev - obj) <= tol * (1.0 + abs(obj)):
-                    break
-                prev = obj
+                now = _block_shares(Xl, starts)
+                done = np.max(np.abs(now - shares), axis=0) <= tol
+                if np.any(done):
+                    X[:, live[done]] = Xl[:, done].astype(np.float64) * scale
+                    keep = ~done
+                    live, Ys, Xl, now = live[keep], Ys[:, keep], Xl[:, keep], now[:, keep]
+                    if live.size == 0:
+                        break
+                    Yhat = np.empty_like(Ys)
+                    ratio = np.empty_like(Ys)
+                    update = np.empty_like(Xl)
+                shares = now
         X[:, live] = Xl.astype(np.float64) * scale
     if not np.all(np.isfinite(X)):
         raise NumericalError("multiplicative updates diverged")
@@ -278,12 +324,16 @@ def code_frames(
     features: np.ndarray,
     dictionary: np.ndarray,
     solver: str = "asna",
+    blocks: Sequence[int] | None = None,
     **kwargs,
 ) -> np.ndarray:
-    """Code feature columns against a dictionary with the chosen solver."""
+    """Code feature columns against a dictionary with the chosen solver.
+
+    ``blocks`` gives the start of each source's block of atoms; it feeds
+    :func:`solve_mu`'s stopping test and :func:`solve_asna` does not need it.
+    """
     if solver == "asna":
         return solve_asna(features, dictionary, **kwargs)
     if solver == "mu":
-        kwargs.setdefault("tol", 1e-7)
-        return solve_mu(features, dictionary, **kwargs)
+        return solve_mu(features, dictionary, blocks=blocks, **kwargs)
     raise ValueError(f"unknown solver {solver!r}")

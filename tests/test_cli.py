@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,22 @@ def test_learn_dict_on_a_corpus_without_noise_training_frames_is_a_data_error(tm
     out = tmp_path / "bank.npz"
     assert main(["learn-dict", "--corpus", str(corpus), "--out", str(out)]) == 2
     assert "noise 'am': no non-silent frames" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_learn_dict_on_a_corpus_with_non_finite_samples_names_the_file(
+    corpus_root, tmp_path, caplog, bad
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_root, corpus)
+    wav = corpus / "noise" / "am.wav"
+    sr, samples = ss.read_wav(wav)
+    samples[1000] = bad
+    ss.write_wav(wav, samples, sr)
+    out = tmp_path / "bank.npz"
+    assert main(["learn-dict", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert f"{wav}: non-finite samples" in caplog.text
     assert not out.exists()
 
 

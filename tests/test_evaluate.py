@@ -155,6 +155,16 @@ def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
     assert row["error"]
 
 
+def test_programming_errors_in_a_stage_propagate(short_rendered, corpus, kmeans_bank, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad data")
+
+    monkeypatch.setattr(regimes, "separate", broken)
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams(coding_iters=5))
+    with pytest.raises(TypeError, match="a bug"):
+        ss.run_regime(short_rendered, "complete", ctx)
+
+
 def test_missing_corpus_is_a_data_error(tmp_path):
     manifest = _small_manifest(tmp_path / "no_such_corpus")
     with pytest.raises(DataError):
@@ -269,6 +279,16 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     interior = slice(config.n_fft, len(mixture) - config.n_fft)
     resum = sep.speech + sep.noise
     assert np.allclose(resum[interior], mixture[interior], rtol=0, atol=1e-9)
+
+
+def test_stopping_sweeps_early_keeps_the_decisions(short_rendered, kmeans_bank, monkeypatch):
+    analysis, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture)
+    monkeypatch.setattr(
+        ss.EvalParams, "solver_kwargs", lambda self: {"n_iter": self.coding_iters, "tol": 0.0}
+    )
+    full, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture)
+    keys = ("noise_first", "noise_second", "noise_transition_s", "speaker")
+    assert {k: analysis[k] for k in keys} == {k: full[k] for k in keys}
 
 
 @pytest.mark.parametrize("n_samples", [0, 255])

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsescene.solvers import EPS, FLOOR, code_frames, generalized_kl, solve_asna, solve_mu
+from sparsescene.solvers import (
+    CHECK_EVERY,
+    EPS,
+    FLOOR,
+    code_frames,
+    generalized_kl,
+    solve_asna,
+    solve_mu,
+)
 
 
 def _random_problem(seed, P=12, M=8):
@@ -60,8 +68,47 @@ def test_multiplicative_updates_are_scale_equivariant_bit_for_bit(c):
     y1, B = _random_problem(9)
     y2, _ = _random_problem(10)
     Y = np.stack([y1, np.zeros(12), 3.0 * y2], axis=1)
-    X = solve_mu(Y, B, n_iter=300)
-    assert np.array_equal(solve_mu(c * Y, B, n_iter=300), c * X)
+    for stop in ({}, {"tol": 1e-3, "blocks": [0, 3, 5]}):
+        X = solve_mu(Y, B, n_iter=300, **stop)
+        assert np.array_equal(solve_mu(c * Y, B, n_iter=300, **stop), c * X)
+
+
+def test_columns_whose_block_shares_settle_stop_at_that_check():
+    # Shares lie in [0, 1], so with tol=1 every column stops at the first check
+    # and the sweeps end with no column left.
+    Y = np.stack([_random_problem(s)[0] for s in range(11, 16)], axis=1)
+    _, B = _random_problem(11)
+    assert np.array_equal(solve_mu(Y, B, n_iter=400, tol=1.0), solve_mu(Y, B, n_iter=CHECK_EVERY))
+
+
+def _stop_sweep(y, B, **stop):
+    """Sweeps a single column ran: its result equals a fixed-length run of that many."""
+    x = solve_mu(y, B, n_iter=400, **stop)
+    fixed = range(CHECK_EVERY, 401, CHECK_EVERY)
+    return next(n for n in fixed if np.array_equal(x, solve_mu(y, B, n_iter=n)))
+
+
+def test_columns_stop_at_their_own_check_and_keep_their_place():
+    _, B = _random_problem(16)
+    Y = np.stack([_random_problem(s)[0] for s in (16, 17, 18)] + [np.zeros(12)], axis=1)
+    stop = {"tol": 1e-3, "blocks": [0, 4]}
+    X = solve_mu(Y, B, n_iter=400, **stop)
+    sweeps = [_stop_sweep(Y[:, j], B, **stop) for j in range(3)]
+    assert len(set(sweeps)) > 1 and max(sweeps) < 400
+    for j in range(3):
+        assert np.allclose(X[:, j], solve_mu(Y[:, j], B, n_iter=400, **stop), rtol=1e-5)
+    assert np.all(X[:, 3] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[1, 4], [0, 4, 4], [0, 5, 3], [0, 8], [0, -1], [], [0.0, 4.0], [[0, 4]]],
+    ids=["not_at_0", "repeated", "decreasing", "past_end", "negative", "empty", "float", "2d"],
+)
+def test_malformed_blocks_are_rejected(blocks):
+    y, B = _random_problem(17)
+    with pytest.raises(ValueError, match="blocks"):
+        solve_mu(y, B, n_iter=5, blocks=blocks)
 
 
 def test_multiplicative_update_weights_stay_at_or_above_the_floor():
