@@ -84,6 +84,14 @@ class DictionaryBank:
         self.access_counts[("noise", label)] += 1
         return self._noises[label]
 
+    def noise_dictionaries(self) -> dict[str, LearnedDictionary]:
+        """Copy of the noise dictionaries by label, for building another bank.
+
+        Unlike :meth:`get_noise` it counts no access: copying a dictionary
+        into another bank is not consulting it.
+        """
+        return dict(self._noises)
+
     def concatenated(
         self,
         speaker_labels: Iterable[str] = (),

@@ -88,16 +88,24 @@ def istft(spec: np.ndarray, config: StftConfig, n_samples: int | None = None) ->
     if spec.ndim != 2 or spec.shape[0] != config.n_bins:
         raise ValueError("spectrogram shape does not match the configuration")
     n_frames = spec.shape[1]
+    hop, n_fft = config.hop, config.n_fft
     window = config.window()
-    natural = (n_frames - 1) * config.hop + config.n_fft if n_frames else 0
-    out = np.zeros(natural, dtype=np.float64)
-    norm = np.zeros(natural, dtype=np.float64)
-    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1) * window[None, :]
+    natural = (n_frames - 1) * hop + n_fft if n_frames else 0
+    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window[None, :]
     wsq = window * window
-    for i in range(n_frames):
-        start = i * config.hop
-        out[start:start + config.n_fft] += frames[i]
-        norm[start:start + config.n_fft] += wsq
+    # Overlap-add one frame phase at a time: phase j adds samples
+    # [j*hop, (j+1)*hop) of every frame, and within a phase the frames do not
+    # overlap.  Phases go in descending order so that each output sample sums
+    # its frames in ascending frame order, bit for bit as a per-frame loop.
+    n_phases = -(-n_fft // hop)
+    out = np.zeros((n_frames + n_phases - 1, hop), dtype=np.float64)
+    norm = np.zeros_like(out)
+    for j in reversed(range(n_phases)):
+        part = slice(j * hop, min((j + 1) * hop, n_fft))
+        width = part.stop - part.start
+        out[j:j + n_frames, :width] += frames[:, part]
+        norm[j:j + n_frames, :width] += wsq[part]
+    out, norm = out.reshape(-1)[:natural], norm.reshape(-1)[:natural]
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     if n_samples is not None:

@@ -23,8 +23,11 @@ answers when a rendered scenario is scored:
     noise-only region of each half of the mixture itself (the region outside
     the ground-truth utterance spans is assumed known).
 ``updated_speaker``
-    The bank is relearned with its own method and parameters on additional
-    speaker enrollment material before the otherwise blind pipeline runs.
+    The speaker dictionaries are relearned with the bank's own method,
+    parameters and STFT settings on additional speaker enrollment material
+    (the corpus's ``train`` and ``update`` splits) before the otherwise blind
+    pipeline runs; the bank's noise dictionaries are kept as they are, also
+    for a bank learned from another corpus.
 
 Each run yields a :class:`RunResult`; failures on bad data (package errors,
 ``ValueError``, ``KeyError``) are captured per run with the stage at which
@@ -49,7 +52,7 @@ from .features import StftConfig, frame_energies, magnitudes
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
-from .training import _gate_silence, learn_bank
+from .training import _gate_silence, relearn_speakers
 from .vad import (
     detect_speech_frames,
     frames_to_intervals,
@@ -130,17 +133,14 @@ class RegimeContext:
         self._updated_speaker_bank: DictionaryBank | None = None
 
     def updated_speaker_bank(self) -> DictionaryBank:
-        """Bank relearned with this bank's recipe on train + update speaker splits.
+        """This bank's noises plus speakers relearned with its recipe on train + update.
 
         Learned once and cached; it does not depend on any scenario.
         """
         if self._updated_speaker_bank is None:
             log.info("relearning speaker dictionaries with update split (%s)", self.bank.method)
-            self._updated_speaker_bank = learn_bank(
-                self.corpus,
-                self.bank.method,
-                **self.bank.params,
-                speaker_splits=("train", "update"),
+            self._updated_speaker_bank = relearn_speakers(
+                self.bank, self.corpus, ("train", "update")
             )
         return self._updated_speaker_bank
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene import regimes, solvers
+from sparsescene import regimes, solvers, training
 from sparsescene.bank import DictionaryBank
-from sparsescene.dictionary import LearnedDictionary
+from sparsescene.dictionary import METHODS, LearnedDictionary, normalize_atoms
 from sparsescene.errors import DataError
 from sparsescene.evaluate import prepare_corpus, run_key
 from sparsescene.manifest import Manifest
@@ -112,13 +112,13 @@ def test_updated_speaker_bank_is_learned_only_for_pending_runs(
     corpus_root, kmeans_bank, tmp_path, monkeypatch
 ):
     calls = []
-    original = regimes.learn_bank
+    original = regimes.relearn_speakers
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(bank, *args, **kwargs):
+        calls.append(bank.method)
+        return original(bank, *args, **kwargs)
 
-    monkeypatch.setattr(regimes, "learn_bank", counted)
+    monkeypatch.setattr(regimes, "relearn_speakers", counted)
     manifest = _small_manifest(corpus_root, regimes=("complete", "updated_speaker"))
     out = tmp_path / "out"
     first = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
@@ -127,6 +127,59 @@ def test_updated_speaker_bank_is_learned_only_for_pending_runs(
     again = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
     assert again["n_skipped"] == 2
     assert calls == ["kmeans"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_updated_speaker_bank_equals_the_bank_learned_on_the_update_split(corpus, method):
+    bank = ss.learn_bank(corpus, method, 3, seed=5)
+    updated = ss.RegimeContext(bank, corpus).updated_speaker_bank()
+    relearned = ss.learn_bank(corpus, method, 3, seed=5, speaker_splits=("train", "update"))
+    assert updated.content_hash() == relearned.content_hash()
+    assert updated.content_hash() != bank.content_hash()
+    assert not any(bank.access_counts.values())
+
+
+def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
+    corpus, kmeans_bank, monkeypatch
+):
+    label = kmeans_bank.noise_labels[1]
+    rng = np.random.default_rng(7)
+    swapped = LearnedDictionary(normalize_atoms(rng.random((129, 5))), "random")
+    bank = kmeans_bank.with_replaced("noise", label, swapped)
+    counts_before = dict(bank.access_counts)
+    learned, noise_features = [], []
+    learn, features = training.learn_dictionary, training.noise_training_features
+    monkeypatch.setattr(
+        training, "learn_dictionary", lambda *a, **k: learned.append(a[1]) or learn(*a, **k)
+    )
+    monkeypatch.setattr(
+        training,
+        "noise_training_features",
+        lambda *a, **k: noise_features.append(a[1]) or features(*a, **k),
+    )
+
+    updated = ss.RegimeContext(bank, corpus).updated_speaker_bank()
+
+    assert learned == ["kmeans"] * len(corpus.speakers) and noise_features == []
+    assert updated.speaker_labels == tuple(sorted(corpus.speakers))
+    kept, own = updated.noise_dictionaries(), bank.noise_dictionaries()
+    assert kept.keys() == own.keys() and all(kept[n] is own[n] for n in own)
+    assert np.array_equal(kept[label].atoms, swapped.atoms)
+    assert bank.access_counts == counts_before
+
+
+def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
+    corpus_root, tmp_path
+):
+    atoms = normalize_atoms(np.random.default_rng(0).random((129, 2)))
+    hand_built = DictionaryBank(
+        {"ghost": LearnedDictionary(atoms, "kmeans")},
+        {"static": LearnedDictionary(atoms, "kmeans")},
+        method="kmeans",
+    )
+    manifest = _small_manifest(corpus_root, regimes=("updated_speaker",))
+    with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
+        ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": hand_built})
 
 
 def test_bank_at_another_sample_rate_is_a_data_error(kmeans_bank, tmp_path):

@@ -74,6 +74,36 @@ def test_istft_pads_or_trims_to_requested_length():
     assert istft(X, CFG, n_samples=3000).shape == (3000,)
 
 
+def _istft_per_frame(spec, config, n_samples):
+    """Reference overlap-add: one frame at a time, in frame order."""
+    window = config.window()
+    n_frames = spec.shape[1]
+    natural = (n_frames - 1) * config.hop + config.n_fft if n_frames else 0
+    out, norm = np.zeros(natural), np.zeros(natural)
+    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1) * window[None, :]
+    for i in range(n_frames):
+        span = slice(i * config.hop, i * config.hop + config.n_fft)
+        out[span] += frames[i]
+        norm[span] += window * window
+    nonzero = norm > 1e-12
+    out[nonzero] /= norm[nonzero]
+    if n_samples <= natural:
+        return out[:n_samples]
+    return np.concatenate([out, np.zeros(n_samples - natural)])
+
+
+@pytest.mark.parametrize("hop", [128, 64, 100, 256, 300])
+@pytest.mark.parametrize("n", [0, 256, 3001])
+def test_istft_equals_a_per_frame_overlap_add_bit_for_bit(hop, n):
+    # 100 does not divide n_fft, so the last frame phase is narrower than a hop;
+    # 300 leaves gaps between frames.
+    config = StftConfig(n_fft=256, hop=hop)
+    X = stft(np.random.default_rng(hop).standard_normal(n), config)
+    for n_samples in (n, n // 2, n + 500):
+        got = istft(X, config, n_samples=n_samples)
+        assert np.array_equal(got, _istft_per_frame(X, config, n_samples))
+
+
 def test_magnitudes_are_non_negative():
     x = np.random.default_rng(3).standard_normal(2000)
     mag = magnitudes(x, CFG)
