@@ -269,6 +269,27 @@ def generate_corpus(
 # -- corpus access ------------------------------------------------------------
 
 
+def _read_meta(path: Path) -> tuple[int, float]:
+    """Sample rate and noise training seconds from ``corpus.json``.
+
+    A missing file gives the defaults, 8000 Hz and 20 s; a file that cannot
+    be read as an object with positive values is a :class:`DataError`.
+    """
+    if not path.is_file():
+        return 8000, 20.0
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("it must hold a JSON object")
+        sample_rate = int(meta.get("sample_rate", 8000))
+        noise_train_seconds = float(meta.get("noise_train_seconds", 20.0))
+        if sample_rate < 1 or not 0 < noise_train_seconds < float("inf"):
+            raise ValueError("sample_rate and noise_train_seconds must be positive")
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return sample_rate, noise_train_seconds
+
+
 @dataclass
 class Corpus:
     """Index over a corpus directory; unreadable entries are skipped with warnings.
@@ -289,18 +310,7 @@ class Corpus:
         root = Path(root)
         if not root.is_dir():
             raise DataError(f"corpus directory {root} does not exist")
-        meta_path = root / "corpus.json"
-        sample_rate = 8000
-        noise_train_seconds = 20.0
-        if meta_path.is_file():
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                sample_rate = int(meta.get("sample_rate", sample_rate))
-                noise_train_seconds = float(
-                    meta.get("noise_train_seconds", noise_train_seconds)
-                )
-            except (ValueError, OSError) as exc:
-                log.warning("ignoring unreadable corpus.json: %s", exc)
+        sample_rate, noise_train_seconds = _read_meta(root / "corpus.json")
 
         noises: dict[str, Path] = {}
         noise_dir = root / "noise"

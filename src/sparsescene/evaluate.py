@@ -52,7 +52,6 @@ def _scenarios_for(manifest: Manifest, corpus: Corpus) -> list[MixScenario]:
         seed=manifest.seed,
         half_duration_s=manifest.half_duration_s,
         utterances_per_half=manifest.utterances_per_half,
-        speaker_split=manifest.speaker_split,
     )
 
 
@@ -167,9 +166,7 @@ def run_manifest(
     def execute(job: tuple[str, MixScenario, str, float, str]) -> dict:
         key, scenario, regime, snr, method = job
         ctx = contexts[method]
-        rendered = render_scenario(
-            corpus, scenario, snr, snr_reference=manifest.eval_params.snr_reference
-        )
+        rendered = render_scenario(corpus, scenario, snr)
         result = run_regime(rendered, regime, ctx)
         return result_to_json(result, key)
 
@@ -239,9 +236,7 @@ def simulate_manifest(manifest: Manifest, out_dir: Path | str) -> dict:
     n_files = 0
     for scenario in scenarios:
         for snr in manifest.snrs_db:
-            rendered = render_scenario(
-                corpus, scenario, snr, snr_reference=manifest.eval_params.snr_reference
-            )
+            rendered = render_scenario(corpus, scenario, snr)
             tag = f"{scenario.scenario_id}_{snr:+.0f}dB"
             for name, samples in (
                 ("mixture", rendered.mixture),

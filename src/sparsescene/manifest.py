@@ -9,6 +9,7 @@ alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -33,7 +34,6 @@ class Manifest:
     n_scenarios: int = 8
     half_duration_s: float = 10.0
     utterances_per_half: int = 2
-    speaker_split: str = "test"
     methods: tuple[str, ...] = ("kmeans",)
     n_atoms: int = 20
     tw: float = 0.8
@@ -58,12 +58,16 @@ class Manifest:
             raise DataError("manifest lists no regimes")
         if not self.snrs_db:
             raise DataError("manifest lists no SNRs")
+        if not all(math.isfinite(snr) for snr in self.snrs_db):
+            raise DataError(f"snrs_db must be finite, not {list(self.snrs_db)}")
         if self.n_scenarios < 1:
             raise DataError("n_scenarios must be at least 1")
         if self.n_atoms < 1:
             raise DataError("n_atoms must be at least 1")
-        if not self.corpus_noise_seconds > 0:
-            raise DataError("corpus_noise_seconds must be positive")
+        for name in ("half_duration_s", "corpus_noise_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be finite and positive, not {value}")
         if self.parallelism < 1:
             raise DataError("parallelism must be at least 1")
 

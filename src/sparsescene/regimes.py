@@ -82,30 +82,30 @@ ALL_REGIMES = (
 )
 
 
+#: cluster counts whose detector miss/false-alarm rates each run reports
+VAD_KS = (2, 3, 4)
+#: the cluster count of the detector whose spans the pipeline uses
+VAD_PRIMARY_K = 2
+#: shortest detected speech span, in frames
+MIN_SPEECH_FRAMES = 3
+
+
 @dataclass(frozen=True)
 class EvalParams:
-    """Knobs shared by every run of an evaluation."""
+    """How every run of an evaluation codes its frames.
 
-    vad_ks: tuple[int, ...] = (2, 3, 4)
-    vad_primary_k: int = 2
-    min_speech_frames: int = 3
+    ``solver`` is ``mu`` or ``asna``; ``coding_iters`` is the ``mu`` sweep
+    budget.  ``to_dict()`` is part of every campaign run key.
+    """
+
     solver: str = "mu"
     coding_iters: int = 400
-    snr_reference: str = "active_span"
 
     def __post_init__(self) -> None:
         if self.solver not in ("mu", "asna"):
             raise DataError(f"solver must be 'mu' or 'asna', not {self.solver!r}")
-        if self.snr_reference not in ("active_span", "segment"):
-            raise DataError(
-                f"snr_reference must be 'active_span' or 'segment', not {self.snr_reference!r}"
-            )
-        if self.coding_iters < 1 or self.min_speech_frames < 1:
-            raise DataError("coding_iters and min_speech_frames must be at least 1")
-        if not self.vad_ks:
-            raise DataError("vad_ks lists no cluster counts")
-        if self.vad_primary_k < 2 or min(self.vad_ks) < 2:
-            raise DataError("vad_primary_k and every vad_ks entry must be at least 2")
+        if self.coding_iters < 1:
+            raise DataError("coding_iters must be at least 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -261,8 +261,8 @@ def analyze(
     mag = magnitudes(x, config)
     energies = frame_energies(x, config)
     on_stage("vad")
-    speech_mask = detect_speech_frames(energies, params.vad_primary_k)
-    spans = frames_to_intervals(speech_mask, config, params.min_speech_frames)
+    speech_mask = detect_speech_frames(energies, VAD_PRIMARY_K)
+    spans = frames_to_intervals(speech_mask, config, MIN_SPEECH_FRAMES)
     on_stage("noise_id")
     decision = classify_noise(
         mag, bank, config, solver=params.solver, **params.solver_kwargs()
@@ -301,9 +301,9 @@ def run_regime(
         energies = frame_energies(mixture, config)
 
         stage.append("vad")
-        for k in params.vad_ks:
+        for k in VAD_KS:
             mask_k = detect_speech_frames(energies, k)
-            spans_k = frames_to_intervals(mask_k, config, params.min_speech_frames)
+            spans_k = frames_to_intervals(mask_k, config, MIN_SPEECH_FRAMES)
             res.vad_rates[k] = miss_false_rates(sc.speech_spans, spans_k)
 
         stage.append("noise_id")
@@ -335,21 +335,16 @@ def run_regime(
         stage.append("metrics")
         sep = found.separation
         gt_spans = rendered.speech_spans
-        if params.snr_reference == "active_span":
-            ref_speech = restrict_to_spans(rendered.speech, gt_spans, config.sample_rate)
-            ref_noise = restrict_to_spans(rendered.noise, gt_spans, config.sample_rate)
-            est_speech = restrict_to_spans(sep.speech, gt_spans, config.sample_rate)
-        else:
-            ref_speech, ref_noise, est_speech = rendered.speech, rendered.noise, sep.speech
+        ref_speech = restrict_to_spans(rendered.speech, gt_spans, config.sample_rate)
+        ref_noise = restrict_to_spans(rendered.noise, gt_spans, config.sample_rate)
+        est_speech = restrict_to_spans(sep.speech, gt_spans, config.sample_rate)
         res.input_snr_db = snr_db(ref_speech, ref_noise)
         res.sdr_db = si_sdr_db(ref_speech, est_speech)
         res.sdr_gain_db = res.sdr_db - res.input_snr_db
         known_spans = (
             gt_spans if regime in ("ground_truth", "updated_noise") else found.speech_spans
         )
-        res.est_snr_db = estimate_snr_db(
-            sep, known_spans if params.snr_reference == "active_span" else None, config
-        )
+        res.est_snr_db = estimate_snr_db(sep, known_spans, config)
         res.snr_error_db = res.est_snr_db - res.input_snr_db
     except (SparseSceneError, ValueError, KeyError) as exc:
         # the errors the stages raise on bad data; anything else is a bug and propagates

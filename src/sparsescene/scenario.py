@@ -2,10 +2,10 @@
 
 A scenario is a 2x10-second (configurable) mixture: the first half carries
 one noise type, the second half a different one, and utterances of a single
-speaker are inserted at randomly selected locations inside each half.  The
-noise level is scaled per half to hit a target signal-to-noise ratio, by
-default measured over the speech-active span only (a flag switches to
-whole-half energy).
+speaker, drawn from the corpus's ``test`` split, are inserted at randomly
+selected locations inside each half.  The noise level is scaled per half to
+hit a target signal-to-noise ratio measured over the half's speech-active
+span.
 
 Rendering stores the clean speech track and the scaled noise track alongside
 the mixture; all three are float32 and the mixture is computed as their
@@ -14,7 +14,6 @@ float32 sum, so the stored components add up to the mixture bit-exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -112,9 +111,6 @@ class MixScenario:
         utterances = tuple(UtterancePlacement(**u) for u in d["utterances"])
         return cls(**{**d, "utterances": utterances})
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def _place_utterances(
     rng: np.random.Generator,
@@ -157,15 +153,16 @@ def generate_scenarios(
     half_duration_s: float = 10.0,
     utterances_per_half: int = 2,
     margin_s: float = 0.25,
-    speaker_split: str = "test",
 ) -> list[MixScenario]:
     """Deterministically generate scenario recipes.
 
     The pairing scheme is fixed and seed-driven: speakers cycle through the
     sorted speaker list; noise pairs cycle through a seed-shuffled list of
     all ordered pairs of distinct noise types; utterances are drawn from the
-    speaker's ``speaker_split`` files and placed uniformly at random without
-    overlap, entirely inside their half.
+    speaker's ``test`` files and placed uniformly at random without overlap,
+    entirely inside their half.  The ``train`` and ``update`` splits are left
+    to the dictionaries, so no scenario scores the system on its own
+    training audio.
     """
     speakers = sorted(corpus.speakers)
     noise_labels = sorted(corpus.noises)
@@ -179,12 +176,12 @@ def generate_scenarios(
     pools: dict[str, list[tuple[str, float]]] = {}
     for spk in speakers:
         pool = []
-        for path in corpus.utterances(spk, speaker_split):
+        for path in corpus.utterances(spk, "test"):
             samples = corpus.load_utterance(path)
             rel = str(Path(spk) / path.name)
             pool.append((rel, len(samples) / corpus.sample_rate))
         if not pool:
-            raise DataError(f"speaker {spk!r} has no {speaker_split!r} utterances")
+            raise DataError(f"speaker {spk!r} has no 'test' utterances")
         pools[spk] = pool
 
     scenarios: list[MixScenario] = []
@@ -235,23 +232,13 @@ class RenderedScenario:
         return self.scenario.transition_s
 
 
-def render_scenario(
-    corpus: Corpus,
-    scenario: MixScenario,
-    snr_db: float,
-    *,
-    snr_reference: str = "active_span",
-) -> RenderedScenario:
+def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> RenderedScenario:
     """Mix a scenario at the requested SNR.
 
     The noise for each half is a random crop (seeded by the scenario) of that
     noise type's evaluation region, scaled so the half's speech-to-noise
-    energy ratio over the reference span equals ``snr_db``.  The reference
-    span is the half's speech-active samples (``snr_reference='active_span'``,
-    default) or the whole half (``'segment'``).
+    energy ratio over its speech-active samples equals ``snr_db``.
     """
-    if snr_reference not in ("active_span", "segment"):
-        raise ValueError("snr_reference must be 'active_span' or 'segment'")
     sr = corpus.sample_rate
     n_half = int(round(scenario.half_duration_s * sr))
     n_total = 2 * n_half
@@ -275,14 +262,11 @@ def render_scenario(
         offset = int(rng.integers(0, len(segment) - n_half + 1))
         crop = segment[offset : offset + n_half]
         lo, hi = half * n_half, (half + 1) * n_half
-        if snr_reference == "active_span":
-            span_mask = spans_to_sample_mask(
-                [(u.start_s, u.end_s) for u in scenario.utterances if u.half == half],
-                n_total,
-                sr,
-            )[lo:hi]
-        else:
-            span_mask = np.ones(n_half, dtype=bool)
+        span_mask = spans_to_sample_mask(
+            [(u.start_s, u.end_s) for u in scenario.utterances if u.half == half],
+            n_total,
+            sr,
+        )[lo:hi]
         p_speech = float(np.sum(speech[lo:hi][span_mask] ** 2))
         p_noise = float(np.sum(crop[span_mask] ** 2))
         if p_speech <= 0 or p_noise <= 0:

@@ -399,3 +399,22 @@ def test_evaluate_with_bad_eval_params_is_a_data_error(
     code = main(["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "out")])
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"snrs_db": [float("inf")]},
+        {"snrs_db": [float("nan")]},
+        {"half_duration_s": float("nan")},
+    ],
+)
+def test_evaluate_with_non_finite_manifest_value_is_a_data_error(
+    corpus_root, tmp_path, caplog, setting
+):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), **setting}))
+    code = main(["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be finite" in caplog.text
+    assert not (tmp_path / "out").exists()

@@ -83,3 +83,41 @@ def test_unreadable_entries_are_skipped_with_a_warning(tmp_path, caplog):
 def test_empty_directory_is_a_data_error(tmp_path):
     with pytest.raises(DataError):
         ss.Corpus.from_dir(tmp_path / "missing")
+
+
+@pytest.fixture
+def minimal_root(tmp_path):
+    """One noise and one speaker utterance at 8000 Hz, without ``corpus.json``."""
+    (tmp_path / "noise").mkdir()
+    spk = tmp_path / "speaker" / "spk1"
+    spk.mkdir(parents=True)
+    tone = np.full(800, 0.1, dtype=np.float32)
+    write_wav(tmp_path / "noise" / "hum.wav", tone, 8000)
+    write_wav(spk / "utt01.wav", tone, 8000)
+    (spk / "train.txt").write_text("utt01.wav\n")
+    return tmp_path
+
+
+def test_missing_corpus_json_keeps_the_defaults(minimal_root):
+    corpus = ss.Corpus.from_dir(minimal_root)
+    assert corpus.sample_rate == 8000
+    assert corpus.noise_train_seconds == 20.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "{not json",
+        '{"sample_rate": "fast"}',
+        '{"sample_rate": null}',
+        '{"sample_rate": 0}',
+        '{"noise_train_seconds": "long"}',
+        '{"noise_train_seconds": NaN}',
+        '{"noise_train_seconds": -1}',
+    ],
+)
+def test_malformed_corpus_json_is_a_data_error(minimal_root, text):
+    (minimal_root / "corpus.json").write_text(text)
+    with pytest.raises(DataError, match=r"corpus\.json"):
+        ss.Corpus.from_dir(minimal_root)

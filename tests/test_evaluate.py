@@ -79,7 +79,7 @@ def test_run_key_is_pinned():
         seed=12345,
     )
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "24d8a5eedaaccc74cb75"
+    assert key == "7fa8823264bd3ed6bd3f"
 
 
 def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, tmp_path):

@@ -28,14 +28,14 @@ def test_defaults_are_sensible(tmp_path):
         dict(n_scenarios=0),
         dict(parallelism=0),
         dict(eval_params=dict(solver="nmf")),
-        dict(eval_params=dict(snr_reference="whole")),
         dict(eval_params=dict(coding_iters=0)),
-        dict(eval_params=dict(min_speech_frames=0)),
-        dict(eval_params=dict(vad_ks=())),
         dict(n_atoms=0),
         dict(corpus_noise_seconds=0.0),
-        dict(eval_params=dict(vad_primary_k=1)),
-        dict(eval_params=dict(vad_ks=(1,))),
+        dict(snrs_db=(0.0, float("inf"))),
+        dict(snrs_db=(float("nan"),)),
+        dict(half_duration_s=0.0),
+        dict(half_duration_s=float("nan")),
+        dict(half_duration_s=float("inf")),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
@@ -62,7 +62,7 @@ def test_from_dict_round_trip(tmp_path):
     assert m.snrs_db == (0.0, 10.0)
     assert m.eval_params.coding_iters == 123
     # Untouched knobs keep their defaults.
-    assert m.eval_params.vad_primary_k == 2
+    assert m.eval_params.solver == "mu"
 
 
 def test_values_take_their_field_types(tmp_path):
@@ -71,18 +71,20 @@ def test_values_take_their_field_types(tmp_path):
             "corpus_dir": str(tmp_path),
             "generate_corpus_seed": None,
             "half_duration_s": 6,
-            "eval": {"vad_ks": [2, 3], "coding_iters": "50"},
+            "snrs_db": [-5, 10],
+            "eval": {"coding_iters": "50"},
         }
     )
     assert m.generate_corpus_seed is None
     assert m.half_duration_s == 6.0 and isinstance(m.half_duration_s, float)
-    assert m.eval_params == EvalParams(vad_ks=(2, 3), coding_iters=50)
+    assert m.snrs_db == (-5.0, 10.0) and all(isinstance(v, float) for v in m.snrs_db)
+    assert m.eval_params == EvalParams(coding_iters=50)
     with pytest.raises(DataError, match="invalid manifest value"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "n_scenarios": "many"})
     with pytest.raises(DataError, match="not a whole number"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iters": 99.9}})
     with pytest.raises(DataError, match="invalid eval value"):
-        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"vad_ks": 2}})
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iters": [1]}})
 
 
 def test_unknown_keys_are_rejected(tmp_path):
@@ -96,6 +98,22 @@ def test_unknown_eval_keys_are_rejected(tmp_path):
     # A typo must not silently fall back to the default iteration count.
     with pytest.raises(DataError, match=r"unknown eval keys \['coding_iter'\]"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iter": 100}})
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"eval": {"vad_ks": [2, 3]}}, "vad_ks"),
+        ({"eval": {"vad_primary_k": 2}}, "vad_primary_k"),
+        ({"eval": {"min_speech_frames": 3}}, "min_speech_frames"),
+        ({"eval": {"snr_reference": "active_span"}}, "snr_reference"),
+        ({"speaker_split": "test"}, "speaker_split"),
+    ],
+)
+def test_removed_settings_are_unknown_keys(tmp_path, extra, key):
+    # The VAD constants, the SNR reference and the scenario split are fixed.
+    with pytest.raises(DataError, match=rf"unknown (eval|manifest) keys \['{key}'\]"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), **extra})
 
 
 def test_missing_corpus_dir_is_rejected():

@@ -32,17 +32,16 @@ def test_generated_scenarios_satisfy_invariants(corpus):
 def test_generation_is_deterministic_and_prefix_stable(corpus):
     a = ss.generate_scenarios(corpus, 8, seed=7)
     b = ss.generate_scenarios(corpus, 8, seed=7)
-    assert [s.canonical_json() for s in a] == [s.canonical_json() for s in b]
+    assert a == b
     prefix = ss.generate_scenarios(corpus, 4, seed=7)
-    assert [s.canonical_json() for s in prefix] == [s.canonical_json() for s in a[:4]]
+    assert prefix == a[:4]
     other = ss.generate_scenarios(corpus, 8, seed=8)
-    assert [s.canonical_json() for s in other] != [s.canonical_json() for s in a]
+    assert other != a
 
 
 def test_recipe_round_trips_through_dict(corpus):
     s = ss.generate_scenarios(corpus, 1, seed=3)[0]
     assert MixScenario.from_dict(s.to_dict()) == s
-    assert MixScenario.from_dict(s.to_dict()).canonical_json() == s.canonical_json()
 
 
 @pytest.mark.parametrize(
@@ -102,14 +101,3 @@ def test_rendering_is_byte_deterministic(corpus):
     r1 = ss.render_scenario(corpus, s, snr_db=5.0)
     r2 = ss.render_scenario(corpus, s, snr_db=5.0)
     assert r1.mixture.tobytes() == r2.mixture.tobytes()
-
-
-def test_segment_reference_changes_noise_level(corpus):
-    s = ss.generate_scenarios(corpus, 1, seed=0)[0]
-    active = ss.render_scenario(corpus, s, snr_db=0.0, snr_reference="active_span")
-    segment = ss.render_scenario(corpus, s, snr_db=0.0, snr_reference="segment")
-    # Speech is silent outside utterances, so referencing the whole segment
-    # lowers measured speech power and therefore the noise level too.
-    assert float(np.sum(segment.noise**2)) < float(np.sum(active.noise**2))
-    with pytest.raises(ValueError):
-        ss.render_scenario(corpus, s, snr_db=0.0, snr_reference="nope")
