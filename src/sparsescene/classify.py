@@ -44,7 +44,6 @@ class NoiseDecision:
     noise_second: str
     transition_s: float
     frame_labels: list[str]
-    frame_times: np.ndarray
     dictionary: np.ndarray
     groups: list[tuple[str, str, slice]]
     weights: np.ndarray
@@ -110,7 +109,6 @@ def classify_noise(
         noise_second=labels[b_idx],
         transition_s=transition,
         frame_labels=[labels[i] for i in frame_label_idx],
-        frame_times=times,
         dictionary=D,
         groups=groups,
         weights=W,

@@ -277,7 +277,4 @@ def learn_dictionary(
         atoms = _learn_ksvd(F, n_atoms, rng)
     else:  # tdcs
         atoms, appended = _learn_threshold(F, n_atoms, tw, tb, prior_atoms, rng)
-    atoms = normalize_atoms(atoms)
-    if appended is not None and appended.shape[0] != atoms.shape[1]:
-        appended = appended[: atoms.shape[1]]
-    return LearnedDictionary(atoms=atoms, method=method, appended=appended)
+    return LearnedDictionary(atoms=normalize_atoms(atoms), method=method, appended=appended)

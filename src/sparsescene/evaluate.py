@@ -21,11 +21,13 @@ from .bank import DictionaryBank
 from .corpus import Corpus, generate_corpus, write_wav
 from .errors import DataError
 from .manifest import Manifest
-from .regimes import EvalParams, RegimeContext, analyze, run_regime
+from .features import frame_energies
+from .regimes import VAD_PRIMARY_K, EvalParams, RegimeContext, analyze, run_regime
 from .report import result_to_json, write_aggregate, write_csv
 from .scenario import MixScenario, generate_scenarios, render_scenario
 from .separate import SeparationResult, estimate_snr_db
 from .training import learn_bank
+from .vad import detect_speech_frames
 
 __all__ = ["run_manifest", "simulate_manifest", "prepare_corpus", "analyze_signal"]
 
@@ -45,14 +47,20 @@ def prepare_corpus(manifest: Manifest) -> Corpus:
     return Corpus.from_dir(root)
 
 
-def _scenarios_for(manifest: Manifest, corpus: Corpus) -> list[MixScenario]:
-    return generate_scenarios(
+def _corpus_and_scenarios(manifest: Manifest, out_dir: Path) -> tuple[Corpus, list[MixScenario]]:
+    """The manifest's corpus and scenarios; the scenarios are written to ``scenarios.json``."""
+    corpus = prepare_corpus(manifest)
+    scenarios = generate_scenarios(
         corpus,
         manifest.n_scenarios,
         seed=manifest.seed,
         half_duration_s=manifest.half_duration_s,
         utterances_per_half=manifest.utterances_per_half,
     )
+    _write_json_atomic(
+        out_dir / "scenarios.json", {"scenarios": [s.to_dict() for s in scenarios]}
+    )
+    return corpus, scenarios
 
 
 def _bank_for(
@@ -121,11 +129,7 @@ def run_manifest(
     rows_dir = out_dir / "rows"
     rows_dir.mkdir(parents=True, exist_ok=True)
 
-    corpus = prepare_corpus(manifest)
-    scenarios = _scenarios_for(manifest, corpus)
-    _write_json_atomic(
-        out_dir / "scenarios.json", {"scenarios": [s.to_dict() for s in scenarios]}
-    )
+    corpus, scenarios = _corpus_and_scenarios(manifest, out_dir)
 
     contexts: dict[str, RegimeContext] = {}
     for method in manifest.methods:
@@ -228,11 +232,7 @@ def simulate_manifest(manifest: Manifest, out_dir: Path | str) -> dict:
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
-    corpus = prepare_corpus(manifest)
-    scenarios = _scenarios_for(manifest, corpus)
-    _write_json_atomic(
-        out_dir / "scenarios.json", {"scenarios": [s.to_dict() for s in scenarios]}
-    )
+    corpus, scenarios = _corpus_and_scenarios(manifest, out_dir)
     n_files = 0
     for scenario in scenarios:
         for snr in manifest.snrs_db:
@@ -264,7 +264,8 @@ def analyze_signal(
         raise DataError(f"signal has {x.size} samples; analysis needs at least {config.n_fft}")
     if not np.all(np.isfinite(x)):
         raise DataError("signal holds non-finite samples (NaN or Inf)")
-    found = analyze(x, bank, config, params or EvalParams())
+    speech_mask = detect_speech_frames(frame_energies(x, config), VAD_PRIMARY_K)
+    found = analyze(x, speech_mask, bank, config, params or EvalParams())
     sep = found.separation
     est_snr = estimate_snr_db(sep, found.speech_spans or None, config)
     analysis = {

@@ -55,21 +55,23 @@ class StftConfig:
         return 1 + (n_samples - self.n_fft) // self.hop
 
 
+def _frames(signal: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The signal's frames as rows, ``(n_frames, n_fft)``; a trailing partial frame is dropped."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("expected a one-dimensional signal")
+    n_frames = config.n_frames(x.shape[0])
+    idx = np.arange(config.n_fft)[None, :] + config.hop * np.arange(n_frames)[:, None]
+    return x[idx]
+
+
 def stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """Complex spectrogram of shape ``(n_bins, n_frames)``.
 
     Frames start at multiples of ``config.hop``; no padding is applied, so a
     trailing partial frame is dropped.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a one-dimensional signal")
-    n_frames = config.n_frames(x.shape[0])
-    if n_frames == 0:
-        return np.zeros((config.n_bins, 0), dtype=np.complex128)
-    window = config.window()
-    idx = np.arange(config.n_fft)[None, :] + config.hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * window[None, :]
+    frames = _frames(signal, config) * config.window()[None, :]
     return np.fft.rfft(frames, axis=1).T.copy()
 
 
@@ -128,10 +130,5 @@ def frame_times(n_frames: int, config: StftConfig) -> np.ndarray:
 
 def frame_energies(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """Per-frame signal energy (sum of squares over each windowed frame span)."""
-    x = np.asarray(signal, dtype=np.float64)
-    n_frames = config.n_frames(x.shape[0])
-    if n_frames == 0:
-        return np.zeros(0)
-    idx = np.arange(config.n_fft)[None, :] + config.hop * np.arange(n_frames)[:, None]
-    frames = x[idx]
+    frames = _frames(signal, config)
     return np.sum(frames * frames, axis=1)

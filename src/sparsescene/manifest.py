@@ -113,10 +113,13 @@ def _typed(cls, d: dict, what: str, exclude: str = "") -> dict:
     if unknown:
         raise DataError(f"unknown {what} keys {sorted(unknown)}")
     hints = get_type_hints(cls)
-    try:
-        return {key: _convert(hints[key], value) for key, value in d.items()}
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid {what} value: {exc}") from exc
+    out = {}
+    for key, value in d.items():
+        try:
+            out[key] = _convert(hints[key], value)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"invalid {what} value for {key!r}: {exc}") from exc
+    return out
 
 
 def _convert(tp, value):
@@ -126,6 +129,8 @@ def _convert(tp, value):
         return tuple(_convert(args[0], v) for v in value)
     if args:
         return None if value is None else _convert(args[0], value)
+    if tp in (int, float) and isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return tp(value)

@@ -20,8 +20,8 @@ answers when a rendered scenario is scored:
     view whose access counters prove the removed entries are never read.
 ``updated_noise``
     The bank's noise dictionaries are replaced by two learned from the
-    noise-only region of each half of the mixture itself (the region outside
-    the ground-truth utterance spans is assumed known).
+    noise-only frames on each side of the mixture's own switch (the switch
+    and the ground-truth utterance spans are assumed known).
 ``updated_speaker``
     The speaker dictionaries are relearned with the bank's own method,
     parameters and STFT settings on additional speaker enrollment material
@@ -48,7 +48,7 @@ from .classify import NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
-from .features import StftConfig, frame_energies, magnitudes
+from .features import StftConfig, frame_energies, frame_times, magnitudes, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
@@ -210,12 +210,12 @@ class RunResult:
 def _adapted_noises(
     rendered: RenderedScenario, ctx: RegimeContext
 ) -> tuple[LearnedDictionary, LearnedDictionary]:
-    """Learn one noise dictionary per half from the mixture's noise-only frames."""
+    """Learn one noise dictionary per side of the scenario's switch from its noise-only frames."""
     config = ctx.config
     mag = magnitudes(rendered.mixture, config)
     n_frames = mag.shape[1]
     speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
-    first_half = np.arange(n_frames) < n_frames // 2
+    first_half = frame_times(n_frames, config) < rendered.transition_s
     p = ctx.bank.params
     out = []
     for half, in_half in enumerate((first_half, ~first_half)):
@@ -243,26 +243,24 @@ class Analysis:
 
 def analyze(
     samples: np.ndarray,
+    speech_mask: np.ndarray,
     bank: DictionaryBank,
     config: StftConfig,
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
-    """The blind pipeline: code every frame once, read every decision off it.
+    """The blind pipeline: transform and code every frame once, read every decision off it.
 
-    All frames are coded against ``bank``'s ``[speakers | noises]``.  Noise
-    votes and the switch come from the noise blocks, the speaker ranking from
-    the speaker blocks over detected speech, and the Wiener mask from the top
-    speaker's block of the model over the whole model.  ``on_stage`` is told
-    the name of each stage as it starts.
+    ``speech_mask`` marks the detected speech frames of ``samples``.  The
+    magnitude of one STFT is coded against ``bank``'s ``[speakers | noises]``.
+    Noise votes and the switch come from the noise blocks, the speaker ranking
+    from the speaker blocks over detected speech, and the Wiener mask, applied
+    to that same STFT, from the top speaker's block of the model over the
+    whole model.  ``on_stage`` is told the name of each stage as it starts.
     """
     on_stage("features")
-    x = np.asarray(samples, dtype=np.float64)
-    mag = magnitudes(x, config)
-    energies = frame_energies(x, config)
-    on_stage("vad")
-    speech_mask = detect_speech_frames(energies, VAD_PRIMARY_K)
-    spans = frames_to_intervals(speech_mask, config, MIN_SPEECH_FRAMES)
+    spectrogram = stft(samples, config)
+    mag = np.abs(spectrogram)
     on_stage("noise_id")
     decision = classify_noise(
         mag, bank, config, solver=params.solver, **params.solver_kwargs()
@@ -270,9 +268,11 @@ def analyze(
     on_stage("speaker_id")
     ranking = rank_speakers(mag, decision, speech_mask)
     on_stage("separation")
+    speech_atoms = decision.block("speaker", ranking[0])
     sep = separate(
-        x, decision.dictionary, decision.weights, decision.block("speaker", ranking[0]), config
+        spectrogram, len(samples), decision.dictionary, decision.weights, speech_atoms, config
     )
+    spans = frames_to_intervals(speech_mask, config, MIN_SPEECH_FRAMES)
     return Analysis(spans, decision, ranking, sep)
 
 
@@ -301,13 +301,14 @@ def run_regime(
         energies = frame_energies(mixture, config)
 
         stage.append("vad")
-        for k in VAD_KS:
-            mask_k = detect_speech_frames(energies, k)
+        masks = {k: detect_speech_frames(energies, k) for k in VAD_KS}
+        for k, mask_k in masks.items():
             spans_k = frames_to_intervals(mask_k, config, MIN_SPEECH_FRAMES)
             res.vad_rates[k] = miss_false_rates(sc.speech_spans, spans_k)
 
         stage.append("noise_id")
-        found = analyze(mixture, ctx.bank_for(regime, rendered), config, params, stage.append)
+        view = ctx.bank_for(regime, rendered)
+        found = analyze(mixture, masks[VAD_PRIMARY_K], view, config, params, stage.append)
 
         decision = found.noise
         if regime == "ground_truth":

@@ -31,6 +31,9 @@ __all__ = [
     "render_scenario",
 ]
 
+#: shortest gap between an utterance and the edge of its half, in seconds
+MARGIN_S = 0.25
+
 
 @dataclass(frozen=True)
 class UtterancePlacement:
@@ -64,10 +67,6 @@ class MixScenario:
     @property
     def transition_s(self) -> float:
         return self.half_duration_s
-
-    @property
-    def duration_s(self) -> float:
-        return 2.0 * self.half_duration_s
 
     @property
     def speech_spans(self) -> list[tuple[float, float]]:
@@ -118,14 +117,13 @@ def _place_utterances(
     half: int,
     half_duration: float,
     count: int,
-    margin: float,
 ) -> list[UtterancePlacement]:
     placements: list[UtterancePlacement] = []
     base = half * half_duration
     for _ in range(count):
         rel, dur = pool[int(rng.integers(len(pool)))]
-        lo = base + margin
-        hi = base + half_duration - margin - dur
+        lo = base + MARGIN_S
+        hi = base + half_duration - MARGIN_S - dur
         if hi <= lo:
             raise DataError(
                 f"utterance {rel} ({dur:.2f}s) does not fit a {half_duration:.2f}s half"
@@ -152,7 +150,6 @@ def generate_scenarios(
     seed: int = 0,
     half_duration_s: float = 10.0,
     utterances_per_half: int = 2,
-    margin_s: float = 0.25,
 ) -> list[MixScenario]:
     """Deterministically generate scenario recipes.
 
@@ -193,7 +190,7 @@ def generate_scenarios(
         placements: list[UtterancePlacement] = []
         for half in (0, 1):
             placed = _place_utterances(
-                rng, pools[speaker], half, half_duration_s, utterances_per_half, margin_s
+                rng, pools[speaker], half, half_duration_s, utterances_per_half
             )
             if not placed:
                 raise DataError("could not place any utterance in a half; shorten utterances")

@@ -1,9 +1,9 @@
 """Source separation by spectral Wiener masking.
 
-Separation reuses the coding of the whole mixture against
-``[speaker atoms | noise atoms]`` that noise typing made: the ratio of the
-speech atoms' part of the model to the whole model gives a soft mask that is
-applied to the complex mixture spectrogram.  The noise estimate uses the
+Separation reuses the mixture's spectrogram and the coding of its magnitude
+against ``[speaker atoms | noise atoms]`` that noise typing made: the ratio of
+the speech atoms' part of the model to the whole model gives a soft mask that
+is applied to that complex spectrogram.  The noise estimate uses the
 complementary mask so the two resynthesized signals sum (up to windowing at
 the edges) back to the mixture.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import StftConfig, istft, stft
+from .features import StftConfig, istft
 from .metrics import restrict_to_spans, snr_db
 from .solvers import EPS
 
@@ -31,28 +31,28 @@ class SeparationResult:
 
 
 def separate(
-    mixture: np.ndarray,
+    spectrogram: np.ndarray,
+    n_samples: int,
     dictionary: np.ndarray,
     weights: np.ndarray,
     speech_atoms: slice,
     config: StftConfig,
 ) -> SeparationResult:
-    """Split ``mixture`` into speech and noise estimates.
+    """Split a mixture of ``n_samples`` samples into speech and noise estimates.
 
-    ``weights`` codes every frame of the mixture's magnitude spectrogram
-    against ``dictionary``; ``speech_atoms`` selects the dictionary columns
-    (and weight rows) that model speech.
+    ``spectrogram`` is the mixture's complex :func:`~.features.stft`;
+    ``weights`` codes every frame of its magnitude against ``dictionary``, and
+    ``speech_atoms`` selects the dictionary columns (and weight rows) that
+    model speech.
     """
-    X = stft(mixture, config)
-    if weights.shape[1] != X.shape[1]:
+    if weights.shape[1] != spectrogram.shape[1]:
         raise ValueError("separation needs a weight column for every frame")
     speech_model = dictionary[:, speech_atoms] @ weights[speech_atoms, :]
     mask = speech_model / (dictionary @ weights + EPS)
     np.clip(mask, 0.0, 1.0, out=mask)
 
-    n = mixture.shape[0]
-    speech = istft(mask * X, config, n_samples=n)
-    noise = istft((1.0 - mask) * X, config, n_samples=n)
+    speech = istft(mask * spectrogram, config, n_samples=n_samples)
+    noise = istft((1.0 - mask) * spectrogram, config, n_samples=n_samples)
     return SeparationResult(speech=speech, noise=noise, mask=mask)
 
 

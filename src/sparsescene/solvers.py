@@ -55,7 +55,10 @@ def generalized_kl(y: np.ndarray, yhat: np.ndarray) -> float:
     return acc
 
 
-def _check_inputs(y: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _check_inputs(
+    y: np.ndarray, dictionary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+    """Validated ``(Y, B, single, colsum)``; ``colsum`` holds each atom's sum."""
     B = np.asarray(dictionary, dtype=np.float64)
     Y = np.asarray(y, dtype=np.float64)
     if B.ndim != 2:
@@ -67,7 +70,10 @@ def _check_inputs(y: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError("observations and dictionary have mismatched feature dimensions")
     if np.any(B < 0) or np.any(Y < 0):
         raise ValueError("observations and dictionary must be non-negative")
-    return Y, B, single
+    colsum = np.sum(B, axis=0)
+    if np.any(colsum <= 0):
+        raise ValueError("dictionary contains an all-zero atom")
+    return Y, B, single, colsum
 
 
 def _block_starts(blocks: Sequence[int] | None, n_atoms: int) -> np.ndarray:
@@ -144,12 +150,9 @@ def solve_mu(
         input shape.  Columns of ``y`` that sum to no more than ``EPS * scale``
         get all-zero weights; every other weight is at least ``FLOOR * scale``.
     """
-    Y, B, single = _check_inputs(y, dictionary)
+    Y, B, single, colsum = _check_inputs(y, dictionary)
     M = B.shape[1]
     N = Y.shape[1]
-    colsum = np.sum(B, axis=0)
-    if np.any(colsum <= 0):
-        raise ValueError("dictionary contains an all-zero atom")
     starts = _block_starts(blocks, M)
 
     X = np.zeros((M, N), dtype=np.float64)
@@ -310,10 +313,7 @@ def solve_asna(
     independently.  Weights of atoms never entering the active set are exactly
     ``0.0``.
     """
-    Y, B, single = _check_inputs(y, dictionary)
-    colsum = np.sum(B, axis=0)
-    if np.any(colsum <= 0):
-        raise ValueError("dictionary contains an all-zero atom")
+    Y, B, single, colsum = _check_inputs(y, dictionary)
     out = np.empty((B.shape[1], Y.shape[1]), dtype=np.float64)
     for n in range(Y.shape[1]):
         out[:, n] = _asna_single(Y[:, n], B, colsum, max_iter, tol)

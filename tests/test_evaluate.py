@@ -1,3 +1,4 @@
+import collections
 import json
 import sys
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene import regimes, solvers, training
+from sparsescene import features, regimes, solvers, training, vad
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import METHODS, LearnedDictionary, normalize_atoms
 from sparsescene.errors import DataError
@@ -294,6 +295,28 @@ def coding_calls(monkeypatch):
 
 
 @pytest.fixture()
+def pipeline_calls(monkeypatch):
+    """Count STFTs (``np.fft.rfft``), ``frame_energies`` and detector passes."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    for original in (features.frame_energies, vad.detect_speech_frames):
+        name = original.__name__
+        wrapper = counted(name, original)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("sparsescene") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.fixture()
 def short_rendered(corpus):
     scenario = ss.generate_scenarios(
         corpus, 1, seed=0, half_duration_s=6.0, utterances_per_half=1
@@ -301,21 +324,64 @@ def short_rendered(corpus):
     return ss.render_scenario(corpus, scenario, snr_db=0.0)
 
 
-def test_analyze_signal_codes_the_clip_once(short_rendered, kmeans_bank, coding_calls):
+def test_analyze_signal_codes_the_clip_once(
+    short_rendered, kmeans_bank, coding_calls, pipeline_calls
+):
     ss.analyze_signal(kmeans_bank, short_rendered.mixture, ss.EvalParams(coding_iters=50))
+    assert pipeline_calls == {"rfft": 1, "frame_energies": 1, "detect_speech_frames": 1}
     n_frames = ss.magnitudes(short_rendered.mixture, ss.StftConfig()).shape[1]
     assert coding_calls == [(129, n_frames)]
 
 
 @pytest.mark.parametrize("regime", ss.ALL_REGIMES)
 def test_every_regime_codes_the_clip_once(
-    regime, short_rendered, corpus, stft_config, kmeans_bank, coding_calls
+    regime, short_rendered, corpus, stft_config, kmeans_bank, coding_calls, pipeline_calls
 ):
     ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams(coding_iters=50))
+    if regime == "updated_speaker":
+        ctx.updated_speaker_bank()  # enrollment is learned once per evaluation, not per clip
+    pipeline_calls.clear()
     result = ss.run_regime(short_rendered, regime, ctx)
     assert result.failure_stage is None, result.error
+    # updated_noise transforms the mixture once more to learn its noises
+    assert pipeline_calls == {
+        "rfft": 2 if regime == "updated_noise" else 1,
+        "frame_energies": 1,
+        "detect_speech_frames": len(regimes.VAD_KS),
+    }
     n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
     assert coding_calls == [(129, n_frames)]
+
+
+def test_adapted_noises_split_at_the_scenario_switch(
+    corpus, stft_config, kmeans_bank, monkeypatch
+):
+    # 4.05 s is 253.125 hops: frame 252 (centre 4.048 s) lies before the switch,
+    # although a split at half the frame count would put it after.
+    scenario = ss.generate_scenarios(
+        corpus, 1, seed=0, half_duration_s=4.05, utterances_per_half=1
+    )[0]
+    rendered = ss.render_scenario(corpus, scenario, snr_db=0.0)
+    mag = ss.magnitudes(rendered.mixture, stft_config)
+    times = features.frame_times(mag.shape[1], stft_config)
+    assert times[252] == pytest.approx(4.048) and mag.shape[1] // 2 == 252
+    seen = []
+    original = regimes.learn_dictionary
+
+    def spy(feats, *args, **kwargs):
+        seen.append(feats)
+        return original(feats, *args, **kwargs)
+
+    monkeypatch.setattr(regimes, "learn_dictionary", spy)
+    regimes._adapted_noises(rendered, ss.RegimeContext(kmeans_bank, corpus))
+
+    def frames_in(feats):
+        return {j for j in range(mag.shape[1]) if (feats == mag[:, j : j + 1]).all(axis=0).any()}
+
+    first, second = frames_in(seen[0]), frames_in(seen[1])
+    assert 252 in first
+    assert all(times[j] < 4.05 for j in first)
+    assert all(times[j] > 4.05 for j in second)
 
 
 def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans_bank):

@@ -45,6 +45,10 @@ def test_stft_shape_and_type():
     X = stft(x, CFG)
     assert X.shape == (129, CFG.n_frames(2048))
     assert np.iscomplexobj(X)
+    # a signal shorter than one frame has no frames
+    for n in (0, 255):
+        assert stft(x[:n], CFG).shape == (129, 0)
+        assert frame_energies(x[:n], CFG).shape == (0,)
 
 
 def test_round_trip_is_exact_in_the_interior():

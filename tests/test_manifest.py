@@ -87,6 +87,22 @@ def test_values_take_their_field_types(tmp_path):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "eval": {"coding_iters": [1]}})
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"n_scenarios": True}, "n_scenarios"),
+        ({"half_duration_s": True}, "half_duration_s"),
+        ({"snrs_db": [0.0, True]}, "snrs_db"),
+        ({"eval": {"coding_iters": True}}, "coding_iters"),
+        ({"generate_corpus_seed": False}, "generate_corpus_seed"),
+    ],
+)
+def test_booleans_are_not_numbers(tmp_path, extra, key):
+    # JSON true/false in a numeric field is a typo, not 1 or 0.
+    with pytest.raises(DataError, match=f"'{key}': (True|False) is not a number"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), **extra})
+
+
 def test_unknown_keys_are_rejected(tmp_path):
     with pytest.raises(DataError, match="unknown manifest keys"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "banana": 1})
