@@ -13,7 +13,9 @@ provided:
     frames, chosen by Voronoi iteration);
 ``ksvd``
     alternating sparse coding and per-atom rank-one updates, with all
-    quantities projected back onto the non-negative orthant;
+    quantities projected back onto the non-negative orthant; each update is
+    formed from matrix-vector products with the frames, never from a copy
+    of the residual matrix;
 ``cosine_threshold`` (alias ``tdcs``)
     greedy frame selection controlled by two cosine-similarity thresholds: a
     candidate frame is accepted only if its similarity to every
@@ -142,6 +144,23 @@ def _learn_ksvd(
     n_iter: int = 10,
     sparsity: int = 5,
 ) -> np.ndarray:
+    """K-SVD with non-negative rank-one atom updates.
+
+    Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``, keeps the
+    ``sparsity`` largest weights per frame, then sweeps the atoms in order.
+    Atom ``j`` with weight row ``x = X[j]`` and users ``u`` (frames where
+    ``x > 0``) becomes the clipped, normalised ``residual @ x_u``, and its
+    weights on ``u`` become the clipped ``atom @ residual``, where
+    ``residual = frames[:, u] - atoms @ X[:, u] + outer(atoms[:, j], x_u)``.
+    The residual matrix is never formed (Rubinstein, Zibulevsky & Elad,
+    *Efficient implementation of the K-SVD algorithm using batch OMP*, 2008):
+    ``residual @ x_u`` is ``frames @ x - atoms @ (X @ x) + atoms[:, j] (x·x)``,
+    with ``frames @ x`` read from one ``frames @ X.T`` per round (row ``j``
+    of ``X`` is untouched until step ``j``), and ``atom @ residual`` is
+    ``(atom @ frames)[u] - (atom @ atoms) @ X[:, u] + (atom·atoms[:, j]) x_u``.
+    An atom without users is re-seated on the worst-fitted frame, and one
+    whose update clips to zero on a frame drawn from ``rng``.
+    """
     from .solvers import solve_mu
 
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
@@ -152,15 +171,15 @@ def _learn_ksvd(
         if sparsity < k:
             order = np.argsort(X, axis=0)
             X[order[: k - sparsity, :], np.arange(X.shape[1])[None, :]] = 0.0
-        approx = atoms @ X
+        FX = frames @ X.T
         for j in range(k):
-            users = np.flatnonzero(X[j, :] > 0)
+            x = X[j]
+            users = np.flatnonzero(x > 0)
             if users.size == 0:
-                worst = int(np.argmax(np.sum((frames - approx) ** 2, axis=0)))
+                worst = int(np.argmax(np.sum((frames - atoms @ X) ** 2, axis=0)))
                 atom = frames[:, worst].copy()
             else:
-                residual = frames[:, users] - approx[:, users] + np.outer(atoms[:, j], X[j, users])
-                atom = residual @ X[j, users]
+                atom = FX[:, j] - atoms @ (X @ x) + atoms[:, j] * (x @ x)
                 np.maximum(atom, 0.0, out=atom)
             norm = np.linalg.norm(atom)
             if norm <= 1e-12:
@@ -168,10 +187,12 @@ def _learn_ksvd(
                 norm = np.linalg.norm(atom)
             atom /= norm
             if users.size:
-                approx[:, users] -= np.outer(atoms[:, j], X[j, users])
-                weights = np.maximum(atom @ residual, 0.0)
-                X[j, users] = weights
-                approx[:, users] += np.outer(atom, weights)
+                weights = (
+                    (atom @ frames)[users]
+                    - (atom @ atoms) @ X[:, users]
+                    + (atom @ atoms[:, j]) * x[users]
+                )
+                X[j, users] = np.maximum(weights, 0.0)
             atoms[:, j] = atom
     return atoms
 

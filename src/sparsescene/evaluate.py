@@ -122,7 +122,10 @@ def run_manifest(
     """Execute a whole campaign and write ``report.csv`` / ``aggregate.json``.
 
     ``banks`` optionally maps method names to prebuilt banks, bypassing
-    dictionary learning for those methods.  Returns a summary dictionary.
+    dictionary learning for those methods.  Returns a summary dictionary;
+    its ``n_stale`` counts the files in ``rows/`` whose name is none of this
+    campaign's run keys (rows of an earlier manifest or bank), which are
+    kept and logged.
     Raises :class:`DataError` when the campaign yields no rows at all.
     """
     out_dir = Path(out_dir)
@@ -163,6 +166,12 @@ def run_manifest(
                         except (OSError, json.JSONDecodeError) as exc:
                             log.warning("cannot reuse row %s (%s); recomputing", row_path, exc)
                     jobs.append((key, scenario, regime, snr, method))
+
+    n_stale = sum(1 for path in rows_dir.glob("*.json") if path.stem not in seen_keys)
+    if n_stale:
+        log.warning(
+            "%d rows in %s belong to no run of this campaign; keeping them", n_stale, rows_dir
+        )
 
     for method in dict.fromkeys(job[4] for job in jobs if job[2] == "updated_speaker"):
         contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
@@ -218,6 +227,7 @@ def run_manifest(
         "n_computed": len(computed_rows),
         "n_skipped": len(skipped_rows),
         "n_failed": n_failed,
+        "n_stale": n_stale,
         "report_csv": str(report_csv),
         "aggregate_json": str(aggregate_json),
     }

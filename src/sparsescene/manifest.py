@@ -126,6 +126,8 @@ def _convert(tp, value):
     """``value`` as a ``tp``: a plain type, ``tuple[T, ...]`` or ``T | None``."""
     args = [a for a in get_args(tp) if a is not type(None)]
     if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a JSON list, not {value!r}")
         return tuple(_convert(args[0], v) for v in value)
     if args:
         return None if value is None else _convert(args[0], value)

@@ -418,3 +418,12 @@ def test_evaluate_with_non_finite_manifest_value_is_a_data_error(
     assert code == 2
     assert "must be finite" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_with_a_string_for_a_list_is_a_data_error(corpus_root, tmp_path, caplog):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), "snrs_db": "10"}))
+    code = main(["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'snrs_db': expected a JSON list" in caplog.text
+    assert not (tmp_path / "out").exists()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from sparsescene import solvers
 from sparsescene.dictionary import (
     METHODS,
+    _learn_ksvd,
+    _select_random,
     cosine_similarities,
     learn_dictionary,
     normalize_atoms,
@@ -13,6 +16,15 @@ from sparsescene.dictionary import (
 def frames():
     rng = np.random.default_rng(42)
     return np.abs(rng.standard_normal((30, 200))) + 0.01
+
+
+@pytest.fixture(scope="module")
+def sparse_frames():
+    # Half the entries are zero: small K-SVD fits on these leave atoms without
+    # users and clip some atom updates to zero.
+    rng = np.random.default_rng(3)
+    f = rng.random((4, 24)) * (rng.random((4, 24)) < 0.5)
+    return f[:, np.linalg.norm(f, axis=0) > 1e-12]
 
 
 def test_method_registry_lists_five_methods():
@@ -96,3 +108,99 @@ def test_budget_larger_than_data_is_capped():
     small = np.abs(rng.standard_normal((10, 5))) + 0.1
     d = learn_dictionary(small, "random", 50, rng=rng)
     assert d.atoms.shape[1] == 5
+
+
+def _reference_ksvd(
+    frames: np.ndarray,
+    n_atoms: int,
+    rng: np.random.Generator,
+    n_iter: int = 10,
+    sparsity: int = 5,
+) -> np.ndarray:
+    """The residual-matrix K-SVD loop that ``_learn_ksvd`` replaced, kept verbatim."""
+    from sparsescene.solvers import solve_mu
+
+    atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
+    k = atoms.shape[1]
+    for _ in range(n_iter):
+        X = solve_mu(frames, atoms, n_iter=60)
+        # hard sparsification: keep the largest weights per frame
+        if sparsity < k:
+            order = np.argsort(X, axis=0)
+            X[order[: k - sparsity, :], np.arange(X.shape[1])[None, :]] = 0.0
+        approx = atoms @ X
+        for j in range(k):
+            users = np.flatnonzero(X[j, :] > 0)
+            if users.size == 0:
+                worst = int(np.argmax(np.sum((frames - approx) ** 2, axis=0)))
+                atom = frames[:, worst].copy()
+            else:
+                residual = frames[:, users] - approx[:, users] + np.outer(atoms[:, j], X[j, users])
+                atom = residual @ X[j, users]
+                np.maximum(atom, 0.0, out=atom)
+            norm = np.linalg.norm(atom)
+            if norm <= 1e-12:
+                atom = frames[:, int(rng.integers(frames.shape[1]))].copy()
+                norm = np.linalg.norm(atom)
+            atom /= norm
+            if users.size:
+                approx[:, users] -= np.outer(atoms[:, j], X[j, users])
+                weights = np.maximum(atom @ residual, 0.0)
+                X[j, users] = weights
+                approx[:, users] += np.outer(atom, weights)
+            atoms[:, j] = atom
+    return atoms
+
+
+def _assert_ksvd_matches_reference(frames, n_atoms, seed, **kwargs):
+    got = _learn_ksvd(frames, n_atoms, np.random.default_rng(seed), **kwargs)
+    want = _reference_ksvd(frames, n_atoms, np.random.default_rng(seed), **kwargs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ksvd_matches_the_residual_matrix_loop(frames, seed):
+    _assert_ksvd_matches_reference(frames, 12, seed)
+
+
+def test_ksvd_matches_the_residual_matrix_loop_for_an_atom_without_users(
+    sparse_frames, monkeypatch
+):
+    codings = []
+    solve_mu = solvers.solve_mu
+
+    def recorded(*args, **kwargs):
+        X = solve_mu(*args, **kwargs)
+        codings.append(X.copy())
+        return X
+
+    monkeypatch.setattr(solvers, "solve_mu", recorded)
+    _assert_ksvd_matches_reference(sparse_frames, 6, 0, sparsity=1)
+    # With one weight kept per frame, an atom that is no frame's largest has no users.
+    k = codings[0].shape[0]
+    kept = [np.unique(np.argsort(X, axis=0)[-1]) for X in codings]
+    assert any(atoms.size < k for atoms in kept)
+
+
+def test_ksvd_matches_the_residual_matrix_loop_through_a_reseed(sparse_frames):
+    _assert_ksvd_matches_reference(sparse_frames, 6, 1, sparsity=2)
+    # A re-seed is the only draw after the initial atom selection.
+    rng = np.random.default_rng(1)
+    _learn_ksvd(sparse_frames, 6, rng, sparsity=2)
+    selection_only = np.random.default_rng(1)
+    _select_random(sparse_frames, 6, selection_only)
+    assert rng.bit_generator.state != selection_only.bit_generator.state
+
+
+def test_ksvd_codes_the_frames_once_per_round(frames, monkeypatch):
+    calls = []
+    solve_mu = solvers.solve_mu
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("n_iter"))
+        return solve_mu(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_mu", counted)
+    learn_dictionary(frames, "ksvd", 10, rng=np.random.default_rng(0))
+    assert calls == [60] * 10

@@ -99,6 +99,31 @@ def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, t
     assert (out / "report.csv").read_bytes() == first
 
 
+def test_resume_reports_rows_of_other_runs_and_keeps_them(
+    corpus_root, kmeans_bank, tmp_path, caplog
+):
+    manifest = _small_manifest(corpus_root, regimes=("ground_truth", "complete"))
+    out = tmp_path / "out"
+    first = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert first["n_stale"] == 0
+    again = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert again["n_stale"] == 0
+
+    changed = _small_manifest(
+        corpus_root,
+        regimes=("ground_truth", "complete"),
+        eval_params=ss.EvalParams(coding_iters=50),
+    )
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="sparsescene.evaluate"):
+        resumed = ss.run_manifest(changed, out, banks={"kmeans": kmeans_bank})
+    assert resumed["n_computed"] == 2
+    assert resumed["n_stale"] == first["n_rows"] == 2
+    logged = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(logged) == 1 and logged[0].startswith("2 rows in ")
+    assert len(list((out / "rows").glob("*.json"))) == 4
+
+
 def test_parallel_execution_matches_serial_output(corpus_root, kmeans_bank, tmp_path):
     serial = _small_manifest(corpus_root, n_scenarios=2, parallelism=1)
     threaded = _small_manifest(corpus_root, n_scenarios=2, parallelism=2)

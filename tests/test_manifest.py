@@ -103,6 +103,20 @@ def test_booleans_are_not_numbers(tmp_path, extra, key):
         Manifest.from_dict({"corpus_dir": str(tmp_path), **extra})
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"snrs_db": "10"}, "snrs_db"),
+        ({"regimes": "complete"}, "regimes"),
+        ({"snrs_db": 10}, "snrs_db"),
+    ],
+)
+def test_list_fields_take_only_lists(tmp_path, extra, key):
+    # A string is not iterated into characters: "10" is not 1 and 0 dB.
+    with pytest.raises(DataError, match=f"'{key}': expected a JSON list"):
+        Manifest.from_dict({"corpus_dir": str(tmp_path), **extra})
+
+
 def test_unknown_keys_are_rejected(tmp_path):
     with pytest.raises(DataError, match="unknown manifest keys"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), "banana": 1})
