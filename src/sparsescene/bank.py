@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dictionary import LearnedDictionary
+from .dictionary import METHODS, LearnedDictionary
 from .errors import DataError
 from .features import StftConfig
 
@@ -92,27 +93,24 @@ class DictionaryBank:
         """
         return dict(self._noises)
 
-    def concatenated(
-        self,
-        speaker_labels: Iterable[str] = (),
-        noise_labels: Iterable[str] = (),
-    ) -> tuple[np.ndarray, list[tuple[str, str, slice]]]:
-        """Stack the requested dictionaries into one atom matrix.
+    def concatenated(self) -> tuple[np.ndarray, list[tuple[str, str, slice]]]:
+        """Stack every speaker's, then every noise's atoms, each in label order.
 
         Returns the matrix and a list of ``(kind, label, column_slice)``
-        giving each source's block of columns.
+        giving each source's block of columns.  A :meth:`restricted` view
+        stacks only the sources it keeps.
         """
         blocks: list[np.ndarray] = []
         groups: list[tuple[str, str, slice]] = []
         start = 0
-        wanted = [("speaker", label) for label in speaker_labels]
-        for kind, label in wanted + [("noise", label) for label in noise_labels]:
+        wanted = [("speaker", label) for label in self.speaker_labels]
+        for kind, label in wanted + [("noise", label) for label in self.noise_labels]:
             atoms = (self.get_speaker if kind == "speaker" else self.get_noise)(label).atoms
             blocks.append(atoms)
             groups.append((kind, label, slice(start, start + atoms.shape[1])))
             start += atoms.shape[1]
         if not blocks:
-            raise ValueError("no dictionaries requested")
+            raise ValueError("bank holds no dictionaries")
         return np.concatenate(blocks, axis=1), groups
 
     # -- derived banks --------------------------------------------------------
@@ -187,13 +185,17 @@ class DictionaryBank:
     def load(cls, path) -> "DictionaryBank":
         """Read a bank written by :meth:`save`; anything else is a :class:`DataError`."""
         try:
-            data = np.load(path, allow_pickle=False)
-        except (OSError, ValueError) as exc:
+            with np.load(path, allow_pickle=False) as archive:
+                data = {key: archive[key] for key in archive.files}
+        except Exception as exc:  # a damaged archive can make numpy or zipfile raise almost anything
             raise DataError(f"cannot read dictionary bank {path}: {exc}") from exc
         try:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if not isinstance(meta, dict) or meta.get("format") != "sparsescene-bank":
                 raise KeyError("format")
+            problem = _meta_problem(meta)
+            if problem:
+                raise DataError(f"{path} is not a valid dictionary bank: {problem}")
             tables = {
                 kind: {
                     label: LearnedDictionary(
@@ -214,6 +216,8 @@ class DictionaryBank:
             )
         except KeyError as exc:
             raise DataError(f"{path} is not a valid dictionary bank: no {exc}") from exc
+        except ValueError as exc:  # meta that is not UTF-8 JSON, atoms that are not numbers
+            raise DataError(f"{path} is not a valid dictionary bank: {exc}") from exc
         problem = bank._problem()
         if problem:
             raise DataError(f"dictionary bank {path}: {problem}")
@@ -221,9 +225,13 @@ class DictionaryBank:
 
     def _problem(self) -> str | None:
         """What keeps this bank from being one ``save`` writes, or None."""
+        if self.method not in METHODS:
+            return f"method {self.method!r} is not one of {METHODS}"
         p = self.params
-        if set(p) != set(RECIPE_KEYS) or not all(isinstance(v, (int, float)) for v in p.values()):
+        if set(p) != set(RECIPE_KEYS) or not all(type(v) in (int, float) for v in p.values()):
             return f"params {p} are not numbers for exactly {RECIPE_KEYS}"
+        if not all(type(v) is int or math.isfinite(v) for v in p.values()):
+            return f"params {p} are not finite"
         stft_keys = {f.name for f in fields(StftConfig)}
         fp = self.feature_params
         if set(fp) != stft_keys or not all(type(v) is int and v > 0 for v in fp.values()):
@@ -254,3 +262,20 @@ class DictionaryBank:
                 h.update(np.ascontiguousarray(d.atoms).tobytes())
                 h.update(np.ascontiguousarray(d.appended).tobytes())
         return h.hexdigest()
+
+
+def _meta_problem(meta: dict) -> str | None:
+    """What keeps a bank's meta from having the JSON shape ``save`` writes, or None.
+
+    A missing key raises ``KeyError``.
+    """
+    for key in ("speakers", "noises"):
+        if not (isinstance(meta[key], list) and all(isinstance(v, str) for v in meta[key])):
+            return f"{key} {meta[key]!r} is not a list of labels"
+    methods = meta["dict_methods"]
+    if not (isinstance(methods, dict) and all(v in METHODS for v in methods.values())):
+        return f"dict_methods {methods!r} is not an object of methods from {METHODS}"
+    for key in ("params", "feature_params"):
+        if not isinstance(meta[key], dict):
+            return f"{key} {meta[key]!r} is not an object"
+    return None

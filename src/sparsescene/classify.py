@@ -15,12 +15,16 @@ block scores off the same coding instead of coding the frames again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bank import DictionaryBank
-from .features import StftConfig, frame_times
+from .features import frame_times
 from .solvers import code_frames
+
+if TYPE_CHECKING:  # regimes imports this module
+    from .regimes import EvalParams
 
 __all__ = ["NoiseDecision", "classify_noise", "rank_speakers", "block_score_matrix"]
 
@@ -68,35 +72,28 @@ def _best_changepoint(votes: np.ndarray, n_labels: int) -> tuple[int, int, int]:
     return int(a), int(b), int(split)
 
 
-def classify_noise(
-    mag: np.ndarray,
-    bank: DictionaryBank,
-    config: StftConfig,
-    *,
-    solver: str = "mu",
-    **solver_kwargs,
-) -> NoiseDecision:
+def classify_noise(mag: np.ndarray, bank: DictionaryBank, params: EvalParams) -> NoiseDecision:
     """Identify the noise type of each side of the switch and locate it.
 
     Parameters
     ----------
     mag : np.ndarray
-        Magnitude spectrogram of the whole mixture, ``(P, N)``; every frame
-        is coded.
+        Magnitude spectrogram of the whole mixture, ``(P, N)``, taken with
+        ``bank.stft_config``; every frame is coded as ``params`` says.
     """
     labels = list(bank.noise_labels)
     if not labels:
         raise ValueError("bank holds no noise dictionaries")
-    D, groups = bank.concatenated(speaker_labels=bank.speaker_labels, noise_labels=labels)
+    D, groups = bank.concatenated()
     noise_groups = [g for g in groups if g[0] == "noise"]
     blocks = [g[2].start for g in groups]
-    W = code_frames(mag, D, solver=solver, blocks=blocks, **solver_kwargs)
+    W = code_frames(mag, D, solver=params.solver, blocks=blocks, **params.solver_kwargs())
     scores = block_score_matrix(W, noise_groups)
     frame_label_idx = np.argmax(scores, axis=0)
 
     a_idx, b_idx, split = _best_changepoint(frame_label_idx, len(labels))
 
-    times = frame_times(mag.shape[1], config)
+    times = frame_times(mag.shape[1], bank.stft_config)
     if split <= 0:
         transition = float(times[0])
     elif split >= times.size:

@@ -111,7 +111,7 @@ def _cmd_learn_dict(o) -> dict:
     out_path = Path(o.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     bank.save(out_path)
-    _, groups = bank.concatenated(bank.speaker_labels, bank.noise_labels)
+    _, groups = bank.concatenated()
     return {
         "bank": str(out_path),
         "method": o.method,

@@ -75,7 +75,7 @@ def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
     """:func:`read_wav` without the check on sample values."""
     try:
         sr, data = wavfile.read(path)
-    except (OSError, ValueError) as exc:
+    except Exception as exc:  # a malformed file can make scipy raise almost anything
         raise DataError(f"cannot read {path}: {exc}") from exc
     if data.ndim != 1:
         raise DataError(f"{path}: expected mono audio")
@@ -222,6 +222,8 @@ def generate_corpus(
     """
     if not noise_seconds > 0:
         raise DataError(f"noise_seconds must be positive, not {noise_seconds}")
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, not {seed}")
     out = Path(out_dir)
     (out / "noise").mkdir(parents=True, exist_ok=True)
     root = np.random.SeedSequence(seed)

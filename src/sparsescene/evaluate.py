@@ -275,7 +275,7 @@ def analyze_signal(
     if not np.all(np.isfinite(x)):
         raise DataError("signal holds non-finite samples (NaN or Inf)")
     speech_mask = detect_speech_frames(frame_energies(x, config), VAD_PRIMARY_K)
-    found = analyze(x, speech_mask, bank, config, params or EvalParams())
+    found = analyze(x, speech_mask, bank, params or EvalParams())
     sep = found.separation
     est_snr = estimate_snr_db(sep, found.speech_spans or None, config)
     analysis = {

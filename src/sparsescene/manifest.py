@@ -64,6 +64,10 @@ class Manifest:
             raise DataError("n_scenarios must be at least 1")
         if self.n_atoms < 1:
             raise DataError("n_atoms must be at least 1")
+        for name in ("seed", "bank_seed", "generate_corpus_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise DataError(f"{name} must be a non-negative integer, not {value}")
         for name in ("half_duration_s", "corpus_noise_seconds"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

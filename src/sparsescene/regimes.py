@@ -48,7 +48,7 @@ from .classify import NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
-from .features import StftConfig, frame_energies, frame_times, magnitudes, stft
+from .features import frame_energies, frame_times, magnitudes, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
@@ -123,10 +123,10 @@ class RegimeContext:
     def __init__(self, bank: DictionaryBank, corpus: Corpus, params: EvalParams | None = None):
         self.bank = bank
         self.corpus = corpus
-        self.config = bank.stft_config
-        if self.config.sample_rate != corpus.sample_rate:
+        sample_rate = bank.stft_config.sample_rate
+        if sample_rate != corpus.sample_rate:
             raise DataError(
-                f"the bank was learned at {self.config.sample_rate} Hz "
+                f"the bank was learned at {sample_rate} Hz "
                 f"but the corpus is at {corpus.sample_rate} Hz"
             )
         self.params = params or EvalParams()
@@ -211,7 +211,7 @@ def _adapted_noises(
     rendered: RenderedScenario, ctx: RegimeContext
 ) -> tuple[LearnedDictionary, LearnedDictionary]:
     """Learn one noise dictionary per side of the scenario's switch from its noise-only frames."""
-    config = ctx.config
+    config = ctx.bank.stft_config
     mag = magnitudes(rendered.mixture, config)
     n_frames = mag.shape[1]
     speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
@@ -245,26 +245,25 @@ def analyze(
     samples: np.ndarray,
     speech_mask: np.ndarray,
     bank: DictionaryBank,
-    config: StftConfig,
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
     """The blind pipeline: transform and code every frame once, read every decision off it.
 
     ``speech_mask`` marks the detected speech frames of ``samples``.  The
-    magnitude of one STFT is coded against ``bank``'s ``[speakers | noises]``.
+    magnitude of one STFT, taken with the bank's own settings, is coded as
+    ``params`` says against ``bank``'s ``[speakers | noises]``.
     Noise votes and the switch come from the noise blocks, the speaker ranking
     from the speaker blocks over detected speech, and the Wiener mask, applied
     to that same STFT, from the top speaker's block of the model over the
     whole model.  ``on_stage`` is told the name of each stage as it starts.
     """
+    config = bank.stft_config
     on_stage("features")
     spectrogram = stft(samples, config)
     mag = np.abs(spectrogram)
     on_stage("noise_id")
-    decision = classify_noise(
-        mag, bank, config, solver=params.solver, **params.solver_kwargs()
-    )
+    decision = classify_noise(mag, bank, params)
     on_stage("speaker_id")
     ranking = rank_speakers(mag, decision, speech_mask)
     on_stage("separation")
@@ -283,8 +282,7 @@ def run_regime(
     if regime not in ALL_REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {ALL_REGIMES}")
     sc = rendered.scenario
-    config = ctx.config
-    params = ctx.params
+    config = ctx.bank.stft_config
     res = RunResult(
         scenario_id=sc.scenario_id,
         regime=regime,
@@ -308,7 +306,7 @@ def run_regime(
 
         stage.append("noise_id")
         view = ctx.bank_for(regime, rendered)
-        found = analyze(mixture, masks[VAD_PRIMARY_K], view, config, params, stage.append)
+        found = analyze(mixture, masks[VAD_PRIMARY_K], view, ctx.params, stage.append)
 
         decision = found.noise
         if regime == "ground_truth":

@@ -268,8 +268,20 @@ def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> Ren
         p_noise = float(np.sum(crop[span_mask] ** 2))
         if p_speech <= 0 or p_noise <= 0:
             raise DataError(f"degenerate energy in half {half} of {scenario.scenario_id}")
-        scale = np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0)))
-        noise[lo:hi] = scale * crop
+        with np.errstate(all="ignore"):  # an SNR float32 cannot hold is caught below
+            try:
+                scale = np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0)))
+            except OverflowError:  # 10 ** (snr_db / 10) exceeds float64: no noise is left
+                scale = 0.0
+            except ZeroDivisionError:  # the scaled noise energy underflows to zero
+                scale = np.inf
+            half_noise = (scale * crop).astype(np.float32)
+        if not (np.all(np.isfinite(half_noise)) and np.any(half_noise[span_mask])):
+            raise DataError(
+                f"snr_db {snr_db} cannot be rendered in float32: half {half} of "
+                f"{scenario.scenario_id} would hold no finite noise energy over its speech"
+            )
+        noise[lo:hi] = half_noise
 
     speech32 = speech.astype(np.float32)
     noise32 = noise.astype(np.float32)

@@ -323,7 +323,7 @@ def solve_asna(
 def code_frames(
     features: np.ndarray,
     dictionary: np.ndarray,
-    solver: str = "asna",
+    solver: str,
     blocks: Sequence[int] | None = None,
     **kwargs,
 ) -> np.ndarray:

@@ -111,6 +111,8 @@ def _learn_sources(
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
     if recipe["n_atoms"] < 1:
         raise DataError(f"n_atoms must be at least 1, not {recipe['n_atoms']}")
+    if recipe["seed"] < 0:
+        raise DataError(f"seed must be a non-negative integer, not {recipe['seed']}")
     order = [("noise", label) for label in sorted(corpus.noises if noises is None else noises)]
     order += [("speaker", label) for label in sorted(corpus.speakers)]
     children = np.random.SeedSequence(recipe["seed"]).spawn(len(order))

@@ -45,7 +45,7 @@ def _kmeans_1d(values: np.ndarray, k: int, n_iter: int = 100) -> tuple[np.ndarra
     return labels, centers
 
 
-def detect_speech_frames(energies: np.ndarray, k: int = 2) -> np.ndarray:
+def detect_speech_frames(energies: np.ndarray, k: int) -> np.ndarray:
     """Boolean speech mask per frame from k-way clustering of log energies."""
     if k < 2:
         raise ValueError("need at least two clusters to separate speech from background")
@@ -59,7 +59,7 @@ def detect_speech_frames(energies: np.ndarray, k: int = 2) -> np.ndarray:
 
 
 def frames_to_intervals(
-    mask: np.ndarray, config: StftConfig, min_frames: int = 3
+    mask: np.ndarray, config: StftConfig, min_frames: int
 ) -> list[tuple[float, float]]:
     """Contiguous True runs as (start_s, end_s) spans; runs shorter than
     ``min_frames`` are discarded as blips."""

@@ -1,8 +1,13 @@
 """Shared fixtures: one synthetic corpus and bank reused across the suite."""
 
 import pytest
+from hypothesis import settings
 
 import sparsescene as ss
+
+# Property tests draw the same examples on every run, with no per-example deadline.
+settings.register_profile("sparsescene", deadline=None, derandomize=True)
+settings.load_profile("sparsescene")
 
 
 @pytest.fixture(scope="session")

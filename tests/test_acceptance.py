@@ -57,16 +57,16 @@ def noise_scenes(corpus, stft_config):
 
 
 @pytest.fixture(scope="module")
-def noise_decisions(noise_scenes, banks_all, stft_config):
+def noise_decisions(noise_scenes, banks_all):
     """Noise typing of every mixture under every learning method, timed."""
     scenes, _ = noise_scenes
-    kwargs = ss.EvalParams().solver_kwargs()
+    params = ss.EvalParams()
     decisions: dict[str, list] = {}
     timing: dict[str, float] = {}
     for method, bank in banks_all.items():
         t0 = time.perf_counter()
         decisions[method] = [
-            (s, ss.classify_noise(mag, bank, stft_config, **kwargs))
+            (s, ss.classify_noise(mag, bank, params))
             for s, mag in scenes
         ]
         timing[method] = time.perf_counter() - t0

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import LearnedDictionary
@@ -11,8 +15,7 @@ def _unit(cols):
     return a / np.linalg.norm(a, axis=0)
 
 
-@pytest.fixture()
-def bank():
+def _small_bank():
     rng = np.random.default_rng(0)
     mk = lambda: LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 3))) + 0.1), "random")
     return DictionaryBank(
@@ -22,6 +25,11 @@ def bank():
         params={"n_atoms": 3, "tw": 0.8, "tb": 0.8, "seed": 0},
         feature_params={"sample_rate": 8000, "n_fft": 10, "hop": 5},  # 6-row atoms
     )
+
+
+@pytest.fixture()
+def bank():
+    return _small_bank()
 
 
 def test_labels_are_sorted(bank):
@@ -53,7 +61,7 @@ def test_missing_label_raises(bank):
 
 
 def test_concatenated_blocks_and_slices(bank):
-    D, groups = bank.concatenated(speaker_labels=["bob"], noise_labels=["hiss", "thump"])
+    D, groups = bank.restricted(exclude_speakers=["alice"]).concatenated()
     assert D.shape == (6, 9)
     assert [(k, l) for k, l, _ in groups] == [
         ("speaker", "bob"),
@@ -115,6 +123,14 @@ def test_loading_garbage_raises_data_error(tmp_path):
         DictionaryBank.load(tmp_path / "list.npz")
 
 
+@pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
+def test_a_bank_whose_meta_is_not_json_is_a_data_error(tmp_path, meta):
+    path = tmp_path / "bad.npz"
+    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+    with pytest.raises(DataError, match="not a valid dictionary bank"):
+        DictionaryBank.load(path)
+
+
 def test_content_hash_is_stable_and_sensitive(bank, tmp_path):
     h = bank.content_hash()
     assert h == bank.content_hash()
@@ -128,3 +144,63 @@ def test_content_hash_is_stable_and_sensitive(bank, tmp_path):
         LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 3))) + 0.1), "random"),
     )
     assert other.content_hash() != h
+
+
+#: any JSON value, NaN and infinities included (``json`` writes and reads them)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_bank(tmp_path_factory):
+    """The directory and arrays of a saved :func:`_small_bank`."""
+    path = tmp_path_factory.mktemp("bank") / "bank.npz"
+    _small_bank().save(path)
+    with np.load(path) as data:
+        return path.parent, {key: data[key].copy() for key in data.files}
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_a_bank_with_one_meta_value_replaced_loads_whole_or_is_a_data_error(saved_bank, data):
+    directory, arrays = saved_bank
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    nested = [(key, sub) for key in ("params", "feature_params") for sub in meta[key]]
+    where = data.draw(st.sampled_from([(key,) for key in sorted(meta)] + nested))
+    target = meta[where[0]] if len(where) == 2 else meta
+    target[where[-1]] = data.draw(_JSON)
+    path = directory / "tampered.npz"
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **{**arrays, "meta": meta_bytes})
+    try:
+        bank = DictionaryBank.load(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    else:
+        D, groups = bank.concatenated()
+        assert D.shape == (bank.stft_config.n_bins, groups[-1][2].stop)
+        assert len(bank.content_hash()) == 64
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_cut_or_flipped_bank_file_loads_whole_or_is_a_data_error(saved_bank, data):
+    directory, arrays = saved_bank
+    valid = directory / "bank.npz"
+    content = valid.read_bytes()
+    damaged = bytearray(content[: data.draw(st.integers(0, len(content)), label="cut")])
+    flips = st.tuples(st.integers(0, len(content) - 1), st.integers(1, 255))
+    for i, mask in data.draw(st.lists(flips, max_size=3), label="flips"):
+        if i < len(damaged):
+            damaged[i] ^= mask
+    path = directory / "damaged.npz"
+    path.write_bytes(bytes(damaged))
+    try:
+        bank = DictionaryBank.load(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert len(bank.content_hash()) == 64

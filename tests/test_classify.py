@@ -58,7 +58,7 @@ def test_block_score_matrix_sums_each_group():
 
 def test_classify_noise_finds_labels_and_switch(toy_bank, stft_config):
     mag = _toy_mag(speech_frames=(3, 4, 5, 24, 25))
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
     assert decision.noise_first == "alpha"
     assert decision.noise_second == "beta"
     times = frame_times(40, stft_config)
@@ -106,12 +106,12 @@ def test_changepoint_matches_brute_force_search(case):
     assert _best_changepoint(votes, n_labels) == _brute_force_changepoint(votes, n_labels)
 
 
-def test_speech_energy_does_not_flip_noise_votes(toy_bank, stft_config):
+def test_speech_energy_does_not_flip_noise_votes(toy_bank):
     # Heavy speaker energy on half the frames; votes among noise blocks
     # must still follow the noise support because the speaker blocks
     # absorb the speech bins.
     mag = _toy_mag(speech_frames=range(0, 40, 2))
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
     assert decision.noise_first == "alpha"
     assert decision.noise_second == "beta"
 
@@ -119,7 +119,7 @@ def test_speech_energy_does_not_flip_noise_votes(toy_bank, stft_config):
 def test_uniform_signal_degenerates_to_edge_transition(toy_bank, stft_config):
     mag = np.zeros((8, 30))
     mag[0:2, :] = 1.0  # pure 'alpha' throughout
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
     # With no real switch the best split is at an edge; the non-empty side
     # must carry the true label and the transition sits at that edge.
     assert "alpha" in (decision.noise_first, decision.noise_second)
@@ -128,10 +128,10 @@ def test_uniform_signal_degenerates_to_edge_transition(toy_bank, stft_config):
     assert decision.frame_labels == ["alpha"] * 30
 
 
-def test_classify_noise_requires_noise_dictionaries(toy_bank, stft_config):
+def test_classify_noise_requires_noise_dictionaries(toy_bank):
     only_speakers = toy_bank.restricted(exclude_noises=["alpha", "beta"])
     with pytest.raises(ValueError):
-        ss.classify_noise(np.ones((8, 4)), only_speakers, stft_config)
+        ss.classify_noise(np.ones((8, 4)), only_speakers, ss.EvalParams())
 
 
 def _speech_mask(frames, n_frames=40):
@@ -140,19 +140,19 @@ def _speech_mask(frames, n_frames=40):
     return mask
 
 
-def test_rank_speakers_orders_by_block_energy(toy_bank, stft_config):
+def test_rank_speakers_orders_by_block_energy(toy_bank):
     mag = _toy_mag(speech_frames=(3, 4, 5, 24, 25))
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
     ranking = ss.rank_speakers(mag, decision, _speech_mask((3, 4, 5, 24, 25)))
     assert ranking == ["sA", "sB"]
     assert sorted(ranking) == sorted(toy_bank.speaker_labels)
 
 
-def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, stft_config, monkeypatch):
+def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, monkeypatch):
     # Ranking sums the speaker blocks of the weights noise typing coded; it
     # never codes again, so moving weight between blocks moves the ranking.
     mag = _toy_mag(speech_frames=(3, 4, 26, 27))
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
 
     def no_coding(*args, **kwargs):
         raise AssertionError("rank_speakers must not code frames")
@@ -165,14 +165,14 @@ def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, stft_config, mon
     assert ss.rank_speakers(mag, decision, mask) == ["sB", "sA"]
 
 
-def test_rank_speakers_falls_back_to_loud_frames(toy_bank, stft_config):
+def test_rank_speakers_falls_back_to_loud_frames(toy_bank):
     mag = _toy_mag(speech_frames=(10, 11))
     empty = np.zeros(40, dtype=bool)
-    decision = ss.classify_noise(mag, toy_bank, stft_config)
+    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
     ranking = ss.rank_speakers(mag, decision, empty)
     assert ranking[0] == "sA"
 
     no_speakers = toy_bank.restricted(exclude_speakers=["sA", "sB"])
-    decision = ss.classify_noise(mag, no_speakers, stft_config)
+    decision = ss.classify_noise(mag, no_speakers, ss.EvalParams())
     with pytest.raises(ValueError):
         ss.rank_speakers(mag, decision, empty)

@@ -227,6 +227,25 @@ def test_classify_with_nan_samples_is_a_data_error(cli_bank, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_classify_with_a_truncated_wav_is_a_data_error(cli_bank, short_wav, tmp_path, caplog):
+    wav = tmp_path / "cut.wav"
+    wav.write_bytes(short_wav.read_bytes()[:7])
+    assert main(["classify", "--bank", str(cli_bank), "--wav", str(wav)]) == 2
+    assert f"cannot read {wav}" in caplog.text
+
+
+def test_learn_dict_skips_a_truncated_noise_with_a_warning(corpus_root, tmp_path, capsys, caplog):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_root, corpus)
+    wav = corpus / "noise" / "hum.wav"
+    wav.write_bytes(wav.read_bytes()[:7])
+    argv = ["learn-dict", "--corpus", str(corpus), "--method", "random", "--atoms", "2"]
+    code, summary = _run(capsys, [*argv, "--out", str(tmp_path / "bank.npz")])
+    assert code == 0
+    assert summary["noises"] == ["am", "band", "bursts"]
+    assert f"skipping noise entry: cannot read {wav}" in caplog.text
+
+
 def _negate_first_atom(meta, arrays):
     arrays["speaker/spk1/atoms"][:, 0] *= -1.0
 
@@ -249,6 +268,12 @@ def _one_dimensional_atoms(meta, arrays):
         (lambda meta, arrays: meta.pop("feature_params"), "no 'feature_params'"),
         (_one_dimensional_atoms, "noise 'hum' atoms have shape (129,)"),
         (lambda meta, arrays: meta["params"].update(n_atoms="4"), "are not numbers"),
+        (lambda meta, arrays: meta.update(speakers=None), "speakers None is not a list"),
+        (lambda meta, arrays: meta.update(dict_methods=None), "dict_methods None is not"),
+        (lambda meta, arrays: meta.update(params=[4]), "params [4] is not an object"),
+        (lambda meta, arrays: meta.update(feature_params=8000), "feature_params 8000 is not"),
+        (lambda meta, arrays: meta.update(method="pca"), "method 'pca' is not one of"),
+        (lambda meta, arrays: meta["params"].update(tw=float("nan")), "'tw': nan"),
     ],
     ids=[
         "n_fft_mismatch",
@@ -258,6 +283,12 @@ def _one_dimensional_atoms(meta, arrays):
         "no_feature_params",
         "one_dimensional_atoms",
         "text_params",
+        "null_speakers",
+        "null_dict_methods",
+        "list_params",
+        "number_feature_params",
+        "unknown_method",
+        "nan_tw",
     ],
 )
 def test_classify_with_malformed_bank_is_a_data_error(
@@ -427,3 +458,37 @@ def test_evaluate_with_a_string_for_a_list_is_a_data_error(corpus_root, tmp_path
     assert code == 2
     assert "'snrs_db': expected a JSON list" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["make-corpus", "--seed", "-1"], ["learn-dict", "--seed", "-3"]],
+    ids=["make-corpus", "learn-dict"],
+)
+def test_negative_seeds_are_data_errors(corpus_root, tmp_path, caplog, argv):
+    out = tmp_path / "out"
+    corpus = ["--corpus", str(corpus_root)] if argv[0] == "learn-dict" else []
+    assert main([*argv, *corpus, "--out", str(out)]) == 2
+    assert f"seed must be a non-negative integer, not {argv[-1]}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"seed": -2}, "seed must be a non-negative integer, not -2"),
+        ({"bank_seed": -2}, "bank_seed must be a non-negative integer, not -2"),
+        ({"generate_corpus_seed": -2}, "generate_corpus_seed must be a non-negative integer"),
+        ({"snrs_db": [4000]}, "snr_db 4000.0 cannot be rendered"),
+    ],
+    ids=["seed", "bank_seed", "generate_corpus_seed", "snr"],
+)
+def test_evaluate_with_an_unusable_manifest_value_is_a_data_error(
+    corpus_root, cli_bank, tmp_path, caplog, setting, message
+):
+    manifest = {"corpus_dir": str(corpus_root), "n_scenarios": 1, "half_duration_s": 4.0}
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({**manifest, **setting}))
+    argv = ["evaluate", "--manifest", str(mpath), "--bank", str(cli_bank)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in caplog.text

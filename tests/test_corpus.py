@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsescene as ss
 from sparsescene.corpus import read_wav, write_wav
@@ -63,6 +65,33 @@ def test_audio_round_trips_through_wav(tmp_path):
     assert np.allclose(x, y, atol=1e-7)
 
 
+@pytest.fixture(scope="module")
+def wav_file(tmp_path_factory):
+    """A path and the bytes of a valid 64-sample WAV written there."""
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 64), 8000)
+    return path, path.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@settings(max_examples=300)
+@given(data=st.data())
+def test_a_cut_or_flipped_wav_reads_as_finite_samples_or_a_data_error(wav_file, data):
+    path, valid = wav_file
+    damaged = bytearray(valid[: data.draw(st.integers(0, len(valid)), label="cut")])
+    flips = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255))
+    for i, mask in data.draw(st.lists(flips, max_size=4), label="flips"):
+        if i < len(damaged):
+            damaged[i] ^= mask
+    path.write_bytes(bytes(damaged))
+    try:
+        _, x = read_wav(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert np.all(np.isfinite(x))
+
+
 def test_sample_rate_mismatch_is_a_data_error(tmp_path):
     path = tmp_path / "x.wav"
     write_wav(path, np.zeros(100, dtype=np.float32), 8000)
@@ -73,11 +102,14 @@ def test_sample_rate_mismatch_is_a_data_error(tmp_path):
 def test_unreadable_entries_are_skipped_with_a_warning(tmp_path, caplog):
     root = ss.generate_corpus(tmp_path / "c", seed=0)
     (root / "noise" / "band.wav").write_bytes(b"ruined")
+    hum = root / "noise" / "hum.wav"
+    hum.write_bytes(hum.read_bytes()[:7])  # cut inside the RIFF header
     with caplog.at_level(logging.WARNING):
         corpus = ss.Corpus.from_dir(root)
     assert "band" not in corpus.noises
-    assert sorted(corpus.noises) == ["am", "bursts", "hum"]
+    assert sorted(corpus.noises) == ["am", "bursts"]
     assert any("band" in r.getMessage() for r in caplog.records)
+    assert any(str(hum) in r.getMessage() for r in caplog.records)
 
 
 def test_empty_directory_is_a_data_error(tmp_path):

@@ -413,9 +413,7 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     mixture = short_rendered.mixture
     analysis, sep = ss.analyze_signal(kmeans_bank, mixture)
     config = ss.StftConfig()
-    decision = ss.classify_noise(
-        ss.magnitudes(mixture, config), kmeans_bank, config, **ss.EvalParams().solver_kwargs()
-    )
+    decision = ss.classify_noise(ss.magnitudes(mixture, config), kmeans_bank, ss.EvalParams())
     assert analysis["noise_first"] == decision.noise_first
     assert analysis["noise_second"] == decision.noise_second
     assert analysis["noise_transition_s"] == round(decision.transition_s, 4)

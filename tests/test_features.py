@@ -60,7 +60,7 @@ def test_round_trip_is_exact_in_the_interior():
     assert err <= 1e-10
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(min_value=600, max_value=5000), st.integers(min_value=0, max_value=2**31 - 1))
 def test_round_trip_for_arbitrary_lengths(n, seed):
     x = np.random.default_rng(seed).standard_normal(n)

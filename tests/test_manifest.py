@@ -36,6 +36,9 @@ def test_defaults_are_sensible(tmp_path):
         dict(half_duration_s=0.0),
         dict(half_duration_s=float("nan")),
         dict(half_duration_s=float("inf")),
+        dict(seed=-2),
+        dict(bank_seed=-2),
+        dict(generate_corpus_seed=-1),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):

@@ -39,7 +39,7 @@ def test_si_sdr_known_orthogonal_noise():
     assert si_sdr_db(ref, est) == pytest.approx(expected)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.01, max_value=100.0))
 def test_si_sdr_is_scale_invariant(seed, scale):
     rng = np.random.default_rng(seed)

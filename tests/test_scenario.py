@@ -101,3 +101,10 @@ def test_rendering_is_byte_deterministic(corpus):
     r1 = ss.render_scenario(corpus, s, snr_db=5.0)
     r2 = ss.render_scenario(corpus, s, snr_db=5.0)
     assert r1.mixture.tobytes() == r2.mixture.tobytes()
+
+
+@pytest.mark.parametrize("snr", [4000.0, -4000.0, -800.0, 1e6])
+def test_an_snr_the_float32_mixture_cannot_hold_is_a_data_error(corpus, snr):
+    scenario = ss.generate_scenarios(corpus, 1, seed=0, half_duration_s=4.0)[0]
+    with pytest.raises(ss.DataError, match=f"snr_db {snr} cannot be rendered"):
+        ss.render_scenario(corpus, scenario, snr)

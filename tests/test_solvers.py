@@ -145,7 +145,7 @@ def _reference_mu(Y, B, n_iter):
     return X
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=4, max_value=24),
@@ -207,7 +207,7 @@ def test_single_atom_observation_recovers_that_atom():
     assert np.all(others < 1e-8)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_newton_solver_never_worse_than_best_single_atom(seed):
     y, B = _random_problem(seed)
