@@ -269,6 +269,8 @@ def _meta_problem(meta: dict) -> str | None:
 
     A missing key raises ``KeyError``.
     """
+    if type(meta["version"]) is not int or meta["version"] != 1:
+        return f"version {meta['version']!r} is not 1"
     for key in ("speakers", "noises"):
         if not (isinstance(meta[key], list) and all(isinstance(v, str) for v in meta[key])):
             return f"{key} {meta[key]!r} is not a list of labels"

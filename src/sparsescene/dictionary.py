@@ -15,7 +15,8 @@ provided:
     alternating sparse coding and per-atom rank-one updates, with all
     quantities projected back onto the non-negative orthant; each update is
     formed from matrix-vector products with the frames, never from a copy
-    of the residual matrix;
+    of the residual matrix, and each round after the first starts its
+    coding from the previous round's weights;
 ``cosine_threshold`` (alias ``tdcs``)
     greedy frame selection controlled by two cosine-similarity thresholds: a
     candidate frame is accepted only if its similarity to every
@@ -137,6 +138,13 @@ def _learn_kmedoid(
     return frames[:, medoids]
 
 
+#: multiplicative-update sweeps of the first K-SVD round, from the uniform start
+KSVD_COLD_SWEEPS = 60
+
+#: sweeps of each later K-SVD round, which starts from the previous round's weights
+KSVD_WARM_SWEEPS = 20
+
+
 def _learn_ksvd(
     frames: np.ndarray,
     n_atoms: int,
@@ -148,6 +156,12 @@ def _learn_ksvd(
 
     Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``, keeps the
     ``sparsity`` largest weights per frame, then sweeps the atoms in order.
+    The first round codes from the uniform start with
+    :data:`KSVD_COLD_SWEEPS` sweeps.  Every later round starts from the
+    previous round's dense weights, taken before the sparsification, and
+    runs :data:`KSVD_WARM_SWEEPS` sweeps: the frames are the same and the
+    atoms moved little, so the codes need only be refined, as alternating
+    NMF refines its codes between factor updates (Lee & Seung, NIPS 2001).
     Atom ``j`` with weight row ``x = X[j]`` and users ``u`` (frames where
     ``x > 0``) becomes the clipped, normalised ``residual @ x_u``, and its
     weights on ``u`` become the clipped ``atom @ residual``, where
@@ -165,8 +179,11 @@ def _learn_ksvd(
 
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
     k = atoms.shape[1]
+    dense = None
     for _ in range(n_iter):
-        X = solve_mu(frames, atoms, n_iter=60)
+        sweeps = KSVD_COLD_SWEEPS if dense is None else KSVD_WARM_SWEEPS
+        dense = solve_mu(frames, atoms, n_iter=sweeps, init=dense)
+        X = dense.copy()
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:
             order = np.argsort(X, axis=0)

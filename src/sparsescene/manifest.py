@@ -68,6 +68,9 @@ class Manifest:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise DataError(f"{name} must be a non-negative integer, not {value}")
+        for name in ("tw", "tb"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, not {getattr(self, name)}")
         for name in ("half_duration_s", "corpus_noise_seconds"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -121,7 +124,7 @@ def _typed(cls, d: dict, what: str, exclude: str = "") -> dict:
     for key, value in d.items():
         try:
             out[key] = _convert(hints[key], value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"invalid {what} value for {key!r}: {exc}") from exc
     return out
 

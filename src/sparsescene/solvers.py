@@ -108,6 +108,7 @@ def solve_mu(
     n_iter: int = 2000,
     tol: float = 0.0,
     blocks: Sequence[int] | None = None,
+    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multiplicative-update minimisation of the generalized KL divergence.
 
@@ -121,7 +122,10 @@ def solve_mu(
     sweep keeps them far from float32's subnormal range, where arithmetic is
     many times slower; Févotte & Idier (Neural Computation 2011) show that
     such a floor keeps the monotone descent of the updates.  The returned
-    weights are float64 and in the units of ``y``.
+    weights are float64 and in the units of ``y``, so they can be passed
+    back as ``init``: ``solve_mu(y, B, n_iter=a + b)`` equals
+    ``solve_mu(y, B, n_iter=b, init=solve_mu(y, B, n_iter=a))`` bit for bit
+    at ``tol=0``.
 
     Parameters
     ----------
@@ -134,14 +138,19 @@ def solve_mu(
     tol : float
         If positive, every :data:`CHECK_EVERY` sweeps each column's share of
         its total weight per atom block is compared with the previous check
-        (the first check compares with the uniform start).  A column whose
-        largest share change is at most ``tol`` stops there and leaves the
-        sweeps, which go on over the other columns.  ``tol=0`` runs every
+        (the first check compares with the start's shares: uniform, or those
+        of ``init``).  A column whose largest share change is at most ``tol``
+        stops there and leaves the sweeps, which go on over the other columns.  ``tol=0`` runs every
         column for the full ``n_iter`` sweeps.
     blocks : sequence of int, optional
         Start index of each contiguous block of atoms, beginning at 0 and
         increasing; only the stopping test reads it.  The default puts each
         atom in a block of its own.
+    init : np.ndarray, optional
+        Finite non-negative weights to start from, in the units of ``y`` and
+        of the shape the result has.  They are floored at ``FLOOR * scale``
+        and ignored on columns that get all-zero weights.  The default starts
+        every weight at ``mean(y) / M``.
 
     Returns
     -------
@@ -154,6 +163,13 @@ def solve_mu(
     M = B.shape[1]
     N = Y.shape[1]
     starts = _block_starts(blocks, M)
+    if init is not None:
+        init = np.asarray(init, dtype=np.float64)
+        if init.shape != ((M,) if single else (M, N)):
+            raise ValueError(f"init has shape {init.shape}, not that of the weights")
+        if not np.all(np.isfinite(init)) or np.any(init < 0):
+            raise ValueError("init must be finite and non-negative")
+        init = init.reshape(M, -1)
 
     X = np.zeros((M, N), dtype=np.float64)
     mean = float(np.mean(Y)) if Y.size else 0.0
@@ -163,7 +179,10 @@ def solve_mu(
         Ys = (Y[:, live] / scale).astype(np.float32)
         Bs = B.astype(np.float32)
         Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
-        Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32)
+        if init is None:
+            Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32)
+        else:
+            Xl = np.maximum(init[:, live] / scale, FLOOR).astype(np.float32)
         Yhat = np.empty_like(Ys)
         ratio = np.empty_like(Ys)
         update = np.empty_like(Xl)

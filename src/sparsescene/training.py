@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict
 from typing import Mapping
 
@@ -113,6 +114,9 @@ def _learn_sources(
         raise DataError(f"n_atoms must be at least 1, not {recipe['n_atoms']}")
     if recipe["seed"] < 0:
         raise DataError(f"seed must be a non-negative integer, not {recipe['seed']}")
+    for key in ("tw", "tb"):
+        if not math.isfinite(recipe[key]):
+            raise DataError(f"{key} must be finite, not {recipe[key]}")
     order = [("noise", label) for label in sorted(corpus.noises if noises is None else noises)]
     order += [("speaker", label) for label in sorted(corpus.speakers)]
     children = np.random.SeedSequence(recipe["seed"]).spawn(len(order))

@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
+from sparsescene import dictionary
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import (
     LearnedDictionary,
+    _select_random,
     cosine_similarities,
     normalize_atoms,
 )
 from sparsescene.features import istft, magnitudes, stft
 from sparsescene.solvers import generalized_kl, solve_asna, solve_mu
+from sparsescene.training import noise_training_features, speaker_training_features
 from sparsescene.vad import miss_false_rates
 
 
@@ -225,6 +228,83 @@ def test_threshold_dictionaries_respect_similarity_bounds(banks_all):
         f"thresholds 0.8/0.8: max within-source similarity {max_within:.6f}, "
         f"max vs previously learned sources {max_between:.6f} (both must be <= 0.8 "
         f"exactly); {n_kept} accepted atoms, {n_appended} over-threshold atoms flagged",
+    )
+
+
+def _cold_ksvd(
+    frames: np.ndarray,
+    n_atoms: int,
+    rng: np.random.Generator,
+    n_iter: int = 10,
+    sparsity: int = 5,
+) -> np.ndarray:
+    """K-SVD as it was before warm starts: every round codes 60 sweeps from the uniform start."""
+    atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
+    k = atoms.shape[1]
+    for _ in range(n_iter):
+        X = solve_mu(frames, atoms, n_iter=60)
+        # hard sparsification: keep the largest weights per frame
+        if sparsity < k:
+            order = np.argsort(X, axis=0)
+            X[order[: k - sparsity, :], np.arange(X.shape[1])[None, :]] = 0.0
+        FX = frames @ X.T
+        for j in range(k):
+            x = X[j]
+            users = np.flatnonzero(x > 0)
+            if users.size == 0:
+                worst = int(np.argmax(np.sum((frames - atoms @ X) ** 2, axis=0)))
+                atom = frames[:, worst].copy()
+            else:
+                atom = FX[:, j] - atoms @ (X @ x) + atoms[:, j] * (x @ x)
+                np.maximum(atom, 0.0, out=atom)
+            norm = np.linalg.norm(atom)
+            if norm <= 1e-12:
+                atom = frames[:, int(rng.integers(frames.shape[1]))].copy()
+                norm = np.linalg.norm(atom)
+            atom /= norm
+            if users.size:
+                weights = (
+                    (atom @ frames)[users]
+                    - (atom @ atoms) @ X[:, users]
+                    + (atom @ atoms[:, j]) * x[users]
+                )
+                X[j, users] = np.maximum(weights, 0.0)
+            atoms[:, j] = atom
+    return atoms
+
+
+def test_warm_started_ksvd_fits_its_sources_as_well_as_cold_coding(
+    corpus, banks_all, monkeypatch
+):
+    """Warm-started K-SVD banks fit their training frames within 2 % of cold-coded ones."""
+    t0 = time.perf_counter()
+    config = banks_all["ksvd"].stft_config
+    frames = {("noise", l): noise_training_features(corpus, l, config) for l in corpus.noises}
+    frames.update(
+        {("speaker", l): speaker_training_features(corpus, l, config) for l in corpus.speakers}
+    )
+
+    def fit(bank):
+        """Mean over sources of the KL of its frames coded on its atoms, relative to their sum."""
+        rel = []
+        for (kind, label), F in frames.items():
+            A = (bank.get_noise(label) if kind == "noise" else bank.get_speaker(label)).atoms
+            rel.append(generalized_kl(F, A @ solve_mu(F, A, n_iter=200)) / float(np.sum(F)))
+        return float(np.mean(rel))
+
+    seeds = (0, 1, 2)
+    warm = [banks_all["ksvd"]] + [ss.learn_bank(corpus, "ksvd", 20, seed=s) for s in seeds[1:]]
+    monkeypatch.setattr(dictionary, "_learn_ksvd", _cold_ksvd)
+    cold = [ss.learn_bank(corpus, "ksvd", 20, seed=s) for s in seeds]
+    ratios = [fit(w) / fit(c) for w, c in zip(warm, cold)]
+    elapsed = time.perf_counter() - t0
+    ok = len(frames) == 8 and max(ratios) <= 1.02
+    _report(
+        ok,
+        "ksvd-warm-start",
+        f"bank fit (mean relative KL over {len(frames)} sources) warm / cold coding at bank "
+        f"seeds 0-2: {', '.join(f'{r:.4f}' for r in ratios)} (bound 1.02 each), "
+        f"runtime {elapsed:.1f} s",
     )
 
 

@@ -274,6 +274,12 @@ def _one_dimensional_atoms(meta, arrays):
         (lambda meta, arrays: meta.update(feature_params=8000), "feature_params 8000 is not"),
         (lambda meta, arrays: meta.update(method="pca"), "method 'pca' is not one of"),
         (lambda meta, arrays: meta["params"].update(tw=float("nan")), "'tw': nan"),
+        (lambda meta, arrays: meta.update(version=None), "version None is not 1"),
+        (lambda meta, arrays: meta.update(version="1"), "version '1' is not 1"),
+        (lambda meta, arrays: meta.update(version=2), "version 2 is not 1"),
+        (lambda meta, arrays: meta.update(version=True), "version True is not 1"),
+        (lambda meta, arrays: meta.update(version=1.0), "version 1.0 is not 1"),
+        (lambda meta, arrays: meta.pop("version"), "no 'version'"),
     ],
     ids=[
         "n_fft_mismatch",
@@ -289,6 +295,12 @@ def _one_dimensional_atoms(meta, arrays):
         "number_feature_params",
         "unknown_method",
         "nan_tw",
+        "null_version",
+        "text_version",
+        "version_2",
+        "true_version",
+        "float_version",
+        "no_version",
     ],
 )
 def test_classify_with_malformed_bank_is_a_data_error(
@@ -458,6 +470,17 @@ def test_evaluate_with_a_string_for_a_list_is_a_data_error(corpus_root, tmp_path
     assert code == 2
     assert "'snrs_db': expected a JSON list" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tw", "nan"), ("--tb", "inf")], ids=["tw", "tb"])
+def test_learn_dict_with_a_non_finite_threshold_is_a_data_error(
+    corpus_root, tmp_path, caplog, flag, value
+):
+    out = tmp_path / "bank.npz"
+    argv = ["learn-dict", "--corpus", str(corpus_root), "--method", "kmeans", flag, value]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{flag[2:]} must be finite, not {value}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

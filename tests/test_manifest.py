@@ -1,8 +1,13 @@
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsescene.bank import DictionaryBank
 from sparsescene.errors import DataError
+from sparsescene.features import StftConfig
 from sparsescene.manifest import MANIFEST_SCHEMA_VERSION, Manifest
 from sparsescene.regimes import EvalParams
 
@@ -39,6 +44,9 @@ def test_defaults_are_sensible(tmp_path):
         dict(seed=-2),
         dict(bank_seed=-2),
         dict(generate_corpus_seed=-1),
+        dict(tw=float("nan")),
+        dict(tb=float("inf")),
+        dict(tw=float("-inf")),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
@@ -183,3 +191,67 @@ def test_from_file_rejects_bad_json(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         Manifest.from_file(tmp_path / "absent.json")
 
+
+
+#: a JSON number, string, boolean or null; NaN, infinities and integers past
+#: float range (``json`` reads them all) are drawn often
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
+    | st.text(max_size=6)
+)
+
+#: any JSON value, half of the draws a scalar
+_JSON = _SCALAR | st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: a manifest that reads whole, with every key written out
+_VALID = {
+    "schema_version": MANIFEST_SCHEMA_VERSION,
+    "corpus_dir": "corpus",
+    "generate_corpus_seed": 3,
+    "corpus_noise_seconds": 40.0,
+    "seed": 0,
+    "n_scenarios": 2,
+    "half_duration_s": 4.0,
+    "utterances_per_half": 1,
+    "methods": ["kmeans", "tdcs"],
+    "n_atoms": 8,
+    "tw": 0.8,
+    "tb": 0.8,
+    "bank_seed": 1,
+    "snrs_db": [-5.0, 5.0],
+    "regimes": ["complete", "updated_noise"],
+    "eval": {"solver": "mu", "coding_iters": 400},
+    "parallelism": 1,
+}
+
+
+def test_the_property_test_manifest_reads_whole():
+    assert Manifest.from_dict(_VALID).methods == ("kmeans", "tdcs")
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_a_manifest_with_one_value_replaced_reads_whole_or_is_a_data_error(data):
+    d = json.loads(json.dumps(_VALID))
+    nested = [("eval", key) for key in d["eval"]]
+    where = data.draw(st.sampled_from([(key,) for key in sorted(d)] + nested))
+    target = d[where[0]] if len(where) == 2 else d
+    target[where[-1]] = data.draw(_JSON)
+    try:
+        m = Manifest.from_dict(d)
+    except DataError:
+        return
+    # What an accepted manifest hands to learn_bank is a recipe a bank can record.
+    recipe = {"n_atoms": m.n_atoms, "tw": m.tw, "tb": m.tb, "seed": m.bank_seed}
+    bank = DictionaryBank(
+        {}, {}, method="kmeans", params=recipe, feature_params=asdict(StftConfig())
+    )
+    assert bank._problem() is None

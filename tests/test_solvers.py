@@ -73,6 +73,68 @@ def test_multiplicative_updates_are_scale_equivariant_bit_for_bit(c):
         assert np.array_equal(solve_mu(c * Y, B, n_iter=300, **stop), c * X)
 
 
+def test_a_run_continued_from_its_own_weights_equals_one_longer_run():
+    y1, B = _random_problem(21)
+    y2, _ = _random_problem(22)
+    Y = np.stack([y1, np.zeros(12), 5.0 * y2], axis=1)
+    for a, b in ((1, 1), (60, 20), (7, 93)):
+        warm = solve_mu(Y, B, n_iter=b, init=solve_mu(Y, B, n_iter=a))
+        assert np.array_equal(warm, solve_mu(Y, B, n_iter=a + b))
+    assert np.array_equal(solve_mu(y1, B, n_iter=30, init=solve_mu(y1, B, n_iter=30)),
+                          solve_mu(y1, B, n_iter=60))
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-60, max_value=60),
+    st.booleans(),
+)
+def test_warm_started_updates_are_scale_equivariant_bit_for_bit(seed, N, power, stop):
+    _, B = _random_problem(seed)
+    rng = np.random.default_rng(seed)
+    Y = np.abs(rng.standard_normal((12, N))) * (rng.random(N) < 0.8)
+    # Some start weights are zero, and so lie under the floor.
+    W = rng.random((8, N)) * 10.0 ** rng.integers(-3, 4) * (rng.random((8, N)) < 0.7)
+    c = 2.0**power
+    kwargs = {"tol": 1e-3, "blocks": [0, 3, 5]} if stop else {}
+    X = solve_mu(Y, B, n_iter=60, init=W, **kwargs)
+    assert np.array_equal(solve_mu(c * Y, B, n_iter=60, init=c * W, **kwargs), c * X)
+
+
+def test_init_is_floored_and_ignored_on_silent_columns():
+    y, B = _random_problem(20)
+    Y = np.stack([y, np.zeros(12)], axis=1)
+    W = np.zeros((8, 2))
+    W[2, 0] = 0.5
+    W[:, 1] = 1.0
+    scale = 2.0 ** np.frexp(np.mean(Y))[1]
+    X = solve_mu(Y, B, n_iter=0, init=W)
+    assert np.all(X[:, 1] == 0.0)
+    assert np.array_equal(X[:, 0], np.maximum(W[:, 0], FLOOR * scale))
+
+
+@pytest.mark.parametrize(
+    "single, init",
+    [
+        (True, np.ones(9)),
+        (True, np.ones((8, 1))),
+        (False, np.ones(8)),
+        (False, np.ones((8, 3))),
+        (True, -np.ones(8)),
+        (True, np.full(8, np.nan)),
+        (False, np.full((8, 2), np.inf)),
+    ],
+    ids=["too_long", "column_for_vector", "vector_for_matrix", "too_wide", "negative", "nan", "inf"],
+)
+def test_malformed_init_is_rejected(single, init):
+    y, B = _random_problem(23)
+    Y = y if single else np.stack([y, y], axis=1)
+    with pytest.raises(ValueError, match="init"):
+        solve_mu(Y, B, n_iter=5, init=init)
+
+
 def test_columns_whose_block_shares_settle_stop_at_that_check():
     # Shares lie in [0, 1], so with tol=1 every column stops at the first check
     # and the sweeps end with no column left.
