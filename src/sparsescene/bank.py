@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dictionary import METHODS, LearnedDictionary
+from .dictionary import METHODS, LearnedDictionary, recipe_problem
 from .errors import DataError
 from .features import StftConfig
 
 __all__ = ["DictionaryBank"]
-
-#: the ``learn_bank`` arguments a bank records as ``params``
-RECIPE_KEYS = ("n_atoms", "tw", "tb", "seed")
 
 
 class DictionaryBank:
@@ -227,11 +223,9 @@ class DictionaryBank:
         """What keeps this bank from being one ``save`` writes, or None."""
         if self.method not in METHODS:
             return f"method {self.method!r} is not one of {METHODS}"
-        p = self.params
-        if set(p) != set(RECIPE_KEYS) or not all(type(v) in (int, float) for v in p.values()):
-            return f"params {p} are not numbers for exactly {RECIPE_KEYS}"
-        if not all(type(v) is int or math.isfinite(v) for v in p.values()):
-            return f"params {p} are not finite"
+        problem = recipe_problem(self.params)
+        if problem:
+            return problem
         stft_keys = {f.name for f in fields(StftConfig)}
         fp = self.feature_params
         if set(fp) != stft_keys or not all(type(v) is int and v > 0 for v in fp.values()):

@@ -26,7 +26,7 @@ from .evaluate import analyze_signal, run_manifest, simulate_manifest
 from .manifest import Manifest
 from .regimes import ALL_REGIMES
 from .training import learn_bank
-from .dictionary import METHODS
+from .dictionary import METHODS, RECIPE
 
 __all__ = ["main", "build_parser", "load_config_file", "parse_bool"]
 
@@ -176,10 +176,10 @@ _COMMANDS: dict[str, tuple[Callable[[Any], dict], str, tuple[_Flag, ...]]] = {
         _Flag("corpus", "corpus directory"),
         _Flag("out", "bank output file (.npz)"),
         _Flag("method", "learning method", "kmeans", choices=METHODS),
-        _Flag("tw", "within-source similarity threshold", 0.8, float),
-        _Flag("tb", "between-source similarity threshold", 0.8, float),
-        _Flag("atoms", "atoms per source", 20, int),
-        _Flag("seed", "learning seed", 0, int),
+        _Flag("tw", "within-source similarity threshold", RECIPE["tw"], float),
+        _Flag("tb", "between-source similarity threshold", RECIPE["tb"], float),
+        _Flag("atoms", "atoms per source", RECIPE["n_atoms"], int),
+        _Flag("seed", "learning seed", RECIPE["seed"], int),
     )),
     "simulate": (_cmd_simulate, "render a manifest's scenarios to WAV files", (
         _Flag("manifest", "manifest JSON file"),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,8 +221,8 @@ def generate_corpus(
     noise type and per speaker from the root seed, so any single entry is
     reproducible independently of the others.
     """
-    if not noise_seconds > 0:
-        raise DataError(f"noise_seconds must be positive, not {noise_seconds}")
+    if not (math.isfinite(noise_seconds) and int(noise_seconds * sample_rate) >= 1):
+        raise DataError(f"noise_seconds must be finite and one sample or more, not {noise_seconds}")
     if seed < 0:
         raise DataError(f"seed must be a non-negative integer, not {seed}")
     out = Path(out_dir)

@@ -31,6 +31,7 @@ All methods are deterministic given the ``rng`` argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ from .errors import DataError
 
 __all__ = [
     "METHODS",
+    "RECIPE",
+    "recipe_problem",
     "LearnedDictionary",
     "learn_dictionary",
     "normalize_atoms",
@@ -47,6 +50,27 @@ __all__ = [
 ]
 
 METHODS = ("random", "kmeans", "kmedoid", "ksvd", "tdcs")
+
+#: how a bank's dictionaries are learned, with the defaults: atoms per source,
+#: the ``tdcs`` within/between thresholds and the seed; a bank records these
+#: keys as its ``params``
+RECIPE = {"n_atoms": 20, "tw": 0.8, "tb": 0.8, "seed": 0}
+
+
+def recipe_problem(params: dict) -> str | None:
+    """What keeps ``params`` from being a recipe with exactly :data:`RECIPE`'s keys, or None."""
+    p = dict(params)
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p.values())
+    if set(p) != set(RECIPE) or not numbers:
+        return f"params {p} are not numbers for exactly {list(RECIPE)}"
+    for key in ("tw", "tb"):
+        if isinstance(p[key], float) and not math.isfinite(p[key]):
+            return f"params {p}: {key} must be finite, not {p[key]}"
+    if not (isinstance(p["n_atoms"], int) and p["n_atoms"] >= 1):
+        return f"params {p}: n_atoms must be a positive integer, not {p['n_atoms']}"
+    if not (isinstance(p["seed"], int) and p["seed"] >= 0):
+        return f"params {p}: seed must be a non-negative integer, not {p['seed']}"
+    return None
 
 
 @dataclass
@@ -261,8 +285,8 @@ def learn_dictionary(
     method: str,
     n_atoms: int,
     *,
-    tw: float = 0.8,
-    tb: float = 0.8,
+    tw: float = RECIPE["tw"],
+    tb: float = RECIPE["tb"],
     prior_atoms: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> LearnedDictionary:

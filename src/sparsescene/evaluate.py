@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,20 +67,17 @@ def _bank_for(
     manifest: Manifest, corpus: Corpus, method: str, out_dir: Path, resume: bool
 ) -> DictionaryBank:
     """Learn (or reload) the dictionary bank for one method."""
-    recipe = dict(
-        n_atoms=manifest.n_atoms, tw=manifest.tw, tb=manifest.tb, seed=manifest.bank_seed
-    )
     path = out_dir / "banks" / f"{method}.npz"
     if resume and path.exists():
         try:
             bank = DictionaryBank.load(path)
-            if bank.method == method and bank.params == recipe:
+            if bank.method == method and bank.params == manifest.recipe:
                 log.info("reusing bank %s", path)
                 return bank
             log.warning("bank %s does not match the manifest; relearning", path)
         except DataError as exc:
             log.warning("cannot reuse bank %s (%s); relearning", path, exc)
-    bank = learn_bank(corpus, method, **recipe)
+    bank = learn_bank(corpus, method, **manifest.recipe)
     path.parent.mkdir(parents=True, exist_ok=True)
     bank.save(path)
     return bank
@@ -184,7 +181,6 @@ def run_manifest(
         return result_to_json(result, key)
 
     computed_rows: list[dict] = []
-    n_failed = 0
     if jobs:
         log.info(
             "running %d jobs (%d already complete) with parallelism %d",
@@ -192,20 +188,12 @@ def run_manifest(
             len(skipped_rows),
             manifest.parallelism,
         )
-    if manifest.parallelism == 1:
-        produced = map(execute, jobs)
+    with ThreadPoolExecutor(max_workers=manifest.parallelism) as pool:
+        produced = map(execute, jobs) if manifest.parallelism == 1 else pool.map(execute, jobs)
         for row in produced:
             _write_json_atomic(rows_dir / f"{row['run_key']}.json", row)
             computed_rows.append(row)
-            n_failed += 1 if row.get("failure_stage") else 0
-    else:
-        with ThreadPoolExecutor(max_workers=manifest.parallelism) as pool:
-            futures = [pool.submit(execute, job) for job in jobs]
-            for fut in as_completed(futures):
-                row = fut.result()
-                _write_json_atomic(rows_dir / f"{row['run_key']}.json", row)
-                computed_rows.append(row)
-                n_failed += 1 if row.get("failure_stage") else 0
+    n_failed = sum(1 for row in computed_rows if row.get("failure_stage"))
 
     rows = skipped_rows + computed_rows
     if not rows:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .dictionary import METHODS
+from .dictionary import METHODS, RECIPE, recipe_problem
 from .errors import DataError
 from .regimes import ALL_REGIMES, EvalParams
 
@@ -35,10 +35,10 @@ class Manifest:
     half_duration_s: float = 10.0
     utterances_per_half: int = 2
     methods: tuple[str, ...] = ("kmeans",)
-    n_atoms: int = 20
-    tw: float = 0.8
-    tb: float = 0.8
-    bank_seed: int = 0
+    n_atoms: int = RECIPE["n_atoms"]
+    tw: float = RECIPE["tw"]
+    tb: float = RECIPE["tb"]
+    bank_seed: int = RECIPE["seed"]
     snrs_db: tuple[float, ...] = (0.0,)
     regimes: tuple[str, ...] = ("complete",)
     eval_params: EvalParams = field(default_factory=EvalParams)
@@ -62,15 +62,13 @@ class Manifest:
             raise DataError(f"snrs_db must be finite, not {list(self.snrs_db)}")
         if self.n_scenarios < 1:
             raise DataError("n_scenarios must be at least 1")
-        if self.n_atoms < 1:
-            raise DataError("n_atoms must be at least 1")
         for name in ("seed", "bank_seed", "generate_corpus_seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise DataError(f"{name} must be a non-negative integer, not {value}")
-        for name in ("tw", "tb"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, not {getattr(self, name)}")
+        problem = recipe_problem(self.recipe)
+        if problem:
+            raise DataError(problem)
         for name in ("half_duration_s", "corpus_noise_seconds"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -78,12 +76,17 @@ class Manifest:
         if self.parallelism < 1:
             raise DataError("parallelism must be at least 1")
 
+    @property
+    def recipe(self) -> dict:
+        """The ``learn_bank`` arguments of this campaign's banks, as a bank records them."""
+        return {"n_atoms": self.n_atoms, "tw": self.tw, "tb": self.tb, "seed": self.bank_seed}
+
     @classmethod
     def from_dict(cls, d: dict, *, base_dir: Path | None = None) -> "Manifest":
         """Read a manifest object: one key per field, ``eval_params`` under ``eval``."""
         d = dict(d)
         version = d.pop("schema_version", MANIFEST_SCHEMA_VERSION)
-        if version != MANIFEST_SCHEMA_VERSION:
+        if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
             raise DataError(
                 f"unsupported manifest schema_version {version!r}"
                 f" (this build reads version {MANIFEST_SCHEMA_VERSION})"

@@ -139,9 +139,7 @@ class RegimeContext:
         """
         if self._updated_speaker_bank is None:
             log.info("relearning speaker dictionaries with update split (%s)", self.bank.method)
-            self._updated_speaker_bank = relearn_speakers(
-                self.bank, self.corpus, ("train", "update")
-            )
+            self._updated_speaker_bank = relearn_speakers(self.bank, self.corpus)
         return self._updated_speaker_bank
 
     def bank_for(self, regime: str, rendered: RenderedScenario) -> DictionaryBank:

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict
 from typing import Mapping
 
 import numpy as np
 
-from .bank import RECIPE_KEYS, DictionaryBank
+from .bank import DictionaryBank
 from .corpus import Corpus
-from .dictionary import METHODS, LearnedDictionary, learn_dictionary
+from .dictionary import METHODS, RECIPE, LearnedDictionary, learn_dictionary, recipe_problem
 from .errors import DataError
 from .features import StftConfig, magnitudes
 
@@ -61,10 +60,9 @@ def learn_bank(
     method: str,
     n_atoms: int,
     *,
-    tw: float = 0.8,
-    tb: float = 0.8,
-    seed: int = 0,
-    speaker_splits: tuple[str, ...] = ("train",),
+    tw: float = RECIPE["tw"],
+    tb: float = RECIPE["tb"],
+    seed: int = RECIPE["seed"],
 ) -> DictionaryBank:
     """Learn one dictionary per noise type and per speaker.
 
@@ -77,26 +75,23 @@ def learn_bank(
     """
     recipe = {"n_atoms": n_atoms, "tw": tw, "tb": tb, "seed": seed}
     config = StftConfig(sample_rate=corpus.sample_rate)
-    return _learn_sources(corpus, method, recipe, config, speaker_splits, None)
+    return _learn_sources(corpus, method, recipe, config, ("train",), None)
 
 
-def relearn_speakers(
-    bank: DictionaryBank, corpus: Corpus, speaker_splits: tuple[str, ...]
-) -> DictionaryBank:
-    """``bank``'s noise dictionaries plus the corpus's speakers learned on ``speaker_splits``.
+def relearn_speakers(bank: DictionaryBank, corpus: Corpus) -> DictionaryBank:
+    """``bank``'s noise dictionaries plus the corpus's speakers learned on ``train`` + ``update``.
 
     Each speaker is learned with the bank's method, ``params`` and STFT
     settings exactly as :func:`learn_bank` learns it: the same child seed
     and, as the earlier sources, the bank's noises in label order.  For a
-    bank learned from ``corpus`` the result equals ``learn_bank`` on
-    ``speaker_splits``.  Reading the noises counts no access on ``bank``.
+    bank learned from ``corpus`` the result is what :func:`learn_bank` gives
+    when every speaker also trains on ``update``.  Reading the noises counts
+    no access on ``bank``.
     """
-    missing = [key for key in RECIPE_KEYS if key not in bank.params]
-    if missing:
-        raise DataError(f"cannot relearn the bank: its params lack the recipe keys {missing}")
-    recipe = {key: bank.params[key] for key in RECIPE_KEYS}
     noises = bank.noise_dictionaries()
-    return _learn_sources(corpus, bank.method, recipe, bank.stft_config, speaker_splits, noises)
+    return _learn_sources(
+        corpus, bank.method, bank.params, bank.stft_config, ("train", "update"), noises
+    )
 
 
 def _learn_sources(
@@ -110,13 +105,9 @@ def _learn_sources(
     """Learn the corpus's noises, or keep ``noises`` in their place, then its speakers."""
     if method not in METHODS:
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
-    if recipe["n_atoms"] < 1:
-        raise DataError(f"n_atoms must be at least 1, not {recipe['n_atoms']}")
-    if recipe["seed"] < 0:
-        raise DataError(f"seed must be a non-negative integer, not {recipe['seed']}")
-    for key in ("tw", "tb"):
-        if not math.isfinite(recipe[key]):
-            raise DataError(f"{key} must be finite, not {recipe[key]}")
+    problem = recipe_problem(recipe)
+    if problem:
+        raise DataError(problem)
     order = [("noise", label) for label in sorted(corpus.noises if noises is None else noises)]
     order += [("speaker", label) for label in sorted(corpus.speakers)]
     children = np.random.SeedSequence(recipe["seed"]).spawn(len(order))

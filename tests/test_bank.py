@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsescene.bank import DictionaryBank
-from sparsescene.dictionary import LearnedDictionary
+from sparsescene.dictionary import LearnedDictionary, recipe_problem
 from sparsescene.errors import DataError
 
 
@@ -146,9 +146,20 @@ def test_content_hash_is_stable_and_sensitive(bank, tmp_path):
     assert other.content_hash() != h
 
 
-#: any JSON value, NaN and infinities included (``json`` writes and reads them)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+#: a JSON number, string, boolean or null; NaN, infinities and integers past
+#: float range (``json`` writes and reads them all) are drawn often
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
+    | st.text(max_size=6)
+)
+
+#: any JSON value, half of the draws a scalar
+_JSON = _SCALAR | st.recursive(
+    _SCALAR,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
@@ -180,6 +191,7 @@ def test_a_bank_with_one_meta_value_replaced_loads_whole_or_is_a_data_error(save
     except DataError as exc:
         assert str(path) in str(exc)
     else:
+        assert recipe_problem(bank.params) is None
         D, groups = bank.concatenated()
         assert D.shape == (bank.stft_config.n_bins, groups[-1][2].stop)
         assert len(bank.content_hash()) == 64

@@ -96,7 +96,13 @@ def test_every_flag_shows_its_default_and_reads_its_environment_variable(
 
 
 @pytest.mark.parametrize(
-    "argv", [["learn-dict", "--atoms", "0"], ["make-corpus", "--noise-seconds", "-1"]]
+    "argv",
+    [
+        ["learn-dict", "--atoms", "0"],
+        ["make-corpus", "--noise-seconds", "-1"],
+        ["make-corpus", "--noise-seconds", "inf"],
+        ["make-corpus", "--noise-seconds", "1e-9"],
+    ],
 )
 def test_non_positive_sizes_are_data_errors(corpus_root, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -254,6 +260,10 @@ def _nan_atom(meta, arrays):
     arrays["noise/am/atoms"][3, 1] = np.nan
 
 
+def _set_params(**values):
+    return lambda meta, arrays: meta["params"].update(values)
+
+
 def _one_dimensional_atoms(meta, arrays):
     arrays["noise/hum/atoms"] = arrays["noise/hum/atoms"][:, 0]
 
@@ -280,6 +290,11 @@ def _one_dimensional_atoms(meta, arrays):
         (lambda meta, arrays: meta.update(version=True), "version True is not 1"),
         (lambda meta, arrays: meta.update(version=1.0), "version 1.0 is not 1"),
         (lambda meta, arrays: meta.pop("version"), "no 'version'"),
+        (_set_params(n_atoms=0), "n_atoms must be a positive integer, not 0"),
+        (_set_params(n_atoms=2.5), "n_atoms must be a positive integer, not 2.5"),
+        (_set_params(n_atoms=4.0), "n_atoms must be a positive integer, not 4.0"),
+        (_set_params(seed=-3), "seed must be a non-negative integer, not -3"),
+        (_set_params(seed=1.5), "seed must be a non-negative integer, not 1.5"),
     ],
     ids=[
         "n_fft_mismatch",
@@ -301,6 +316,11 @@ def _one_dimensional_atoms(meta, arrays):
         "true_version",
         "float_version",
         "no_version",
+        "zero_atoms",
+        "fractional_atoms",
+        "float_atoms",
+        "negative_seed",
+        "fractional_seed",
     ],
 )
 def test_classify_with_malformed_bank_is_a_data_error(
@@ -515,3 +535,20 @@ def test_evaluate_with_an_unusable_manifest_value_is_a_data_error(
     argv = ["evaluate", "--manifest", str(mpath), "--bank", str(cli_bank)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert message in caplog.text
+
+
+def test_evaluate_with_a_bank_whose_atom_count_is_a_float_is_a_data_error(
+    corpus_root, cli_bank, tmp_path, caplog
+):
+    with np.load(cli_bank) as data:
+        arrays = {key: data[key].copy() for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["params"]["n_atoms"] = 4.0
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    bank = tmp_path / "bank.npz"
+    np.savez(bank, **arrays)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), "n_scenarios": 1}))
+    argv = ["evaluate", "--manifest", str(mpath), "--bank", str(bank)]
+    assert main([*argv, "--regimes", "updated_speaker", "--out", str(tmp_path / "out")]) == 2
+    assert "n_atoms must be a positive integer, not 4.0" in caplog.text

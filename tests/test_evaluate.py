@@ -159,7 +159,9 @@ def test_updated_speaker_bank_is_learned_only_for_pending_runs(
 def test_updated_speaker_bank_equals_the_bank_learned_on_the_update_split(corpus, method):
     bank = ss.learn_bank(corpus, method, 3, seed=5)
     updated = ss.RegimeContext(bank, corpus).updated_speaker_bank()
-    relearned = ss.learn_bank(corpus, method, 3, seed=5, speaker_splits=("train", "update"))
+    relearned = training._learn_sources(
+        corpus, method, bank.params, bank.stft_config, ("train", "update"), None
+    )
     assert updated.content_hash() == relearned.content_hash()
     assert updated.content_hash() != bank.content_hash()
     assert not any(bank.access_counts.values())
@@ -206,6 +208,28 @@ def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
     manifest = _small_manifest(corpus_root, regimes=("updated_speaker",))
     with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
         ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": hand_built})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_atoms": 4.0}, "n_atoms must be a positive integer, not 4.0"),
+        ({"n_atoms": 3, "seed": 1.5}, "seed must be a non-negative integer, not 1.5"),
+        ({"n_atoms": 3, "tw": True}, "are not numbers"),
+    ],
+    ids=["float_n_atoms", "float_seed", "bool_tw"],
+)
+def test_learn_bank_with_a_malformed_recipe_is_a_data_error(corpus, kwargs, message):
+    with pytest.raises(DataError, match=message):
+        ss.learn_bank(corpus, "kmeans", **kwargs)
+
+
+def test_learn_bank_takes_a_numpy_threshold_and_its_bank_round_trips(corpus, tmp_path):
+    bank = ss.learn_bank(corpus, "tdcs", 3, tw=np.float64(0.8))
+    bank.save(tmp_path / "bank.npz")
+    loaded = DictionaryBank.load(tmp_path / "bank.npz")
+    assert loaded.params == {"n_atoms": 3, "tw": 0.8, "tb": 0.8, "seed": 0}
+    assert loaded.content_hash() == bank.content_hash()
 
 
 def test_bank_at_another_sample_rate_is_a_data_error(kmeans_bank, tmp_path):

@@ -47,6 +47,8 @@ def test_defaults_are_sensible(tmp_path):
         dict(tw=float("nan")),
         dict(tb=float("inf")),
         dict(tw=float("-inf")),
+        dict(n_atoms=4.0),
+        dict(bank_seed=1.5),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
@@ -162,9 +164,10 @@ def test_missing_corpus_dir_is_rejected():
         Manifest.from_dict({"seed": 1})
 
 
-def test_schema_version_gate(tmp_path):
+@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+def test_schema_version_gate(tmp_path, version):
     with pytest.raises(DataError, match="schema_version"):
-        Manifest.from_dict({"corpus_dir": str(tmp_path), "schema_version": 99})
+        Manifest.from_dict({"corpus_dir": str(tmp_path), "schema_version": version})
     m = Manifest.from_dict(
         {"corpus_dir": str(tmp_path), "schema_version": MANIFEST_SCHEMA_VERSION}
     )
