@@ -2,20 +2,22 @@
 
 All decisions share one mechanism: frames are coded against a concatenation
 of per-source dictionaries and each source is scored by the sum of its atoms'
-weights (its "block" of the weight vector).  :func:`classify_noise` codes the
-frames once against ``[all speakers | all noises]`` — speech energy is
-absorbed by the speaker blocks, so the per-frame winner among the noise
-blocks stays reliable even where speech is present.  The switch between the
-two noise types is the change point that makes the per-frame noise decisions
-before and after it maximally consistent.  The returned decision carries the
-weight matrix, so :func:`rank_speakers` (and the separation mask) read their
-block scores off the same coding instead of coding the frames again.
+weights (its "block" of the weight vector).  :func:`classify_noise` screens
+the frames against ``[all speakers | all noises]`` with a fixed, short ``mu``
+sweep budget — speech energy is absorbed by the speaker blocks, so the
+per-frame winner among the noise blocks stays reliable even where speech is
+present.  The switch between the two noise types is the change point that
+makes the per-frame noise decisions before and after it maximally
+consistent.  The returned decision carries the weight matrix, so
+:func:`rank_speakers` reads its block scores off a coding instead of coding
+the frames again; the pipeline (``regimes.analyze``) ranks the screen's
+speakers, codes the shortlisted ones and the detected noises once more, and
+ranks again on that coding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +25,10 @@ from .bank import DictionaryBank
 from .features import frame_times
 from .solvers import code_frames
 
-if TYPE_CHECKING:  # regimes imports this module
-    from .regimes import EvalParams
-
 __all__ = ["NoiseDecision", "classify_noise", "rank_speakers", "block_score_matrix"]
+
+#: ``mu`` sweeps, at ``tol = 0``, of the screen that :func:`classify_noise` runs
+SCREEN_ITERS = 50
 
 
 def block_score_matrix(
@@ -38,10 +40,12 @@ def block_score_matrix(
 
 @dataclass
 class NoiseDecision:
-    """Outcome of noise typing, with the coding every decision is read from.
+    """Outcome of noise typing, with a coding that decisions are read from.
 
     ``weights[:, j]`` codes frame ``j`` against ``dictionary``, whose column
-    blocks ``groups`` lists as ``(kind, label, slice)``.
+    blocks ``groups`` lists as ``(kind, label, slice)``.  From
+    :func:`classify_noise` that is the screen the noise fields were read
+    from; ``regimes.analyze`` returns it with the shortlist's coding.
     """
 
     noise_first: str
@@ -72,22 +76,22 @@ def _best_changepoint(votes: np.ndarray, n_labels: int) -> tuple[int, int, int]:
     return int(a), int(b), int(split)
 
 
-def classify_noise(mag: np.ndarray, bank: DictionaryBank, params: EvalParams) -> NoiseDecision:
+def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> NoiseDecision:
     """Identify the noise type of each side of the switch and locate it.
 
     Parameters
     ----------
     mag : np.ndarray
         Magnitude spectrogram of the whole mixture, ``(P, N)``, taken with
-        ``bank.stft_config``; every frame is coded as ``params`` says.
+        ``bank.stft_config``.  Every frame is screened against every source of
+        ``bank`` with ``mu`` for :data:`SCREEN_ITERS` sweeps.
     """
     labels = list(bank.noise_labels)
     if not labels:
         raise ValueError("bank holds no noise dictionaries")
     D, groups = bank.concatenated()
     noise_groups = [g for g in groups if g[0] == "noise"]
-    blocks = [g[2].start for g in groups]
-    W = code_frames(mag, D, solver=params.solver, blocks=blocks, **params.solver_kwargs())
+    W = code_frames(mag, D, solver="mu", n_iter=SCREEN_ITERS, tol=0.0)
     scores = block_score_matrix(W, noise_groups)
     frame_label_idx = np.argmax(scores, axis=0)
 

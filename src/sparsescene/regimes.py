@@ -1,8 +1,10 @@
 """Evaluation regimes: what the system is allowed to know about a mixture.
 
 Every regime runs the same blind pipeline, :func:`analyze`, which codes each
-frame once against a bank's ``[speakers | noises]``.  A *regime* only fixes
-which bank view that pipeline sees and which ground-truth facts replace its
+frame in two stages: a short screen against a bank view's whole
+``[speakers | noises]``, then a full coding against only the speakers the
+screen shortlisted and the noises it detected.  A *regime* only fixes which
+bank view that pipeline sees and which ground-truth facts replace its
 answers when a rendered scenario is scored:
 
 ``ground_truth``
@@ -38,13 +40,13 @@ is a bug and propagates.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .bank import DictionaryBank
-from .classify import NoiseDecision, classify_noise, rank_speakers
+from .classify import SCREEN_ITERS, NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
@@ -52,6 +54,7 @@ from .features import frame_energies, frame_times, magnitudes, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
+from .solvers import code_frames
 from .training import _gate_silence, relearn_speakers
 from .vad import (
     detect_speech_frames,
@@ -88,14 +91,20 @@ VAD_KS = (2, 3, 4)
 VAD_PRIMARY_K = 2
 #: shortest detected speech span, in frames
 MIN_SPEECH_FRAMES = 3
+#: how many of the screen's top-ranked speakers the pipeline codes again
+SHORTLIST = 2
 
 
 @dataclass(frozen=True)
 class EvalParams:
     """How every run of an evaluation codes its frames.
 
-    ``solver`` is ``mu`` or ``asna``; ``coding_iters`` is the ``mu`` sweep
-    budget.  ``to_dict()`` is part of every campaign run key.
+    Each frame is first screened against the whole bank view
+    (:func:`classify_noise`); the :data:`SHORTLIST` speakers that score
+    highest there and the detected noises are then coded with ``solver``
+    (``mu`` or ``asna``), where ``coding_iters`` is the ``mu`` sweep budget.
+    ``to_dict()``, which also records the screen's budget and the shortlist
+    length, is part of every campaign run key.
     """
 
     solver: str = "mu"
@@ -108,10 +117,10 @@ class EvalParams:
             raise DataError("coding_iters must be at least 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "screen_iters": SCREEN_ITERS, "shortlist": SHORTLIST}
 
     def solver_kwargs(self) -> dict:
-        """Extra arguments for the batch coder implied by these parameters."""
+        """Extra arguments for the shortlist's batch coder implied by these parameters."""
         if self.solver == "mu":
             return {"n_iter": self.coding_iters, "tol": 1e-3}
         return {}
@@ -246,29 +255,49 @@ def analyze(
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
-    """The blind pipeline: transform and code every frame once, read every decision off it.
+    """The blind pipeline: transform once, screen every frame, then code the shortlist.
 
     ``speech_mask`` marks the detected speech frames of ``samples``.  The
-    magnitude of one STFT, taken with the bank's own settings, is coded as
-    ``params`` says against ``bank``'s ``[speakers | noises]``.
-    Noise votes and the switch come from the noise blocks, the speaker ranking
-    from the speaker blocks over detected speech, and the Wiener mask, applied
-    to that same STFT, from the top speaker's block of the model over the
-    whole model.  ``on_stage`` is told the name of each stage as it starts.
+    magnitude of one STFT, taken with the bank's own settings, is screened
+    against ``bank``'s whole ``[speakers | noises]`` (:func:`classify_noise`);
+    the noise pair, the switch and a first speaker ranking over detected
+    speech come from that coding.  Every frame is then coded as ``params``
+    says against a view of ``bank`` that keeps only the :data:`SHORTLIST`
+    top-ranked speakers and the detected noises, starting (for ``mu``) from
+    the screen's weights on those atoms.  The returned decision carries that
+    second coding.  The ranking is the shortlist in its order there, then the
+    other speakers in screen order; the Wiener mask, applied to the same
+    STFT, is the top speaker's block of the second model over the whole
+    second model.  ``on_stage`` is told the name of each stage as it starts.
     """
     config = bank.stft_config
     on_stage("features")
     spectrogram = stft(samples, config)
     mag = np.abs(spectrogram)
     on_stage("noise_id")
-    decision = classify_noise(mag, bank, params)
+    screen = classify_noise(mag, bank)
     on_stage("speaker_id")
-    ranking = rank_speakers(mag, decision, speech_mask)
+    screened = rank_speakers(mag, screen, speech_mask)
+    rest = screened[SHORTLIST:]
+    detected = {screen.noise_first, screen.noise_second}
+    view = bank.restricted(
+        exclude_speakers=rest, exclude_noises=set(bank.noise_labels) - detected
+    )
+    D, groups = view.concatenated()
+    init = np.concatenate([screen.weights[screen.block(*g[:2])] for g in groups])
+    W = code_frames(
+        mag,
+        D,
+        solver=params.solver,
+        blocks=[g[2].start for g in groups],
+        **params.solver_kwargs(),
+        **({"init": init} if params.solver == "mu" else {}),
+    )
+    decision = replace(screen, dictionary=D, groups=groups, weights=W)
+    ranking = rank_speakers(mag, decision, speech_mask) + rest
     on_stage("separation")
     speech_atoms = decision.block("speaker", ranking[0])
-    sep = separate(
-        spectrogram, len(samples), decision.dictionary, decision.weights, speech_atoms, config
-    )
+    sep = separate(spectrogram, len(samples), D, W, speech_atoms, config)
     spans = frames_to_intervals(speech_mask, config, MIN_SPEECH_FRAMES)
     return Analysis(spans, decision, ranking, sep)
 

@@ -1,9 +1,9 @@
 """Source separation by spectral Wiener masking.
 
-Separation reuses the mixture's spectrogram and the coding of its magnitude
-against ``[speaker atoms | noise atoms]`` that noise typing made: the ratio of
-the speech atoms' part of the model to the whole model gives a soft mask that
-is applied to that complex spectrogram.  The noise estimate uses the
+Separation reuses the mixture's spectrogram and the pipeline's final coding
+of its magnitude, against the shortlisted speakers and the detected noises:
+the ratio of the speech atoms' part of the model to the whole model gives a
+soft mask that is applied to that complex spectrogram.  The noise estimate uses the
 complementary mask so the two resynthesized signals sum (up to windowing at
 the edges) back to the mixture.
 """

@@ -63,15 +63,11 @@ def noise_scenes(corpus, stft_config):
 def noise_decisions(noise_scenes, banks_all):
     """Noise typing of every mixture under every learning method, timed."""
     scenes, _ = noise_scenes
-    params = ss.EvalParams()
     decisions: dict[str, list] = {}
     timing: dict[str, float] = {}
     for method, bank in banks_all.items():
         t0 = time.perf_counter()
-        decisions[method] = [
-            (s, ss.classify_noise(mag, bank, params))
-            for s, mag in scenes
-        ]
+        decisions[method] = [(s, ss.classify_noise(mag, bank)) for s, mag in scenes]
         timing[method] = time.perf_counter() - t0
     return decisions, timing
 

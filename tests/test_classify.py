@@ -58,7 +58,7 @@ def test_block_score_matrix_sums_each_group():
 
 def test_classify_noise_finds_labels_and_switch(toy_bank, stft_config):
     mag = _toy_mag(speech_frames=(3, 4, 5, 24, 25))
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
     assert decision.noise_first == "alpha"
     assert decision.noise_second == "beta"
     times = frame_times(40, stft_config)
@@ -111,7 +111,7 @@ def test_speech_energy_does_not_flip_noise_votes(toy_bank):
     # must still follow the noise support because the speaker blocks
     # absorb the speech bins.
     mag = _toy_mag(speech_frames=range(0, 40, 2))
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
     assert decision.noise_first == "alpha"
     assert decision.noise_second == "beta"
 
@@ -119,7 +119,7 @@ def test_speech_energy_does_not_flip_noise_votes(toy_bank):
 def test_uniform_signal_degenerates_to_edge_transition(toy_bank, stft_config):
     mag = np.zeros((8, 30))
     mag[0:2, :] = 1.0  # pure 'alpha' throughout
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
     # With no real switch the best split is at an edge; the non-empty side
     # must carry the true label and the transition sits at that edge.
     assert "alpha" in (decision.noise_first, decision.noise_second)
@@ -131,7 +131,7 @@ def test_uniform_signal_degenerates_to_edge_transition(toy_bank, stft_config):
 def test_classify_noise_requires_noise_dictionaries(toy_bank):
     only_speakers = toy_bank.restricted(exclude_noises=["alpha", "beta"])
     with pytest.raises(ValueError):
-        ss.classify_noise(np.ones((8, 4)), only_speakers, ss.EvalParams())
+        ss.classify_noise(np.ones((8, 4)), only_speakers)
 
 
 def _speech_mask(frames, n_frames=40):
@@ -142,7 +142,7 @@ def _speech_mask(frames, n_frames=40):
 
 def test_rank_speakers_orders_by_block_energy(toy_bank):
     mag = _toy_mag(speech_frames=(3, 4, 5, 24, 25))
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
     ranking = ss.rank_speakers(mag, decision, _speech_mask((3, 4, 5, 24, 25)))
     assert ranking == ["sA", "sB"]
     assert sorted(ranking) == sorted(toy_bank.speaker_labels)
@@ -152,7 +152,7 @@ def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, monkeypatch):
     # Ranking sums the speaker blocks of the weights noise typing coded; it
     # never codes again, so moving weight between blocks moves the ranking.
     mag = _toy_mag(speech_frames=(3, 4, 26, 27))
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
 
     def no_coding(*args, **kwargs):
         raise AssertionError("rank_speakers must not code frames")
@@ -168,11 +168,11 @@ def test_rank_speakers_reads_the_noise_typing_weights(toy_bank, monkeypatch):
 def test_rank_speakers_falls_back_to_loud_frames(toy_bank):
     mag = _toy_mag(speech_frames=(10, 11))
     empty = np.zeros(40, dtype=bool)
-    decision = ss.classify_noise(mag, toy_bank, ss.EvalParams())
+    decision = ss.classify_noise(mag, toy_bank)
     ranking = ss.rank_speakers(mag, decision, empty)
     assert ranking[0] == "sA"
 
     no_speakers = toy_bank.restricted(exclude_speakers=["sA", "sB"])
-    decision = ss.classify_noise(mag, no_speakers, ss.EvalParams())
+    decision = ss.classify_noise(mag, no_speakers)
     with pytest.raises(ValueError):
         ss.rank_speakers(mag, decision, empty)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene import features, regimes, solvers, training, vad
+from sparsescene import classify, features, regimes, solvers, training, vad
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import METHODS, LearnedDictionary, normalize_atoms
 from sparsescene.errors import DataError
@@ -65,7 +65,12 @@ def test_rows_are_stored_under_their_content_key(corpus_root, kmeans_bank, tmp_p
     assert row_path.stem == expected
 
 
-def test_run_key_is_pinned():
+def _before_the_shortlist(params):
+    """``EvalParams.to_dict`` as it was before ``screen_iters`` and ``shortlist``."""
+    return {"solver": params.solver, "coding_iters": params.coding_iters}
+
+
+def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
         scenario_id="s0007",
@@ -79,6 +84,10 @@ def test_run_key_is_pinned():
         ),
         seed=12345,
     )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "6e7274d48a4e72a62e51"
+    # the key this run had before the screen and shortlist settings
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_shortlist)
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
     assert key == "7fa8823264bd3ed6bd3f"
 
@@ -122,6 +131,20 @@ def test_resume_reports_rows_of_other_runs_and_keeps_them(
     logged = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(logged) == 1 and logged[0].startswith("2 rows in ")
     assert len(list((out / "rows").glob("*.json"))) == 4
+
+
+def test_rows_written_before_the_shortlist_settings_are_recomputed(
+    corpus_root, kmeans_bank, tmp_path, monkeypatch
+):
+    manifest = _small_manifest(corpus_root, regimes=("ground_truth", "complete"))
+    out = tmp_path / "out"
+    with monkeypatch.context() as patched:
+        patched.setattr(ss.EvalParams, "to_dict", _before_the_shortlist)
+        old = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    resumed = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert resumed["n_computed"] == resumed["n_rows"] == 2
+    assert resumed["n_skipped"] == 0
+    assert resumed["n_stale"] == old["n_rows"] == 2
 
 
 def test_parallel_execution_matches_serial_output(corpus_root, kmeans_bank, tmp_path):
@@ -329,18 +352,52 @@ def test_analyze_signal_runs_the_blind_pipeline(corpus, kmeans_bank):
 
 @pytest.fixture()
 def coding_calls(monkeypatch):
-    """Count ``code_frames`` calls through every sparsescene module binding."""
+    """Record every ``code_frames`` call through every sparsescene module binding."""
     calls = []
     original = solvers.code_frames
 
-    def counted(features, *args, **kwargs):
-        calls.append(features.shape)
-        return original(features, *args, **kwargs)
+    def counted(features, dictionary, **kwargs):
+        calls.append((features.shape, dictionary, kwargs))
+        return original(features, dictionary, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("sparsescene.") and getattr(module, "code_frames", None) is original:
             monkeypatch.setattr(module, "code_frames", counted)
     return calls
+
+
+def _check_screen_then_shortlist(calls, view, params, n_frames, noises=None):
+    """Two codings of every frame: the screen over ``view``, then its shortlist.
+
+    Returns the ``(kind, label)`` of each source the second coding kept.
+    """
+    assert len(calls) == 2
+    (screen_shape, screen_D, screen_kw), (shape, D, kw) = calls
+    assert screen_shape == shape == (129, n_frames)
+    view_D, groups = view.concatenated()
+    assert np.array_equal(screen_D, view_D)
+    assert screen_kw == {"solver": "mu", "n_iter": classify.SCREEN_ITERS, "tol": 0.0}
+
+    kept, blocks, start = [], [], 0
+    for kind, label, cols in groups:
+        atoms = view_D[:, cols]
+        if np.array_equal(D[:, start : start + atoms.shape[1]], atoms):
+            kept.append((kind, label))
+            blocks.append(start)
+            start += atoms.shape[1]
+    assert start == D.shape[1]
+    speakers = [label for kind, label in kept if kind == "speaker"]
+    found = {label for kind, label in kept if kind == "noise"}
+    assert 1 <= len(speakers) <= regimes.SHORTLIST
+    assert 1 <= len(found) <= 2
+    if noises is not None:
+        assert found == set(noises)
+    init = kw.pop("init", None)
+    assert kw == {"solver": params.solver, "blocks": blocks, **params.solver_kwargs()}
+    assert (init is None) == (params.solver == "asna")
+    if init is not None:
+        assert init.shape == (D.shape[1], n_frames)
+    return kept
 
 
 @pytest.fixture()
@@ -376,10 +433,24 @@ def short_rendered(corpus):
 def test_analyze_signal_codes_the_clip_once(
     short_rendered, kmeans_bank, coding_calls, pipeline_calls
 ):
-    ss.analyze_signal(kmeans_bank, short_rendered.mixture, ss.EvalParams(coding_iters=50))
+    params = ss.EvalParams(coding_iters=50)
+    analysis, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture, params)
     assert pipeline_calls == {"rfft": 1, "frame_energies": 1, "detect_speech_frames": 1}
     n_frames = ss.magnitudes(short_rendered.mixture, ss.StftConfig()).shape[1]
-    assert coding_calls == [(129, n_frames)]
+    noises = (analysis["noise_first"], analysis["noise_second"])
+    kept = _check_screen_then_shortlist(coding_calls, kmeans_bank, params, n_frames, noises)
+    assert [label for kind, label in kept if kind == "speaker"] == sorted(
+        analysis["speaker_ranking"][: regimes.SHORTLIST]
+    )
+
+
+def test_the_asna_shortlist_follows_the_mu_screen(short_rendered, kmeans_bank, coding_calls):
+    params = ss.EvalParams(solver="asna")
+    clip = short_rendered.mixture[: 40 * 128]
+    analysis, _ = ss.analyze_signal(kmeans_bank, clip, params)
+    n_frames = ss.magnitudes(clip, ss.StftConfig()).shape[1]
+    noises = (analysis["noise_first"], analysis["noise_second"])
+    _check_screen_then_shortlist(coding_calls, kmeans_bank, params, n_frames, noises)
 
 
 @pytest.mark.parametrize("regime", ss.ALL_REGIMES)
@@ -390,6 +461,7 @@ def test_every_regime_codes_the_clip_once(
     if regime == "updated_speaker":
         ctx.updated_speaker_bank()  # enrollment is learned once per evaluation, not per clip
     pipeline_calls.clear()
+    coding_calls.clear()
     result = ss.run_regime(short_rendered, regime, ctx)
     assert result.failure_stage is None, result.error
     # updated_noise transforms the mixture once more to learn its noises
@@ -399,7 +471,106 @@ def test_every_regime_codes_the_clip_once(
         "detect_speech_frames": len(regimes.VAD_KS),
     }
     n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
-    assert coding_calls == [(129, n_frames)]
+    reported = regime not in ("ground_truth", "updated_noise")
+    noises = (result.noise_first_pred, result.noise_second_pred) if reported else None
+    view = ctx.bank_for(regime, short_rendered)
+    _check_screen_then_shortlist(coding_calls, view, ctx.params, n_frames, noises)
+
+
+def _analyze(samples, bank, params):
+    """``regimes.analyze`` on ``samples`` with the detector's speech frames."""
+    x = np.asarray(samples, dtype=np.float64)
+    energies = features.frame_energies(x, bank.stft_config)
+    mask = vad.detect_speech_frames(energies, regimes.VAD_PRIMARY_K)
+    return regimes.analyze(x, mask, bank, params)
+
+
+def test_the_shortlist_coding_continues_the_screen(
+    short_rendered, corpus, kmeans_bank, monkeypatch
+):
+    # The ground_truth view holds 1 speaker and 2 noises, so the shortlist
+    # keeps all of it and the second coding picks up where the screen stopped.
+    monkeypatch.setattr(
+        ss.EvalParams, "solver_kwargs", lambda self: {"n_iter": self.coding_iters, "tol": 0.0}
+    )
+    params = ss.EvalParams(coding_iters=30)
+    view = ss.RegimeContext(kmeans_bank, corpus, params).bank_for("ground_truth", short_rendered)
+    found = _analyze(short_rendered.mixture, view, params)
+    mag = ss.magnitudes(short_rendered.mixture.astype(np.float64), view.stft_config)
+    D, groups = view.concatenated()
+    assert found.noise.groups == groups
+    assert np.array_equal(found.noise.dictionary, D)
+    expected = solvers.solve_mu(mag, D, n_iter=classify.SCREEN_ITERS + params.coding_iters)
+    assert np.array_equal(found.noise.weights, expected)
+
+
+@pytest.mark.parametrize("shortlist", [1, 2, 3, 10])
+def test_the_ranking_is_the_shortlist_then_the_screen_order(
+    short_rendered, kmeans_bank, monkeypatch, shortlist
+):
+    # The second ranking comes back reversed, so an order that does not follow
+    # it cannot pass by agreeing with the screen.
+    rankings = []
+    original = regimes.rank_speakers
+
+    def spy(mag, decision, mask):
+        rankings.append((decision, original(mag, decision, mask)))
+        return rankings[-1][1][::-1] if len(rankings) == 2 else rankings[-1][1]
+
+    monkeypatch.setattr(regimes, "rank_speakers", spy)
+    monkeypatch.setattr(regimes, "SHORTLIST", shortlist)
+    found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
+    (screen, screened), (second, ranked) = rankings
+    assert second is found.noise and len(screen.groups) == 8
+    assert found.speaker_ranking == ranked[::-1] + screened[shortlist:]
+    assert sorted(found.speaker_ranking) == sorted(kmeans_bank.speaker_labels)
+    kept = [g[1] for g in second.groups if g[0] == "speaker"]
+    assert kept == sorted(screened[:shortlist])
+    # the Wiener mask is the top speaker's block of the shortlist's model over that model
+    D, W = second.dictionary, second.weights
+    top = second.block("speaker", found.speaker_ranking[0])
+    wiener = np.clip(D[:, top] @ W[top, :] / (D @ W + solvers.EPS), 0.0, 1.0)
+    assert np.array_equal(found.separation.mask, wiener)
+
+
+def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank):
+    noise = short_rendered.scenario.noise_first
+    view = kmeans_bank.restricted(exclude_noises=set(kmeans_bank.noise_labels) - {noise})
+    params = ss.EvalParams(coding_iters=50)
+    analysis, sep = ss.analyze_signal(view, short_rendered.mixture, params)
+    assert analysis["noise_first"] == analysis["noise_second"] == noise
+    assert sorted(analysis["speaker_ranking"]) == sorted(kmeans_bank.speaker_labels)
+    assert sep.speech.shape == short_rendered.mixture.shape
+
+
+@pytest.mark.parametrize("regime", ["out_of_set_noise", "out_of_set_speaker"])
+def test_the_shortlist_coding_reads_only_what_it_keeps(
+    regime, short_rendered, corpus, kmeans_bank, monkeypatch
+):
+    after_screen = []
+    original = regimes.classify_noise
+
+    def spy(*args):
+        decision = original(*args)
+        after_screen.append(dict(kmeans_bank.access_counts))
+        return decision
+
+    monkeypatch.setattr(regimes, "classify_noise", spy)
+    ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams(coding_iters=50))
+    before = dict(kmeans_bank.access_counts)
+    result = ss.run_regime(short_rendered, regime, ctx)
+    assert result.failure_stage is None, result.error
+    sc = short_rendered.scenario
+    removed = (
+        {("noise", sc.noise_first), ("noise", sc.noise_second)}
+        if regime == "out_of_set_noise"
+        else {("speaker", sc.speaker)}
+    )
+    kept = {("speaker", label) for label in result.speaker_rank[: regimes.SHORTLIST]}
+    kept |= {("noise", result.noise_first_pred), ("noise", result.noise_second_pred)}
+    read = {k for k, n in kmeans_bank.access_counts.items() if n != after_screen[0][k]}
+    assert read == kept
+    assert all(kmeans_bank.access_counts[k] == before[k] for k in removed)
 
 
 def test_adapted_noises_split_at_the_scenario_switch(
@@ -437,7 +608,7 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     mixture = short_rendered.mixture
     analysis, sep = ss.analyze_signal(kmeans_bank, mixture)
     config = ss.StftConfig()
-    decision = ss.classify_noise(ss.magnitudes(mixture, config), kmeans_bank, ss.EvalParams())
+    decision = ss.classify_noise(ss.magnitudes(mixture, config), kmeans_bank)
     assert analysis["noise_first"] == decision.noise_first
     assert analysis["noise_second"] == decision.noise_second
     assert analysis["noise_transition_s"] == round(decision.transition_s, 4)
