@@ -2,8 +2,12 @@
 
 Each run is content-addressed by a hash of the scenario, regime, SNR, bank
 and pipeline parameters; completed rows are stored as ``rows/<key>.json``
-and skipped on resume.  Scenario runs are independent and may execute in a
-thread pool; all files are written by the coordinating thread only.
+and skipped on resume.  The runs of one (method, scenario, SNR) share a
+mixture: it is rendered once, and its regimes read one
+:class:`~.regimes.FrontEnd`, so its frame energies, detector passes and STFT
+are computed once between them.  Such groups are independent and may
+execute in a thread pool; all files are written by the coordinating thread
+only.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from .bank import DictionaryBank
 from .corpus import Corpus, generate_corpus, write_wav
 from .errors import DataError
 from .manifest import Manifest
-from .features import frame_energies
-from .regimes import VAD_PRIMARY_K, EvalParams, RegimeContext, analyze, run_regime
+from .regimes import EvalParams, FrontEnd, RegimeContext, analyze, run_regime
 from .report import result_to_json, write_aggregate, write_csv
 from .scenario import MixScenario, generate_scenarios, render_scenario
 from .separate import SeparationResult, estimate_snr_db
 from .training import learn_bank
-from .vad import detect_speech_frames
 
 __all__ = ["run_manifest", "simulate_manifest", "prepare_corpus", "analyze_signal"]
 
@@ -139,12 +141,13 @@ def run_manifest(
             bank = _bank_for(manifest, corpus, method, out_dir, resume)
         contexts[method] = RegimeContext(bank, corpus, manifest.eval_params)
 
-    jobs: list[tuple[str, MixScenario, str, float, str]] = []
+    # one group per rendered mixture: (method, scenario, SNR) -> its runs as (key, regime)
+    groups: dict[tuple[str, int, float], list[tuple[str, str]]] = {}
     skipped_rows: list[dict] = []
     seen_keys: set[str] = set()
     for method, ctx in contexts.items():
         bank_hash = ctx.bank.content_hash()
-        for scenario in scenarios:
+        for i, scenario in enumerate(scenarios):
             for regime in manifest.regimes:
                 for snr in manifest.snrs_db:
                     key = run_key(scenario, regime, snr, bank_hash, manifest.eval_params)
@@ -162,7 +165,7 @@ def run_manifest(
                             log.warning("row %s has a mismatched key; recomputing", row_path)
                         except (OSError, json.JSONDecodeError) as exc:
                             log.warning("cannot reuse row %s (%s); recomputing", row_path, exc)
-                    jobs.append((key, scenario, regime, snr, method))
+                    groups.setdefault((method, i, snr), []).append((key, regime))
 
     n_stale = sum(1 for path in rows_dir.glob("*.json") if path.stem not in seen_keys)
     if n_stale:
@@ -170,29 +173,36 @@ def run_manifest(
             "%d rows in %s belong to no run of this campaign; keeping them", n_stale, rows_dir
         )
 
-    for method in dict.fromkeys(job[4] for job in jobs if job[2] == "updated_speaker"):
-        contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
+    for (method, _, _), runs in groups.items():
+        if any(regime == "updated_speaker" for _, regime in runs):
+            contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
 
-    def execute(job: tuple[str, MixScenario, str, float, str]) -> dict:
-        key, scenario, regime, snr, method = job
+    def execute(group: tuple[tuple[str, int, float], list[tuple[str, str]]]) -> list[dict]:
+        """Render one mixture and run each of its regimes on one shared front end."""
+        (method, i, snr), runs = group
         ctx = contexts[method]
-        rendered = render_scenario(corpus, scenario, snr)
-        result = run_regime(rendered, regime, ctx)
-        return result_to_json(result, key)
+        rendered = render_scenario(corpus, scenarios[i], snr)
+        front = FrontEnd(rendered.mixture, ctx.bank.stft_config)
+        return [
+            result_to_json(run_regime(rendered, regime, ctx, front), key) for key, regime in runs
+        ]
 
     computed_rows: list[dict] = []
-    if jobs:
+    if groups:
         log.info(
-            "running %d jobs (%d already complete) with parallelism %d",
-            len(jobs),
+            "running %d jobs on %d mixtures (%d already complete) with parallelism %d",
+            sum(len(runs) for runs in groups.values()),
+            len(groups),
             len(skipped_rows),
             manifest.parallelism,
         )
     with ThreadPoolExecutor(max_workers=manifest.parallelism) as pool:
-        produced = map(execute, jobs) if manifest.parallelism == 1 else pool.map(execute, jobs)
-        for row in produced:
-            _write_json_atomic(rows_dir / f"{row['run_key']}.json", row)
-            computed_rows.append(row)
+        work = groups.items()
+        produced = map(execute, work) if manifest.parallelism == 1 else pool.map(execute, work)
+        for rows in produced:
+            for row in rows:
+                _write_json_atomic(rows_dir / f"{row['run_key']}.json", row)
+                computed_rows.append(row)
     n_failed = sum(1 for row in computed_rows if row.get("failure_stage"))
 
     rows = skipped_rows + computed_rows
@@ -262,8 +272,7 @@ def analyze_signal(
         raise DataError(f"signal has {x.size} samples; analysis needs at least {config.n_fft}")
     if not np.all(np.isfinite(x)):
         raise DataError("signal holds non-finite samples (NaN or Inf)")
-    speech_mask = detect_speech_frames(frame_energies(x, config), VAD_PRIMARY_K)
-    found = analyze(x, speech_mask, bank, params or EvalParams())
+    found = analyze(FrontEnd(x, config), bank, params or EvalParams())
     sep = found.separation
     est_snr = estimate_snr_db(sep, found.speech_spans or None, config)
     analysis = {

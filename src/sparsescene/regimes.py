@@ -22,14 +22,19 @@ answers when a rendered scenario is scored:
     view whose access counters prove the removed entries are never read.
 ``updated_noise``
     The bank's noise dictionaries are replaced by two learned from the
-    noise-only frames on each side of the mixture's own switch (the switch
-    and the ground-truth utterance spans are assumed known).
+    noise-only frames, in the mixture's own spectrogram, on each side of its
+    switch (the switch and the ground-truth utterance spans are assumed
+    known).
 ``updated_speaker``
     The speaker dictionaries are relearned with the bank's own method,
     parameters and STFT settings on additional speaker enrollment material
     (the corpus's ``train`` and ``update`` splits) before the otherwise blind
     pipeline runs; the bank's noise dictionaries are kept as they are, also
     for a bank learned from another corpus.
+
+The regimes of one rendered mixture can share one :class:`FrontEnd`, which
+keeps the mixture's frame energies, detector masks and STFT once computed;
+a row is the same whether its run shares one or makes its own.
 
 Each run yields a :class:`RunResult`; failures on bad data (package errors,
 ``ValueError``, ``KeyError``) are captured per run with the stage at which
@@ -50,7 +55,7 @@ from .classify import SCREEN_ITERS, NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
-from .features import frame_energies, frame_times, magnitudes, stft
+from .features import StftConfig, frame_energies, frame_times, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
@@ -67,6 +72,7 @@ __all__ = [
     "ALL_REGIMES",
     "Analysis",
     "EvalParams",
+    "FrontEnd",
     "RegimeContext",
     "RunResult",
     "analyze",
@@ -126,6 +132,47 @@ class EvalParams:
         return {}
 
 
+class FrontEnd:
+    """One signal's front end: what every stage before the coding reads.
+
+    These are the float64 samples, the frame energies, the detector's speech
+    mask and speech spans per cluster count, and the STFT, each taken with
+    ``config`` on first use and then kept.  The regimes of one rendered
+    mixture share one front end, so they frame, cluster and transform the
+    mixture once between them.  A piece whose computation raises is not
+    kept: each regime that needs it computes it again and fails at its own
+    stage, as it would alone.  The kept arrays are shared; readers must not
+    write to them.
+    """
+
+    def __init__(self, samples: np.ndarray, config: StftConfig):
+        self.samples = np.asarray(samples, dtype=np.float64)
+        self.config = config
+        self._kept: dict = {}
+
+    def _once(self, key, compute: Callable):
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    def energies(self) -> np.ndarray:
+        return self._once("energies", lambda: frame_energies(self.samples, self.config))
+
+    def speech_mask(self, k: int = VAD_PRIMARY_K) -> np.ndarray:
+        """The detected speech frames with ``k`` clusters."""
+        return self._once(("mask", k), lambda: detect_speech_frames(self.energies(), k))
+
+    def speech_spans(self, k: int = VAD_PRIMARY_K) -> list[tuple[float, float]]:
+        """The speech mask's runs of at least :data:`MIN_SPEECH_FRAMES` frames, in seconds."""
+        return self._once(
+            ("spans", k),
+            lambda: frames_to_intervals(self.speech_mask(k), self.config, MIN_SPEECH_FRAMES),
+        )
+
+    def spectrogram(self) -> np.ndarray:
+        return self._once("spectrogram", lambda: stft(self.samples, self.config))
+
+
 class RegimeContext:
     """Bank, corpus and parameters shared by the runs of one evaluation."""
 
@@ -151,8 +198,14 @@ class RegimeContext:
             self._updated_speaker_bank = relearn_speakers(self.bank, self.corpus)
         return self._updated_speaker_bank
 
-    def bank_for(self, regime: str, rendered: RenderedScenario) -> DictionaryBank:
-        """The bank view the pipeline codes against under ``regime``."""
+    def bank_for(
+        self, regime: str, rendered: RenderedScenario, front: FrontEnd
+    ) -> DictionaryBank:
+        """The bank view the pipeline codes against under ``regime``.
+
+        ``updated_noise`` learns its noises from ``front``, the front end of
+        ``rendered``'s mixture.
+        """
         sc = rendered.scenario
         if regime == "ground_truth":
             speakers, noises = {sc.speaker}, {sc.noise_first, sc.noise_second}
@@ -166,7 +219,7 @@ class RegimeContext:
                 exclude_noises=set(self.bank.noise_labels) - noises,
             )
         if regime == "updated_noise":
-            first, second = _adapted_noises(rendered, self)
+            first, second = _adapted_noises(rendered, front, self)
             view = self.bank.restricted(exclude_noises=self.bank.noise_labels)
             return view.with_replaced("noise", "adapted_first", first).with_replaced(
                 "noise", "adapted_second", second
@@ -215,11 +268,15 @@ class RunResult:
 
 
 def _adapted_noises(
-    rendered: RenderedScenario, ctx: RegimeContext
+    rendered: RenderedScenario, front: FrontEnd, ctx: RegimeContext
 ) -> tuple[LearnedDictionary, LearnedDictionary]:
-    """Learn one noise dictionary per side of the scenario's switch from its noise-only frames."""
+    """Learn one noise dictionary per side of the scenario's switch from its noise-only frames.
+
+    ``front`` is the front end of ``rendered``'s mixture; its spectrogram's
+    magnitude is the feature matrix.
+    """
     config = ctx.bank.stft_config
-    mag = magnitudes(rendered.mixture, config)
+    mag = np.abs(front.spectrogram())
     n_frames = mag.shape[1]
     speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
     first_half = frame_times(n_frames, config) < rendered.transition_s
@@ -240,39 +297,47 @@ def _adapted_noises(
 
 @dataclass
 class Analysis:
-    """What the blind pipeline finds in one signal."""
+    """What the blind pipeline finds in one signal.
+
+    ``screen`` is the first coding, against the whole bank view; ``noise``
+    carries the same noise pair and switch with the shortlist's coding.
+    """
 
     speech_spans: list[tuple[float, float]]
+    screen: NoiseDecision
     noise: NoiseDecision
     speaker_ranking: list[str]
     separation: SeparationResult
 
 
 def analyze(
-    samples: np.ndarray,
-    speech_mask: np.ndarray,
+    front: FrontEnd,
     bank: DictionaryBank,
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
-    """The blind pipeline: transform once, screen every frame, then code the shortlist.
+    """The blind pipeline: screen every frame of one STFT, then code the shortlist.
 
-    ``speech_mask`` marks the detected speech frames of ``samples``.  The
-    magnitude of one STFT, taken with the bank's own settings, is screened
-    against ``bank``'s whole ``[speakers | noises]`` (:func:`classify_noise`);
-    the noise pair, the switch and a first speaker ranking over detected
-    speech come from that coding.  Every frame is then coded as ``params``
-    says against a view of ``bank`` that keeps only the :data:`SHORTLIST`
-    top-ranked speakers and the detected noises, starting (for ``mu``) from
-    the screen's weights on those atoms.  The returned decision carries that
-    second coding.  The ranking is the shortlist in its order there, then the
-    other speakers in screen order; the Wiener mask, applied to the same
-    STFT, is the top speaker's block of the second model over the whole
+    ``front`` holds the signal, its detected speech frames (with
+    :data:`VAD_PRIMARY_K` clusters) and its STFT, taken with the bank's own
+    settings.  The STFT's magnitude is screened against ``bank``'s whole
+    ``[speakers | noises]`` (:func:`classify_noise`); the noise pair, the
+    switch and a first speaker ranking over detected speech come from that
+    coding.  Every frame is then coded as ``params`` says against a view of
+    ``bank`` that keeps only the :data:`SHORTLIST` top-ranked speakers and the
+    detected noises, starting (for ``mu``) from the screen's weights on those
+    atoms.  The returned ``noise`` decision carries that second coding and
+    ``screen`` the first.  The ranking is the shortlist in its order there,
+    then the other speakers in screen order; the Wiener mask, applied to the
+    same STFT, is the top speaker's block of the second model over the whole
     second model.  ``on_stage`` is told the name of each stage as it starts.
     """
     config = bank.stft_config
+    if front.config != config:
+        raise ValueError(f"the front end's {front.config} is not the bank's {config}")
+    speech_mask = front.speech_mask()
     on_stage("features")
-    spectrogram = stft(samples, config)
+    spectrogram = front.spectrogram()
     mag = np.abs(spectrogram)
     on_stage("noise_id")
     screen = classify_noise(mag, bank)
@@ -297,19 +362,27 @@ def analyze(
     ranking = rank_speakers(mag, decision, speech_mask) + rest
     on_stage("separation")
     speech_atoms = decision.block("speaker", ranking[0])
-    sep = separate(spectrogram, len(samples), D, W, speech_atoms, config)
-    spans = frames_to_intervals(speech_mask, config, MIN_SPEECH_FRAMES)
-    return Analysis(spans, decision, ranking, sep)
+    sep = separate(spectrogram, len(front.samples), D, W, speech_atoms, config)
+    return Analysis(front.speech_spans(), screen, decision, ranking, sep)
 
 
 def run_regime(
-    rendered: RenderedScenario, regime: str, ctx: RegimeContext
+    rendered: RenderedScenario,
+    regime: str,
+    ctx: RegimeContext,
+    front: FrontEnd | None = None,
 ) -> RunResult:
-    """Run the full pipeline on one rendered scenario under one regime."""
+    """Run the full pipeline on one rendered scenario under one regime.
+
+    ``front`` is the front end of ``rendered``'s mixture with the bank's STFT
+    settings; the regimes of one mixture pass the same one so that they share
+    its work.  It is made here when not given.
+    """
     if regime not in ALL_REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {ALL_REGIMES}")
     sc = rendered.scenario
     config = ctx.bank.stft_config
+    front = front or FrontEnd(rendered.mixture, config)
     res = RunResult(
         scenario_id=sc.scenario_id,
         regime=regime,
@@ -322,18 +395,15 @@ def run_regime(
     )
     stage = ["features"]
     try:
-        mixture = rendered.mixture.astype(np.float64)
-        energies = frame_energies(mixture, config)
+        front.energies()
 
         stage.append("vad")
-        masks = {k: detect_speech_frames(energies, k) for k in VAD_KS}
-        for k, mask_k in masks.items():
-            spans_k = frames_to_intervals(mask_k, config, MIN_SPEECH_FRAMES)
-            res.vad_rates[k] = miss_false_rates(sc.speech_spans, spans_k)
+        for k in VAD_KS:
+            res.vad_rates[k] = miss_false_rates(sc.speech_spans, front.speech_spans(k))
 
         stage.append("noise_id")
-        view = ctx.bank_for(regime, rendered)
-        found = analyze(mixture, masks[VAD_PRIMARY_K], view, ctx.params, stage.append)
+        view = ctx.bank_for(regime, rendered, front)
+        found = analyze(front, view, ctx.params, stage.append)
 
         decision = found.noise
         if regime == "ground_truth":

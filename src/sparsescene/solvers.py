@@ -176,13 +176,19 @@ def solve_mu(
     if mean > 0.0:
         scale = float(np.ldexp(1.0, np.frexp(mean)[1]))
         live = np.flatnonzero(np.sum(Y, axis=0) > EPS * scale)
-        Ys = (Y[:, live] / scale).astype(np.float32)
+        gather = live.size < N
+        # Scale straight into Fortran-ordered float32: one pass, no temporaries.
+        Ys = np.empty((Y.shape[0], live.size), dtype=np.float32, order="F")
+        np.divide(Y[:, live] if gather else Y, scale, out=Ys, casting="same_kind")
         Bs = B.astype(np.float32)
         Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
         if init is None:
-            Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32)
+            Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32, order="F")
         else:
-            Xl = np.maximum(init[:, live] / scale, FLOOR).astype(np.float32)
+            # FLOOR is exact in float32, so flooring after the cast gives the same bits
+            Xl = np.empty((M, live.size), dtype=np.float32, order="F")
+            np.divide(init[:, live] if gather else init, scale, out=Xl, casting="same_kind")
+            np.maximum(Xl, FLOOR, out=Xl)
         Yhat = np.empty_like(Ys)
         ratio = np.empty_like(Ys)
         update = np.empty_like(Xl)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import sys
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 import sparsescene as ss
-from sparsescene import classify, features, regimes, solvers, training, vad
+from sparsescene import classify, evaluate, features, regimes, solvers, training, vad
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import METHODS, LearnedDictionary, normalize_atoms
 from sparsescene.errors import DataError
 from sparsescene.evaluate import prepare_corpus, run_key
 from sparsescene.manifest import Manifest
+from sparsescene.report import result_to_json
 from sparsescene.scenario import MixScenario, UtterancePlacement
 
 
@@ -464,25 +466,93 @@ def test_every_regime_codes_the_clip_once(
     coding_calls.clear()
     result = ss.run_regime(short_rendered, regime, ctx)
     assert result.failure_stage is None, result.error
-    # updated_noise transforms the mixture once more to learn its noises
+    # updated_noise learns its noises from the same spectrogram the pipeline codes
     assert pipeline_calls == {
-        "rfft": 2 if regime == "updated_noise" else 1,
+        "rfft": 1,
         "frame_energies": 1,
         "detect_speech_frames": len(regimes.VAD_KS),
     }
     n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
     reported = regime not in ("ground_truth", "updated_noise")
     noises = (result.noise_first_pred, result.noise_second_pred) if reported else None
-    view = ctx.bank_for(regime, short_rendered)
+    front = regimes.FrontEnd(short_rendered.mixture, stft_config)
+    view = ctx.bank_for(regime, short_rendered, front)
     _check_screen_then_shortlist(coding_calls, view, ctx.params, n_frames, noises)
+
+
+@pytest.fixture(scope="module")
+def updated_kmeans_bank(corpus, kmeans_bank):
+    return ss.RegimeContext(kmeans_bank, corpus).updated_speaker_bank()
+
+
+@pytest.fixture()
+def relearned(updated_kmeans_bank, monkeypatch):
+    """Serve ``updated_speaker`` a bank relearned beforehand, so a test sees only its runs."""
+    monkeypatch.setattr(ss.RegimeContext, "updated_speaker_bank", lambda self: updated_kmeans_bank)
+
+
+def _assert_rows_stand_alone(out, corpus, bank, params):
+    """Each row file of the campaign in ``out`` holds what ``run_regime`` alone gives."""
+    scenarios = json.loads((out / "scenarios.json").read_text())["scenarios"]
+    by_id = {d["scenario_id"]: MixScenario.from_dict(d) for d in scenarios}
+    ctx = ss.RegimeContext(bank, corpus, params)
+    for path in (out / "rows").glob("*.json"):
+        row = json.loads(path.read_text())
+        rendered = ss.render_scenario(corpus, by_id[row["scenario_id"]], row["snr_nominal_db"])
+        alone = result_to_json(ss.run_regime(rendered, row["regime"], ctx), path.stem)
+        assert path.read_text() == json.dumps(alone, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_campaign_renders_frames_and_transforms_each_mixture_once(
+    corpus_root, corpus, kmeans_bank, relearned, pipeline_calls, tmp_path, monkeypatch
+):
+    renders = []
+    original = evaluate.render_scenario
+    monkeypatch.setattr(
+        evaluate, "render_scenario", lambda *args: renders.append(args) or original(*args)
+    )
+    params = ss.EvalParams(coding_iters=50)
+    manifest = _small_manifest(
+        corpus_root, regimes=ss.ALL_REGIMES, snrs_db=(-5.0, 5.0), eval_params=params
+    )
+    summary = ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": kmeans_bank})
+    assert summary["n_computed"] == 12 and summary["n_failed"] == 0
+    # one render, framing, STFT and set of detector passes per (method, scenario, SNR)
+    assert [args[2] for args in renders] == [-5.0, 5.0]
+    assert pipeline_calls == {
+        "rfft": 2,
+        "frame_energies": 2,
+        "detect_speech_frames": 2 * len(regimes.VAD_KS),
+    }
+    _assert_rows_stand_alone(tmp_path / "out", corpus, kmeans_bank, params)
+
+
+@pytest.mark.parametrize(
+    "broken, stage",
+    [("frame_energies", "features"), ("detect_speech_frames", "vad"), ("rfft", "features")],
+)
+def test_a_front_end_failure_fails_each_regime_as_it_would_alone(
+    broken, stage, corpus_root, corpus, kmeans_bank, relearned, tmp_path, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise ValueError(f"no {broken} today")
+
+    monkeypatch.setattr(np.fft if broken == "rfft" else regimes, broken, fail)
+    params = ss.EvalParams(coding_iters=50)
+    manifest = _small_manifest(corpus_root, regimes=ss.ALL_REGIMES, eval_params=params)
+    summary = ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": kmeans_bank})
+    assert summary["n_failed"] == summary["n_rows"] == 6
+    for path in (tmp_path / "out" / "rows").glob("*.json"):
+        row = json.loads(path.read_text())
+        # updated_noise takes the STFT to learn its noises, while it builds its bank view
+        first = "noise_id" if broken == "rfft" and row["regime"] == "updated_noise" else stage
+        assert (row["failure_stage"], row["error"]) == (first, f"ValueError: no {broken} today")
+    _assert_rows_stand_alone(tmp_path / "out", corpus, kmeans_bank, params)
 
 
 def _analyze(samples, bank, params):
     """``regimes.analyze`` on ``samples`` with the detector's speech frames."""
-    x = np.asarray(samples, dtype=np.float64)
-    energies = features.frame_energies(x, bank.stft_config)
-    mask = vad.detect_speech_frames(energies, regimes.VAD_PRIMARY_K)
-    return regimes.analyze(x, mask, bank, params)
+    return regimes.analyze(regimes.FrontEnd(samples, bank.stft_config), bank, params)
 
 
 def test_the_shortlist_coding_continues_the_screen(
@@ -494,7 +564,9 @@ def test_the_shortlist_coding_continues_the_screen(
         ss.EvalParams, "solver_kwargs", lambda self: {"n_iter": self.coding_iters, "tol": 0.0}
     )
     params = ss.EvalParams(coding_iters=30)
-    view = ss.RegimeContext(kmeans_bank, corpus, params).bank_for("ground_truth", short_rendered)
+    ctx = ss.RegimeContext(kmeans_bank, corpus, params)
+    front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
+    view = ctx.bank_for("ground_truth", short_rendered, front)
     found = _analyze(short_rendered.mixture, view, params)
     mag = ss.magnitudes(short_rendered.mixture.astype(np.float64), view.stft_config)
     D, groups = view.concatenated()
@@ -510,18 +582,22 @@ def test_the_ranking_is_the_shortlist_then_the_screen_order(
 ):
     # The second ranking comes back reversed, so an order that does not follow
     # it cannot pass by agreeing with the screen.
-    rankings = []
-    original = regimes.rank_speakers
+    calls = itertools.count()
 
-    def spy(mag, decision, mask):
-        rankings.append((decision, original(mag, decision, mask)))
-        return rankings[-1][1][::-1] if len(rankings) == 2 else rankings[-1][1]
+    def reverse_the_second(mag, decision, mask):
+        ranking = classify.rank_speakers(mag, decision, mask)
+        return ranking[::-1] if next(calls) == 1 else ranking
 
-    monkeypatch.setattr(regimes, "rank_speakers", spy)
+    monkeypatch.setattr(regimes, "rank_speakers", reverse_the_second)
     monkeypatch.setattr(regimes, "SHORTLIST", shortlist)
     found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
-    (screen, screened), (second, ranked) = rankings
-    assert second is found.noise and len(screen.groups) == 8
+    front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
+    mag, mask = np.abs(front.spectrogram()), front.speech_mask()
+    screen, second = found.screen, found.noise
+    assert len(screen.groups) == 8
+    assert np.array_equal(screen.weights, classify.classify_noise(mag, kmeans_bank).weights)
+    screened = classify.rank_speakers(mag, screen, mask)
+    ranked = classify.rank_speakers(mag, second, mask)
     assert found.speaker_ranking == ranked[::-1] + screened[shortlist:]
     assert sorted(found.speaker_ranking) == sorted(kmeans_bank.speaker_labels)
     kept = [g[1] for g in second.groups if g[0] == "speaker"]
@@ -593,7 +669,8 @@ def test_adapted_noises_split_at_the_scenario_switch(
         return original(feats, *args, **kwargs)
 
     monkeypatch.setattr(regimes, "learn_dictionary", spy)
-    regimes._adapted_noises(rendered, ss.RegimeContext(kmeans_bank, corpus))
+    front = regimes.FrontEnd(rendered.mixture, stft_config)
+    regimes._adapted_noises(rendered, front, ss.RegimeContext(kmeans_bank, corpus))
 
     def frames_in(feats):
         return {j for j in range(mag.shape[1]) if (feats == mag[:, j : j + 1]).all(axis=0).any()}

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sparsescene.features import (
     StftConfig,
+    _frames,
     frame_energies,
     frame_times,
     istft,
@@ -126,3 +127,48 @@ def test_frame_energies_match_direct_sum():
     assert e.shape == (CFG.n_frames(1000),)
     first = x[: CFG.n_fft]
     assert e[0] == pytest.approx(np.sum(first * first))
+
+
+def _gathered_frames(x, config):
+    """Framing by an index gather, as it was before the strided view."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.arange(config.n_fft)[None, :] + config.hop * np.arange(config.n_frames(x.size))[:, None]
+    return x[idx]
+
+
+def _istft_masked(spec, config, n_samples):
+    """Overlap-add by frame phase over ``irfft(spec.T)``, normalised through a boolean mask."""
+    n_frames, hop, n_fft = spec.shape[1], config.hop, config.n_fft
+    window = config.window()
+    natural = (n_frames - 1) * hop + n_fft if n_frames else 0
+    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window[None, :]
+    n_phases = -(-n_fft // hop)
+    out = np.zeros((n_frames + n_phases - 1, hop))
+    norm = np.zeros_like(out)
+    for j in reversed(range(n_phases)):
+        part = slice(j * hop, min((j + 1) * hop, n_fft))
+        out[j : j + n_frames, : part.stop - part.start] += frames[:, part]
+        norm[j : j + n_frames, : part.stop - part.start] += (window * window)[part]
+    out, norm = out.reshape(-1)[:natural], norm.reshape(-1)[:natural]
+    nonzero = norm > 1e-12
+    out[nonzero] /= norm[nonzero]
+    if n_samples <= natural:
+        return out[:n_samples]
+    return np.concatenate([out, np.zeros(n_samples - natural)])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 20 * 8000])
+def test_strided_framing_and_contiguous_istft_keep_every_bit(n):
+    x = np.random.default_rng(n).standard_normal(n).astype(np.float32)
+    frames = _gathered_frames(x, CFG)
+    assert _same_bits(np.asarray(_frames(x, CFG)), frames)
+    assert _same_bits(frame_energies(x, CFG), np.sum(frames * frames, axis=1))
+    X = stft(x, CFG)
+    assert _same_bits(X, np.fft.rfft(frames * CFG.window()[None, :], axis=1).T.copy())
+    natural = (X.shape[1] - 1) * CFG.hop + CFG.n_fft if X.shape[1] else 0
+    for n_samples in (max(natural - 100, 0), natural, natural + 500):
+        assert _same_bits(istft(X, CFG, n_samples), _istft_masked(X, CFG, n_samples))
