@@ -7,7 +7,10 @@ provided:
 ``random``
     atoms are randomly selected training frames;
 ``kmeans``
-    atoms are k-means centroids of the training frames;
+    atoms are k-means centroids of the training frames: k-means++ seeds
+    (each next seed drawn with probability proportional to a frame's squared
+    distance to its nearest seed, kept as a running minimum), then SciPy's
+    Lloyd iterations;
 ``kmedoid``
     atoms are k-medoid frames under cosine distance (medoids are actual
     frames, chosen by Voronoi iteration);
@@ -17,7 +20,7 @@ provided:
     formed from matrix-vector products with the frames, never from a copy
     of the residual matrix, and each round after the first starts its
     coding from the previous round's weights;
-``cosine_threshold`` (alias ``tdcs``)
+``tdcs``
     greedy frame selection controlled by two cosine-similarity thresholds: a
     candidate frame is accepted only if its similarity to every
     already-accepted atom of the same dictionary is at most ``tw`` (within)
@@ -32,10 +35,12 @@ All methods are deterministic given the ``rng`` argument.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
+from scipy.spatial.distance import cdist
 
 from .errors import DataError
 
@@ -117,15 +122,39 @@ def _select_random(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -
     return frames[:, np.sort(idx)]
 
 
-def _learn_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
-    n = frames.shape[1]
-    k = min(n_atoms, n)
-    seed = int(rng.integers(0, 2**31 - 1))
-    import warnings
+def _kmeans_pp(data: np.ndarray, k: int, state: np.random.RandomState) -> np.ndarray:
+    """``k`` k-means++ seeds among the rows of ``data`` (Arthur & Vassilvitskii, SODA 2007).
 
+    The draws are SciPy's ``kmeans2(minit="++")`` seeding from the same
+    ``state``: ``randint(n, dtype=int64)`` picks the first seed, then each
+    next one is where one ``uniform()`` falls in the cumulative shares of
+    every row's squared distance ``D²`` to its nearest seed so far.  SciPy
+    recomputes ``D²`` from all earlier seeds for each new one; this keeps it
+    as a running minimum, updated with one distance row per seed, which
+    gives the same bits because a minimum is exact.  When every row already
+    coincides with a seed (``D²`` sums to 0) the next seed is row 0, where
+    SciPy's 0/0 shares land, and the ``uniform()`` is still drawn.
+    """
+    n = data.shape[0]
+    seeds = np.empty((k, data.shape[1]))
+    seeds[0] = data[state.randint(n, dtype=np.int64)]
+    d2 = np.full(n, np.inf)
+    for i in range(1, k):
+        np.minimum(d2, cdist(seeds[i - 1 : i], data, "sqeuclidean")[0], out=d2)
+        total = d2.sum()
+        r = state.uniform()
+        seeds[i] = data[int(np.searchsorted((d2 / total).cumsum(), r)) if total > 0 else 0]
+    return seeds
+
+
+def _learn_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
+    data = np.ascontiguousarray(frames.T)
+    k = min(n_atoms, data.shape[0])
+    state = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # empty clusters are re-seated below
-        centroids, labels = kmeans2(frames.T, k, minit="++", seed=seed)
+        # empty clusters are re-seated below
+        warnings.filterwarnings("ignore", "One of the clusters is empty", UserWarning)
+        centroids, labels = kmeans2(data, _kmeans_pp(data, k, state), minit="matrix")
     # Re-seat empty clusters on the frames farthest from their centroids.
     counts = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(counts == 0)
@@ -310,6 +339,8 @@ def learn_dictionary(
 
     Raises
     ------
+    ValueError
+        If ``features`` holds a NaN, an infinity or a negative value.
     DataError
         If every frame is silent (or there are no frames).
     """
@@ -318,6 +349,8 @@ def learn_dictionary(
     F = np.asarray(features, dtype=np.float64)
     if F.ndim != 2:
         raise ValueError("features must be a 2-D array of frame columns")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("features must be finite")
     if np.any(F < 0):
         raise ValueError("features must be non-negative")
     live = np.linalg.norm(F, axis=0) > 1e-12

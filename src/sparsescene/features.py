@@ -69,14 +69,18 @@ def _frames(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     return sliding_window_view(x, config.n_fft)[:: config.hop]
 
 
+def _spectra(signal: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The windowed frames' complex spectra as rows, ``(n_frames, n_bins)``."""
+    return np.fft.rfft(_frames(signal, config) * config.window()[None, :], axis=1)
+
+
 def stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """Complex spectrogram of shape ``(n_bins, n_frames)``.
 
     Frames start at multiples of ``config.hop``; no padding is applied, so a
     trailing partial frame is dropped.
     """
-    frames = _frames(signal, config) * config.window()[None, :]
-    return np.fft.rfft(frames, axis=1).T.copy()
+    return _spectra(signal, config).T.copy()
 
 
 def istft(spec: np.ndarray, config: StftConfig, n_samples: int | None = None) -> np.ndarray:
@@ -124,8 +128,13 @@ def istft(spec: np.ndarray, config: StftConfig, n_samples: int | None = None) ->
 
 
 def magnitudes(signal: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Magnitude spectrogram ``(n_bins, n_frames)`` used as the feature representation."""
-    return np.abs(stft(signal, config))
+    """Magnitude spectrogram ``(n_bins, n_frames)`` used as the feature representation.
+
+    Equal bit for bit to ``np.abs(stft(signal, config))``, but the magnitudes
+    are taken on the spectra's rows and only the float64 result is transposed
+    into C order, so the complex spectrogram is never copied.
+    """
+    return np.abs(_spectra(signal, config)).T.copy()
 
 
 def frame_times(n_frames: int, config: StftConfig) -> np.ndarray:

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.cluster.vq import kmeans2
+from scipy.spatial.distance import cdist
 
 from sparsescene import solvers
 from sparsescene.dictionary import (
     METHODS,
+    _kmeans_pp,
+    _learn_kmeans,
     _learn_ksvd,
     _select_random,
     cosine_similarities,
@@ -108,6 +114,91 @@ def test_budget_larger_than_data_is_capped():
     small = np.abs(rng.standard_normal((10, 5))) + 0.1
     d = learn_dictionary(small, "random", 50, rng=rng)
     assert d.atoms.shape[1] == 5
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_are_rejected(frames, method, bad):
+    corrupt = frames.copy()
+    corrupt[3, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        learn_dictionary(corrupt, method, 6, rng=np.random.default_rng(0))
+
+
+def _reference_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ as SciPy's ``kmeans2(minit="++")`` seeds it, then ``_learn_kmeans``' Lloyd and re-seating.
+
+    Each new seed takes every frame's distance to all earlier seeds,
+    ``cdist(init[:i], data).min(axis=0)``; all-zero distances give 0/0
+    shares, and ``searchsorted`` puts every NaN share past the draw.
+    """
+    data = frames.T
+    n = data.shape[0]
+    k = min(n_atoms, n)
+    state = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
+    init = np.empty((k, data.shape[1]))
+    for i in range(k):
+        if i == 0:
+            idx = state.randint(n, dtype=np.int64)
+        else:
+            D2 = cdist(init[:i], data, "sqeuclidean").min(axis=0)
+            with np.errstate(invalid="ignore"):
+                probs = D2 / D2.sum()
+            idx = int(np.searchsorted(probs.cumsum(), state.uniform()))
+        init[i] = data[idx]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        centroids, labels = kmeans2(data, init, minit="matrix")
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    far = np.argsort(np.linalg.norm(data - centroids[labels], axis=1))[::-1]
+    for slot, frame_idx in zip(empty, far):
+        centroids[slot] = data[frame_idx]
+    return np.maximum(centroids.T, 0.0)
+
+
+#: three distinct frames, each twice: fewer distinct columns than a 5-atom budget
+_TWICE_THREE = np.tile(np.array([[3.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 4.0]]), 2)
+
+
+@pytest.mark.parametrize(
+    "case, n_atoms, seed",
+    [
+        ("random", 12, 0),
+        ("random", 12, 1),
+        ("random", 12, 2),
+        ("random", 20, 1901),
+        ("random", 1, 0),
+        ("random", 1, 3),
+        ("all_frames", 40, 0),
+        ("all_frames", 40, 4),
+        ("repeated", 5, 0),
+        ("repeated", 5, 1),
+    ],
+)
+def test_kmeans_matches_the_quadratic_seeding(frames, case, n_atoms, seed):
+    data = {"random": frames, "all_frames": frames[:, :40], "repeated": _TWICE_THREE}[case]
+    got = _learn_kmeans(data, n_atoms, np.random.default_rng(seed))
+    want = _reference_kmeans(data, n_atoms, np.random.default_rng(seed))
+    assert got.shape == want.shape == (data.shape[0], min(n_atoms, data.shape[1]))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_seeds_on_frame_zero_once_every_frame_is_a_seed():
+    data = _TWICE_THREE.T.copy()
+    state = np.random.RandomState(7)
+    seeds = _kmeans_pp(data, 5, state)
+    # Three distinct seeds cover every frame; the last two fall on frame 0.
+    assert len({tuple(row) for row in seeds[:3]}) == 3
+    assert np.array_equal(seeds[3:], data[[0, 0]])
+    # One uniform() is still drawn for each seed after the first.
+    aligned = np.random.RandomState(7)
+    aligned.randint(6, dtype=np.int64)
+    aligned.uniform(size=4)
+    assert state.uniform() == aligned.uniform()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = learn_dictionary(_TWICE_THREE, "kmeans", 5, rng=np.random.default_rng(0))
+    assert np.array_equal(d.atoms, normalize_atoms(_TWICE_THREE[:, [0, 2, 1, 2, 1]]))
 
 
 def _reference_ksvd(

@@ -169,6 +169,9 @@ def test_strided_framing_and_contiguous_istft_keep_every_bit(n):
     assert _same_bits(frame_energies(x, CFG), np.sum(frames * frames, axis=1))
     X = stft(x, CFG)
     assert _same_bits(X, np.fft.rfft(frames * CFG.window()[None, :], axis=1).T.copy())
+    mag = magnitudes(x, CFG)
+    assert _same_bits(mag, np.abs(X))
+    assert mag.flags.c_contiguous
     natural = (X.shape[1] - 1) * CFG.hop + CFG.n_fft if X.shape[1] else 0
     for n_samples in (max(natural - 100, 0), natural, natural + 500):
         assert _same_bits(istft(X, CFG, n_samples), _istft_masked(X, CFG, n_samples))
