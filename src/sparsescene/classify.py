@@ -8,11 +8,12 @@ sweep budget — speech energy is absorbed by the speaker blocks, so the
 per-frame winner among the noise blocks stays reliable even where speech is
 present.  The switch between the two noise types is the change point that
 makes the per-frame noise decisions before and after it maximally
-consistent.  The returned decision carries the weight matrix, so
-:func:`rank_speakers` reads its block scores off a coding instead of coding
-the frames again; the pipeline (``regimes.analyze``) ranks the screen's
-speakers, codes the shortlisted ones and the detected noises once more, and
-ranks again on that coding.
+consistent.  The returned decision carries the weight matrix and the frame
+index of the switch, so :func:`rank_speakers` reads its block scores off a
+coding instead of coding the frames again; the pipeline
+(``regimes.analyze``) ranks the screen's speakers, then codes the frames on
+each side of the switch once more against the shortlisted speakers and that
+side's noise only, and ranks again on that coding.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ class NoiseDecision:
     blocks ``groups`` lists as ``(kind, label, slice)``.  From
     :func:`classify_noise` that is the screen the noise fields were read
     from; ``regimes.analyze`` returns it with the shortlist's coding.
+    Frames ``[0, split)`` lie before the switch and ``[split, n_frames)``
+    after it; ``transition_s`` is the same switch in seconds.
     """
 
     noise_first: str
     noise_second: str
     transition_s: float
+    split: int
     frame_labels: list[str]
     dictionary: np.ndarray
     groups: list[tuple[str, str, slice]]
@@ -109,6 +113,7 @@ def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> NoiseDecision:
         noise_first=labels[a_idx],
         noise_second=labels[b_idx],
         transition_s=transition,
+        split=split,
         frame_labels=[labels[i] for i in frame_label_idx],
         dictionary=D,
         groups=groups,

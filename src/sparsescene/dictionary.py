@@ -10,7 +10,8 @@ provided:
     atoms are k-means centroids of the training frames: k-means++ seeds
     (each next seed drawn with probability proportional to a frame's squared
     distance to its nearest seed, kept as a running minimum), then SciPy's
-    Lloyd iterations;
+    Lloyd iterations; an empty cluster moves to the farthest frame that is
+    not already an atom, and is dropped when every frame is one;
 ``kmedoid``
     atoms are k-medoid frames under cosine distance (medoids are actual
     frames, chosen by Voronoi iteration);
@@ -155,15 +156,19 @@ def _learn_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) ->
         # empty clusters are re-seated below
         warnings.filterwarnings("ignore", "One of the clusters is empty", UserWarning)
         centroids, labels = kmeans2(data, _kmeans_pp(data, k, state), minit="matrix")
-    # Re-seat empty clusters on the frames farthest from their centroids.
-    counts = np.bincount(labels, minlength=k)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        residual = np.linalg.norm(frames.T - centroids[labels], axis=1)
-        far = np.argsort(residual)[::-1]
-        for slot, frame_idx in zip(empty, far):
-            centroids[slot] = frames[:, frame_idx]
-    return np.maximum(centroids.T, 0.0)
+    # Re-seat each empty cluster on the frame farthest from its centroid that
+    # differs from every atom placed so far; drop the slot when none is left.
+    placed = np.bincount(labels, minlength=k) > 0
+    if not placed.all():
+        residual = np.linalg.norm(data - centroids[labels], axis=1)
+        far = iter(np.argsort(residual)[::-1])
+        for slot in np.flatnonzero(~placed):
+            for frame_idx in far:
+                if not np.any(np.all(centroids[placed] == data[frame_idx], axis=1)):
+                    centroids[slot] = data[frame_idx]
+                    placed[slot] = True
+                    break
+    return np.maximum(centroids[placed].T, 0.0)
 
 
 def _learn_kmedoid(

@@ -3,7 +3,8 @@
 Every regime runs the same blind pipeline, :func:`analyze`, which codes each
 frame in two stages: a short screen against a bank view's whole
 ``[speakers | noises]``, then a full coding against only the speakers the
-screen shortlisted and the noises it detected.  A *regime* only fixes which
+screen shortlisted and the one noise it detected on that frame's side of the
+switch.  A *regime* only fixes which
 bank view that pipeline sees and which ground-truth facts replace its
 answers when a rendered scenario is scored:
 
@@ -106,11 +107,12 @@ class EvalParams:
     """How every run of an evaluation codes its frames.
 
     Each frame is first screened against the whole bank view
-    (:func:`classify_noise`); the :data:`SHORTLIST` speakers that score
-    highest there and the detected noises are then coded with ``solver``
-    (``mu`` or ``asna``), where ``coding_iters`` is the ``mu`` sweep budget.
-    ``to_dict()``, which also records the screen's budget and the shortlist
-    length, is part of every campaign run key.
+    (:func:`classify_noise`); each side of the switch is then coded against
+    the :data:`SHORTLIST` speakers that score highest there and that side's
+    detected noise with ``solver`` (``mu`` or ``asna``), where
+    ``coding_iters`` is the ``mu`` sweep budget.  ``to_dict()``, which also
+    records the screen's budget, the shortlist length and that the noises
+    are coded per side, is part of every campaign run key.
     """
 
     solver: str = "mu"
@@ -123,7 +125,12 @@ class EvalParams:
             raise DataError("coding_iters must be at least 1")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "screen_iters": SCREEN_ITERS, "shortlist": SHORTLIST}
+        return {
+            **asdict(self),
+            "screen_iters": SCREEN_ITERS,
+            "shortlist": SHORTLIST,
+            "shortlist_noise": "per_side",
+        }
 
     def solver_kwargs(self) -> dict:
         """Extra arguments for the shortlist's batch coder implied by these parameters."""
@@ -316,21 +323,27 @@ def analyze(
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
-    """The blind pipeline: screen every frame of one STFT, then code the shortlist.
+    """The blind pipeline: screen every frame of one STFT, then code each side of the switch.
 
     ``front`` holds the signal, its detected speech frames (with
     :data:`VAD_PRIMARY_K` clusters) and its STFT, taken with the bank's own
     settings.  The STFT's magnitude is screened against ``bank``'s whole
     ``[speakers | noises]`` (:func:`classify_noise`); the noise pair, the
     switch and a first speaker ranking over detected speech come from that
-    coding.  Every frame is then coded as ``params`` says against a view of
-    ``bank`` that keeps only the :data:`SHORTLIST` top-ranked speakers and the
-    detected noises, starting (for ``mu``) from the screen's weights on those
-    atoms.  The returned ``noise`` decision carries that second coding and
-    ``screen`` the first.  The ranking is the shortlist in its order there,
-    then the other speakers in screen order; the Wiener mask, applied to the
-    same STFT, is the top speaker's block of the second model over the whole
-    second model.  ``on_stage`` is told the name of each stage as it starts.
+    coding.  The frames before the switch are then coded as ``params`` says
+    against the :data:`SHORTLIST` top-ranked speakers and ``noise_first``,
+    and the frames after it against the same speakers and ``noise_second``,
+    each starting (for ``mu``) from the screen's weights on its own atoms
+    and frames.  A side without frames is not coded; a one-noise bank's
+    switch is at frame 0, so it codes one side.  The two codings fill one
+    weight matrix over the view of ``bank`` that keeps the shortlist and
+    both detected noises, where each side's weights on the other side's
+    noise are 0.  The returned ``noise`` decision carries that matrix and
+    ``screen`` the first coding.  The ranking is the shortlist in its order
+    there, then the other speakers in screen order; the Wiener mask, applied
+    to the same STFT, is the top speaker's block of the second model over
+    the whole second model.  ``on_stage`` is told the name of each stage as
+    it starts.
     """
     config = bank.stft_config
     if front.config != config:
@@ -349,20 +362,31 @@ def analyze(
         exclude_speakers=rest, exclude_noises=set(bank.noise_labels) - detected
     )
     D, groups = view.concatenated()
-    init = np.concatenate([screen.weights[screen.block(*g[:2])] for g in groups])
-    W = code_frames(
-        mag,
-        D,
-        solver=params.solver,
-        blocks=[g[2].start for g in groups],
-        **params.solver_kwargs(),
-        **({"init": init} if params.solver == "mu" else {}),
+    W = np.zeros((D.shape[1], mag.shape[1]))
+    sides = (
+        (slice(0, screen.split), screen.noise_first),
+        (slice(screen.split, mag.shape[1]), screen.noise_second),
     )
+    for frames, noise in sides:
+        if frames.start == frames.stop:
+            continue
+        kept = [g for g in groups if g[0] == "speaker" or g[1] == noise]
+        rows = np.r_[tuple(g[2] for g in kept)]
+        screened = np.r_[tuple(screen.block(*g[:2]) for g in kept)]
+        starts = np.cumsum([0] + [g[2].stop - g[2].start for g in kept[:-1]])
+        W[rows, frames] = code_frames(
+            mag[:, frames],
+            D[:, rows],
+            solver=params.solver,
+            blocks=starts.tolist(),
+            **params.solver_kwargs(),
+            **({"init": screen.weights[screened, frames]} if params.solver == "mu" else {}),
+        )
     decision = replace(screen, dictionary=D, groups=groups, weights=W)
     ranking = rank_speakers(mag, decision, speech_mask) + rest
     on_stage("separation")
     speech_atoms = decision.block("speaker", ranking[0])
-    sep = separate(spectrogram, len(front.samples), D, W, speech_atoms, config)
+    sep = separate(spectrogram, front.samples, D, W, speech_atoms, config)
     return Analysis(front.speech_spans(), screen, decision, ranking, sep)
 
 

@@ -1,11 +1,11 @@
 """Source separation by spectral Wiener masking.
 
 Separation reuses the mixture's spectrogram and the pipeline's final coding
-of its magnitude, against the shortlisted speakers and the detected noises:
-the ratio of the speech atoms' part of the model to the whole model gives a
-soft mask that is applied to that complex spectrogram.  The noise estimate uses the
-complementary mask so the two resynthesized signals sum (up to windowing at
-the edges) back to the mixture.
+of its magnitude, against the shortlisted speakers and each side's detected
+noise: the ratio of the speech atoms' part of the model to the whole model
+gives a soft mask that is applied to that complex spectrogram.  The noise
+estimate is the mixture minus the resynthesized speech, so the two parts sum
+back to the mixture at every sample, edges included.
 """
 
 from __future__ import annotations
@@ -32,18 +32,19 @@ class SeparationResult:
 
 def separate(
     spectrogram: np.ndarray,
-    n_samples: int,
+    mixture: np.ndarray,
     dictionary: np.ndarray,
     weights: np.ndarray,
     speech_atoms: slice,
     config: StftConfig,
 ) -> SeparationResult:
-    """Split a mixture of ``n_samples`` samples into speech and noise estimates.
+    """Split the time signal ``mixture`` into speech and noise estimates.
 
     ``spectrogram`` is the mixture's complex :func:`~.features.stft`;
     ``weights`` codes every frame of its magnitude against ``dictionary``, and
     ``speech_atoms`` selects the dictionary columns (and weight rows) that
-    model speech.
+    model speech.  The speech estimate is the masked spectrogram's inverse
+    STFT and the noise estimate is ``mixture - speech``.
     """
     if weights.shape[1] != spectrogram.shape[1]:
         raise ValueError("separation needs a weight column for every frame")
@@ -51,9 +52,8 @@ def separate(
     mask = speech_model / (dictionary @ weights + EPS)
     np.clip(mask, 0.0, 1.0, out=mask)
 
-    speech = istft(mask * spectrogram, config, n_samples=n_samples)
-    noise = istft((1.0 - mask) * spectrogram, config, n_samples=n_samples)
-    return SeparationResult(speech=speech, noise=noise, mask=mask)
+    speech = istft(mask * spectrogram, config, n_samples=len(mixture))
+    return SeparationResult(speech=speech, noise=mixture - speech, mask=mask)
 
 
 def estimate_snr_db(

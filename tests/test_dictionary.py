@@ -130,7 +130,9 @@ def _reference_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator
 
     Each new seed takes every frame's distance to all earlier seeds,
     ``cdist(init[:i], data).min(axis=0)``; all-zero distances give 0/0
-    shares, and ``searchsorted`` puts every NaN share past the draw.
+    shares, and ``searchsorted`` puts every NaN share past the draw.  An
+    empty cluster takes the farthest frame that equals no atom placed so
+    far; a slot that finds none is dropped.
     """
     data = frames.T
     n = data.shape[0]
@@ -150,10 +152,15 @@ def _reference_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator
         warnings.simplefilter("ignore", UserWarning)
         centroids, labels = kmeans2(data, init, minit="matrix")
     empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
-    far = np.argsort(np.linalg.norm(data - centroids[labels], axis=1))[::-1]
-    for slot, frame_idx in zip(empty, far):
-        centroids[slot] = data[frame_idx]
-    return np.maximum(centroids.T, 0.0)
+    far = list(np.argsort(np.linalg.norm(data - centroids[labels], axis=1))[::-1])
+    atoms = {slot: centroids[slot] for slot in range(k) if slot not in empty}
+    for slot in empty:
+        while far:
+            frame = data[far.pop(0)]
+            if all(not np.array_equal(frame, atom) for atom in atoms.values()):
+                atoms[slot] = frame
+                break
+    return np.maximum(np.array([atoms[slot] for slot in sorted(atoms)]).T, 0.0)
 
 
 #: three distinct frames, each twice: fewer distinct columns than a 5-atom budget
@@ -179,7 +186,8 @@ def test_kmeans_matches_the_quadratic_seeding(frames, case, n_atoms, seed):
     data = {"random": frames, "all_frames": frames[:, :40], "repeated": _TWICE_THREE}[case]
     got = _learn_kmeans(data, n_atoms, np.random.default_rng(seed))
     want = _reference_kmeans(data, n_atoms, np.random.default_rng(seed))
-    assert got.shape == want.shape == (data.shape[0], min(n_atoms, data.shape[1]))
+    distinct = np.unique(data, axis=1).shape[1]
+    assert got.shape == want.shape == (data.shape[0], min(n_atoms, distinct))
     assert got.tobytes() == want.tobytes()
 
 
@@ -198,7 +206,8 @@ def test_kmeans_seeds_on_frame_zero_once_every_frame_is_a_seed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = learn_dictionary(_TWICE_THREE, "kmeans", 5, rng=np.random.default_rng(0))
-    assert np.array_equal(d.atoms, normalize_atoms(_TWICE_THREE[:, [0, 2, 1, 2, 1]]))
+    # the two empty clusters find no frame that is not an atom, so they are dropped
+    assert np.array_equal(d.atoms, normalize_atoms(_TWICE_THREE[:, [0, 2, 1]]))
 
 
 def _reference_ksvd(

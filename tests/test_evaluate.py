@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import sys
@@ -72,6 +73,11 @@ def _before_the_shortlist(params):
     return {"solver": params.solver, "coding_iters": params.coding_iters}
 
 
+def _both_noises_on_every_frame(params):
+    """``EvalParams.to_dict`` as it was before the shortlist coded each side's noise only."""
+    return {**_before_the_shortlist(params), "screen_iters": 50, "shortlist": 2}
+
+
 def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
@@ -86,6 +92,10 @@ def test_run_key_is_pinned(monkeypatch):
         ),
         seed=12345,
     )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "75774c5fef78a9d3b03c"
+    # the key this run had while the shortlist coded both noises on every frame
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _both_noises_on_every_frame)
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
     assert key == "6e7274d48a4e72a62e51"
     # the key this run had before the screen and shortlist settings
@@ -368,38 +378,60 @@ def coding_calls(monkeypatch):
     return calls
 
 
-def _check_screen_then_shortlist(calls, view, params, n_frames, noises=None):
-    """Two codings of every frame: the screen over ``view``, then its shortlist.
+def _mag(samples, config):
+    """The magnitude spectrogram that ``analyze`` codes."""
+    return np.abs(regimes.FrontEnd(samples, config).spectrogram())
 
-    Returns the ``(kind, label)`` of each source the second coding kept.
+
+def _check_screen_then_sides(calls, view, params, mag):
+    """One screen of every frame over ``view``, then one coding per non-empty side of its switch.
+
+    Each side is coded against [the shortlisted speakers | that side's
+    detected noise], starting (``mu``) from the screen's weights on those
+    atoms and frames.  Returns the shortlisted ``(kind, label)`` speakers
+    and the screen.
     """
-    assert len(calls) == 2
-    (screen_shape, screen_D, screen_kw), (shape, D, kw) = calls
-    assert screen_shape == shape == (129, n_frames)
+    calls = list(calls)
+    screen = classify.classify_noise(mag, view)
+    n_frames = mag.shape[1]
+    (screen_shape, screen_D, screen_kw), *coded = calls
+    assert screen_shape == (129, n_frames)
     view_D, groups = view.concatenated()
     assert np.array_equal(screen_D, view_D)
     assert screen_kw == {"solver": "mu", "n_iter": classify.SCREEN_ITERS, "tol": 0.0}
 
-    kept, blocks, start = [], [], 0
-    for kind, label, cols in groups:
-        atoms = view_D[:, cols]
-        if np.array_equal(D[:, start : start + atoms.shape[1]], atoms):
-            kept.append((kind, label))
-            blocks.append(start)
-            start += atoms.shape[1]
-    assert start == D.shape[1]
-    speakers = [label for kind, label in kept if kind == "speaker"]
-    found = {label for kind, label in kept if kind == "noise"}
-    assert 1 <= len(speakers) <= regimes.SHORTLIST
-    assert 1 <= len(found) <= 2
-    if noises is not None:
-        assert found == set(noises)
-    init = kw.pop("init", None)
-    assert kw == {"solver": params.solver, "blocks": blocks, **params.solver_kwargs()}
-    assert (init is None) == (params.solver == "asna")
-    if init is not None:
-        assert init.shape == (D.shape[1], n_frames)
-    return kept
+    sides = [
+        (frames, noise)
+        for frames, noise in (
+            (slice(0, screen.split), screen.noise_first),
+            (slice(screen.split, n_frames), screen.noise_second),
+        )
+        if frames.stop > frames.start
+    ]
+    assert len(coded) == len(sides)
+    shortlists = []
+    for (shape, D, kw), (frames, noise) in zip(coded, sides):
+        assert shape == (129, frames.stop - frames.start)
+        kept, blocks, start = [], [], 0
+        for kind, label, cols in groups:
+            atoms = view_D[:, cols]
+            if np.array_equal(D[:, start : start + atoms.shape[1]], atoms):
+                kept.append((kind, label, cols))
+                blocks.append(start)
+                start += atoms.shape[1]
+        assert start == D.shape[1]
+        speakers = [g[:2] for g in kept if g[0] == "speaker"]
+        assert 1 <= len(speakers) <= regimes.SHORTLIST
+        assert [g[:2] for g in kept if g[0] == "noise"] == [("noise", noise)]
+        init = kw.pop("init", None)
+        assert kw == {"solver": params.solver, "blocks": blocks, **params.solver_kwargs()}
+        assert (init is None) == (params.solver == "asna")
+        if init is not None:
+            screened = np.concatenate([screen.weights[cols, frames] for _, _, cols in kept])
+            assert np.array_equal(init, screened)
+        shortlists.append(speakers)
+    assert all(speakers == shortlists[0] for speakers in shortlists)
+    return shortlists[0], screen
 
 
 @pytest.fixture()
@@ -438,10 +470,16 @@ def test_analyze_signal_codes_the_clip_once(
     params = ss.EvalParams(coding_iters=50)
     analysis, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture, params)
     assert pipeline_calls == {"rfft": 1, "frame_energies": 1, "detect_speech_frames": 1}
-    n_frames = ss.magnitudes(short_rendered.mixture, ss.StftConfig()).shape[1]
-    noises = (analysis["noise_first"], analysis["noise_second"])
-    kept = _check_screen_then_shortlist(coding_calls, kmeans_bank, params, n_frames, noises)
-    assert [label for kind, label in kept if kind == "speaker"] == sorted(
+    # the clip switches noise inside it, so each side is coded once
+    assert len(coding_calls) == 3
+    mag = _mag(short_rendered.mixture, kmeans_bank.stft_config)
+    speakers, screen = _check_screen_then_sides(coding_calls, kmeans_bank, params, mag)
+    assert 0 < screen.split < mag.shape[1]
+    assert (analysis["noise_first"], analysis["noise_second"]) == (
+        screen.noise_first,
+        screen.noise_second,
+    )
+    assert [label for _, label in speakers] == sorted(
         analysis["speaker_ranking"][: regimes.SHORTLIST]
     )
 
@@ -450,9 +488,10 @@ def test_the_asna_shortlist_follows_the_mu_screen(short_rendered, kmeans_bank, c
     params = ss.EvalParams(solver="asna")
     clip = short_rendered.mixture[: 40 * 128]
     analysis, _ = ss.analyze_signal(kmeans_bank, clip, params)
-    n_frames = ss.magnitudes(clip, ss.StftConfig()).shape[1]
-    noises = (analysis["noise_first"], analysis["noise_second"])
-    _check_screen_then_shortlist(coding_calls, kmeans_bank, params, n_frames, noises)
+    mag = _mag(clip, kmeans_bank.stft_config)
+    _, screen = _check_screen_then_sides(coding_calls, kmeans_bank, params, mag)
+    assert analysis["noise_first"] == screen.noise_first
+    assert analysis["noise_second"] == screen.noise_second
 
 
 @pytest.mark.parametrize("regime", ss.ALL_REGIMES)
@@ -472,12 +511,16 @@ def test_every_regime_codes_the_clip_once(
         "frame_energies": 1,
         "detect_speech_frames": len(regimes.VAD_KS),
     }
-    n_frames = ss.magnitudes(short_rendered.mixture, stft_config).shape[1]
-    reported = regime not in ("ground_truth", "updated_noise")
-    noises = (result.noise_first_pred, result.noise_second_pred) if reported else None
     front = regimes.FrontEnd(short_rendered.mixture, stft_config)
     view = ctx.bank_for(regime, short_rendered, front)
-    _check_screen_then_shortlist(coding_calls, view, ctx.params, n_frames, noises)
+    _, screen = _check_screen_then_sides(
+        coding_calls, view, ctx.params, np.abs(front.spectrogram())
+    )
+    if regime not in ("ground_truth", "updated_noise"):
+        assert (result.noise_first_pred, result.noise_second_pred) == (
+            screen.noise_first,
+            screen.noise_second,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -559,7 +602,8 @@ def test_the_shortlist_coding_continues_the_screen(
     short_rendered, corpus, kmeans_bank, monkeypatch
 ):
     # The ground_truth view holds 1 speaker and 2 noises, so the shortlist
-    # keeps all of it and the second coding picks up where the screen stopped.
+    # keeps all of it; each side's coding picks up where the screen stopped
+    # on its frames, without the other side's noise.
     monkeypatch.setattr(
         ss.EvalParams, "solver_kwargs", lambda self: {"n_iter": self.coding_iters, "tol": 0.0}
     )
@@ -568,12 +612,48 @@ def test_the_shortlist_coding_continues_the_screen(
     front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
     view = ctx.bank_for("ground_truth", short_rendered, front)
     found = _analyze(short_rendered.mixture, view, params)
-    mag = ss.magnitudes(short_rendered.mixture.astype(np.float64), view.stft_config)
+    mag = np.abs(front.spectrogram())
     D, groups = view.concatenated()
+    screen = classify.classify_noise(mag, view)
+    assert np.array_equal(found.screen.weights, screen.weights)
     assert found.noise.groups == groups
     assert np.array_equal(found.noise.dictionary, D)
-    expected = solvers.solve_mu(mag, D, n_iter=classify.SCREEN_ITERS + params.coding_iters)
-    assert np.array_equal(found.noise.weights, expected)
+    split, sc = screen.split, short_rendered.scenario
+    assert 0 < split < mag.shape[1]
+    assert (screen.noise_first, screen.noise_second) == (sc.noise_first, sc.noise_second)
+    for frames, noise, other in (
+        (slice(0, split), sc.noise_first, sc.noise_second),
+        (slice(split, None), sc.noise_second, sc.noise_first),
+    ):
+        rows = np.r_[found.noise.block("speaker", sc.speaker), found.noise.block("noise", noise)]
+        expected = solvers.solve_mu(
+            mag[:, frames], D[:, rows], n_iter=params.coding_iters, init=screen.weights[rows, frames]
+        )
+        assert np.array_equal(found.noise.weights[rows, frames], expected)
+        assert np.all(found.noise.weights[found.noise.block("noise", other), frames] == 0.0)
+
+
+@pytest.mark.parametrize("where", ["first_frame", "after_the_last_frame"])
+def test_a_switch_at_either_end_codes_one_side(
+    where, short_rendered, kmeans_bank, coding_calls, monkeypatch
+):
+    original = regimes.classify_noise
+
+    def moved(mag, bank):
+        screen = original(mag, bank)
+        return dataclasses.replace(screen, split=0 if where == "first_frame" else mag.shape[1])
+
+    monkeypatch.setattr(regimes, "classify_noise", moved)
+    found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
+    n_frames = found.noise.weights.shape[1]
+    coded = coding_calls[1:]
+    assert [shape for shape, _, _ in coded] == [(129, n_frames)]
+    kept, absent = found.screen.noise_second, found.screen.noise_first
+    if where == "after_the_last_frame":
+        kept, absent = absent, kept
+    assert kept != absent
+    assert np.all(found.noise.weights[found.noise.block("noise", absent)] == 0.0)
+    assert np.all(found.noise.weights[found.noise.block("noise", kept)] > 0.0)
 
 
 @pytest.mark.parametrize("shortlist", [1, 2, 3, 10])
@@ -609,12 +689,17 @@ def test_the_ranking_is_the_shortlist_then_the_screen_order(
     assert np.array_equal(found.separation.mask, wiener)
 
 
-def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank):
+def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank, coding_calls):
     noise = short_rendered.scenario.noise_first
     view = kmeans_bank.restricted(exclude_noises=set(kmeans_bank.noise_labels) - {noise})
     params = ss.EvalParams(coding_iters=50)
     analysis, sep = ss.analyze_signal(view, short_rendered.mixture, params)
     assert analysis["noise_first"] == analysis["noise_second"] == noise
+    # the screen, then one coding of every frame against the shortlist and the one noise
+    assert len(coding_calls) == 2
+    mag = _mag(short_rendered.mixture, view.stft_config)
+    _, screen = _check_screen_then_sides(coding_calls, view, params, mag)
+    assert screen.split == 0
     assert sorted(analysis["speaker_ranking"]) == sorted(kmeans_bank.speaker_labels)
     assert sep.speech.shape == short_rendered.mixture.shape
 
@@ -690,9 +775,8 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     assert analysis["noise_second"] == decision.noise_second
     assert analysis["noise_transition_s"] == round(decision.transition_s, 4)
 
-    interior = slice(config.n_fft, len(mixture) - config.n_fft)
-    resum = sep.speech + sep.noise
-    assert np.allclose(resum[interior], mixture[interior], rtol=0, atol=1e-9)
+    # the noise estimate is the rest of the mixture, edges included
+    assert np.array_equal(sep.noise, mixture.astype(np.float64) - sep.speech)
 
 
 def test_stopping_sweeps_early_keeps_the_decisions(short_rendered, kmeans_bank, monkeypatch):

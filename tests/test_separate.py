@@ -35,7 +35,7 @@ def synthetic_mixture(stft_config):
 
 def test_mask_is_a_valid_soft_mask(synthetic_mixture, stft_config):
     mixture, _, _, D, W, spk = synthetic_mixture
-    result = ss.separate(stft(mixture, stft_config), len(mixture), D, W, spk, stft_config)
+    result = ss.separate(stft(mixture, stft_config), mixture, D, W, spk, stft_config)
     assert result.mask.min() >= 0.0
     assert result.mask.max() <= 1.0
     assert result.speech.shape == mixture.shape
@@ -44,19 +44,18 @@ def test_mask_is_a_valid_soft_mask(synthetic_mixture, stft_config):
 
 def test_components_sum_back_to_the_mixture(synthetic_mixture, stft_config):
     mixture, _, _, D, W, spk = synthetic_mixture
-    result = ss.separate(stft(mixture, stft_config), len(mixture), D, W, spk, stft_config)
-    # Complementary masks mean speech + noise == istft(X), which matches the
-    # input away from the windowed edges.
-    resum = result.speech + result.noise
-    direct = istft(stft(mixture, stft_config), stft_config, n_samples=len(mixture))
-    assert np.allclose(resum, direct, atol=1e-10)
-    interior = slice(stft_config.n_fft, len(mixture) - stft_config.n_fft)
-    assert np.allclose(resum[interior], mixture[interior], atol=1e-10)
+    result = ss.separate(stft(mixture, stft_config), mixture, D, W, spk, stft_config)
+    # The speech is the masked spectrogram's inverse; the noise is the rest of
+    # the mixture, so the parts sum to it at every sample, edges included.
+    masked = istft(result.mask * stft(mixture, stft_config), stft_config, n_samples=len(mixture))
+    assert np.array_equal(result.speech, masked)
+    assert np.array_equal(result.noise, mixture - result.speech)
+    assert np.allclose(result.speech + result.noise, mixture, rtol=0, atol=1e-12)
 
 
 def test_separation_improves_on_the_mixture(synthetic_mixture, stft_config):
     mixture, speech, noise, D, W, spk = synthetic_mixture
-    result = ss.separate(stft(mixture, stft_config), len(mixture), D, W, spk, stft_config)
+    result = ss.separate(stft(mixture, stft_config), mixture, D, W, spk, stft_config)
     interior = slice(stft_config.n_fft, len(mixture) - stft_config.n_fft)
     before = ss.si_sdr_db(speech[interior], mixture[interior])
     after = ss.si_sdr_db(speech[interior], result.speech[interior])
@@ -65,22 +64,22 @@ def test_separation_improves_on_the_mixture(synthetic_mixture, stft_config):
 
 def test_mask_is_the_speech_share_of_the_model(synthetic_mixture, stft_config):
     mixture, _, _, D, W, spk = synthetic_mixture
-    result = ss.separate(stft(mixture, stft_config), len(mixture), D, W, spk, stft_config)
+    result = ss.separate(stft(mixture, stft_config), mixture, D, W, spk, stft_config)
     model = D @ W
     expected = np.clip(np.outer(D[:, 0], W[0]) / (model + 1e-12), 0.0, 1.0)
     assert np.allclose(result.mask, expected, rtol=0, atol=1e-12)
     # speech-only atoms take the whole frame; no speech atoms leave it to noise
     X = stft(mixture, stft_config)
     assert np.allclose(
-        ss.separate(X, len(mixture), D, W, slice(0, 2), stft_config).mask[model > 0], 1.0
+        ss.separate(X, mixture, D, W, slice(0, 2), stft_config).mask[model > 0], 1.0
     )
-    assert np.all(ss.separate(X, len(mixture), D, W, slice(0, 0), stft_config).mask == 0.0)
+    assert np.all(ss.separate(X, mixture, D, W, slice(0, 0), stft_config).mask == 0.0)
 
 
 def test_separation_needs_every_frame_coded(synthetic_mixture, stft_config):
     mixture, _, _, D, W, spk = synthetic_mixture
     with pytest.raises(ValueError):
-        ss.separate(stft(mixture, stft_config), len(mixture), D, W[:, ::2], spk, stft_config)
+        ss.separate(stft(mixture, stft_config), mixture, D, W[:, ::2], spk, stft_config)
 
 
 def test_estimate_snr_restricts_to_spans(stft_config):
