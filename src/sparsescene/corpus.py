@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import butter, sosfilt, lfilter
 
 from .errors import DataError
 
@@ -97,6 +96,10 @@ def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
 
 
 def _bandpass(x: np.ndarray, sr: int, lo: float, hi: float, order: int = 4) -> np.ndarray:
+    # scipy.signal is imported where a filter is made, so that `import
+    # sparsescene` does not load it for the commands that synthesise no audio
+    from scipy.signal import butter, sosfilt
+
     sos = butter(order, [lo, hi], btype="bandpass", fs=sr, output="sos")
     return sosfilt(sos, x)
 
@@ -163,6 +166,8 @@ _NOISE_SYNTHS = {
 
 
 def _resonator(x: np.ndarray, sr: int, fc: float, bw: float) -> np.ndarray:
+    from scipy.signal import lfilter
+
     r = np.exp(-np.pi * bw / sr)
     a = np.array([1.0, -2.0 * r * np.cos(2 * np.pi * fc / sr), r * r])
     b = np.array([1.0 - r])
@@ -170,6 +175,8 @@ def _resonator(x: np.ndarray, sr: int, fc: float, bw: float) -> np.ndarray:
 
 
 def _synth_utterance(rng: np.random.Generator, voice: dict, sr: int) -> np.ndarray:
+    from scipy.signal import lfilter
+
     duration = rng.uniform(1.4, 2.4)
     n = int(duration * sr)
     f_lo, f_hi = voice["f0"]

@@ -40,8 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
-from scipy.spatial.distance import cdist
 
 from .errors import DataError
 
@@ -136,6 +134,8 @@ def _kmeans_pp(data: np.ndarray, k: int, state: np.random.RandomState) -> np.nda
     coincides with a seed (``D²`` sums to 0) the next seed is row 0, where
     SciPy's 0/0 shares land, and the ``uniform()`` is still drawn.
     """
+    from scipy.spatial.distance import cdist
+
     n = data.shape[0]
     seeds = np.empty((k, data.shape[1]))
     seeds[0] = data[state.randint(n, dtype=np.int64)]
@@ -149,6 +149,9 @@ def _kmeans_pp(data: np.ndarray, k: int, state: np.random.RandomState) -> np.nda
 
 
 def _learn_kmeans(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
+    # imported here, so that `import sparsescene` does not load scipy.cluster
+    from scipy.cluster.vq import kmeans2
+
     data = np.ascontiguousarray(frames.T)
     k = min(n_atoms, data.shape[0])
     state = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
@@ -212,14 +215,18 @@ def _learn_ksvd(
 ) -> np.ndarray:
     """K-SVD with non-negative rank-one atom updates.
 
-    Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``, keeps the
-    ``sparsity`` largest weights per frame, then sweeps the atoms in order.
-    The first round codes from the uniform start with
+    Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``'s sweeps,
+    keeps the ``sparsity`` largest weights per frame, then sweeps the atoms
+    in order.  The frames are scaled and cast to float32 once, before the
+    first round.  The first round codes from the uniform start with
     :data:`KSVD_COLD_SWEEPS` sweeps.  Every later round starts from the
-    previous round's dense weights, taken before the sparsification, and
+    previous round's float32 weights, taken before the sparsification, and
     runs :data:`KSVD_WARM_SWEEPS` sweeps: the frames are the same and the
     atoms moved little, so the codes need only be refined, as alternating
     NMF refines its codes between factor updates (Lee & Seung, NIPS 2001).
+    Each round's dense weights are bit for bit
+    ``solve_mu(frames, atoms, n_iter=sweeps, init=previous_dense)``, since
+    scaling by a power of two and back is exact.
     Atom ``j`` with weight row ``x = X[j]`` and users ``u`` (frames where
     ``x > 0``) becomes the clipped, normalised ``residual @ x_u``, and its
     weights on ``u`` become the clipped ``atom @ residual``, where
@@ -233,14 +240,16 @@ def _learn_ksvd(
     An atom without users is re-seated on the worst-fitted frame, and one
     whose update clips to zero on a frame drawn from ``rng``.
     """
-    from .solvers import solve_mu
+    from . import solvers
 
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
     k = atoms.shape[1]
-    dense = None
-    for _ in range(n_iter):
-        sweeps = KSVD_COLD_SWEEPS if dense is None else KSVD_WARM_SWEEPS
-        dense = solve_mu(frames, atoms, n_iter=sweeps, init=dense)
+    frames, _, _, _ = solvers._check_inputs(frames, atoms)
+    obs, scaled = solvers._prepare(frames, k)
+    dense = np.zeros((k, frames.shape[1]))
+    for i in range(n_iter):
+        sweeps = KSVD_WARM_SWEEPS if i else KSVD_COLD_SWEEPS
+        scaled = solvers._sweeps(obs, atoms, atoms.sum(axis=0), scaled, sweeps, dense)
         X = dense.copy()
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:

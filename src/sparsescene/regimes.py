@@ -60,7 +60,7 @@ from .features import StftConfig, frame_energies, frame_times, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
-from .solvers import code_frames
+from .solvers import CHECK_EVERY, code_frames
 from .training import _gate_silence, relearn_speakers
 from .vad import (
     detect_speech_frames,
@@ -100,6 +100,9 @@ VAD_PRIMARY_K = 2
 MIN_SPEECH_FRAMES = 3
 #: how many of the screen's top-ranked speakers the pipeline codes again
 SHORTLIST = 2
+#: the shortlist's ``mu`` settle test: a frame stops at the first check, every
+#: ``CHECK_EVERY`` (5) sweeps, where its block shares moved by at most this
+SETTLE_TOL = 2e-4
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,12 @@ class EvalParams:
     (:func:`classify_noise`); each side of the switch is then coded against
     the :data:`SHORTLIST` speakers that score highest there and that side's
     detected noise with ``solver`` (``mu`` or ``asna``), where
-    ``coding_iters`` is the ``mu`` sweep budget.  ``to_dict()``, which also
-    records the screen's budget, the shortlist length and that the noises
-    are coded per side, is part of every campaign run key.
+    ``coding_iters`` is the ``mu`` sweep budget.  A ``mu`` frame stops
+    earlier, at the first check every :data:`~sparsescene.solvers.CHECK_EVERY`
+    (5) sweeps where its block shares moved by at most :data:`SETTLE_TOL`
+    (2e-4), that is 4e-5 per sweep.  ``to_dict()``, which also records the
+    screen's budget, the shortlist length, that the noises are coded per
+    side and that settle rule, is part of every campaign run key.
     """
 
     solver: str = "mu"
@@ -130,12 +136,13 @@ class EvalParams:
             "screen_iters": SCREEN_ITERS,
             "shortlist": SHORTLIST,
             "shortlist_noise": "per_side",
+            "settle": {"every": CHECK_EVERY, "tol": SETTLE_TOL},
         }
 
     def solver_kwargs(self) -> dict:
         """Extra arguments for the shortlist's batch coder implied by these parameters."""
         if self.solver == "mu":
-            return {"n_iter": self.coding_iters, "tol": 1e-3}
+            return {"n_iter": self.coding_iters, "tol": SETTLE_TOL}
         return {}
 
 
@@ -143,10 +150,10 @@ class FrontEnd:
     """One signal's front end: what every stage before the coding reads.
 
     These are the float64 samples, the frame energies, the detector's speech
-    mask and speech spans per cluster count, and the STFT, each taken with
-    ``config`` on first use and then kept.  The regimes of one rendered
-    mixture share one front end, so they frame, cluster and transform the
-    mixture once between them.  A piece whose computation raises is not
+    mask and speech spans per cluster count, the STFT and its magnitude, each
+    taken with ``config`` on first use and then kept.  The regimes of one
+    rendered mixture share one front end, so they frame, cluster and
+    transform the mixture once between them.  A piece whose computation raises is not
     kept: each regime that needs it computes it again and fails at its own
     stage, as it would alone.  The kept arrays are shared; readers must not
     write to them.
@@ -178,6 +185,10 @@ class FrontEnd:
 
     def spectrogram(self) -> np.ndarray:
         return self._once("spectrogram", lambda: stft(self.samples, self.config))
+
+    def magnitude(self) -> np.ndarray:
+        """The STFT's magnitude, the features every coding reads."""
+        return self._once("magnitude", lambda: np.abs(self.spectrogram()))
 
 
 class RegimeContext:
@@ -279,11 +290,11 @@ def _adapted_noises(
 ) -> tuple[LearnedDictionary, LearnedDictionary]:
     """Learn one noise dictionary per side of the scenario's switch from its noise-only frames.
 
-    ``front`` is the front end of ``rendered``'s mixture; its spectrogram's
-    magnitude is the feature matrix.
+    ``front`` is the front end of ``rendered``'s mixture; its magnitude is
+    the feature matrix.
     """
     config = ctx.bank.stft_config
-    mag = np.abs(front.spectrogram())
+    mag = front.magnitude()
     n_frames = mag.shape[1]
     speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
     first_half = frame_times(n_frames, config) < rendered.transition_s
@@ -351,7 +362,7 @@ def analyze(
     speech_mask = front.speech_mask()
     on_stage("features")
     spectrogram = front.spectrogram()
-    mag = np.abs(spectrogram)
+    mag = front.magnitude()
     on_stage("noise_id")
     screen = classify_noise(mag, bank)
     on_stage("speaker_id")

@@ -24,6 +24,7 @@ solvers approach the same optimum and can be used to cross-check each other:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +41,7 @@ EPS = 1e-12
 FLOOR = float(np.float32(1e-20))
 
 #: sweeps between :func:`solve_mu`'s per-column stopping checks when ``tol > 0``
-CHECK_EVERY = 25
+CHECK_EVERY = 5
 
 
 def generalized_kl(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -102,6 +103,111 @@ def _block_shares(X: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return sums / np.sum(sums, axis=0)
 
 
+@dataclass(frozen=True)
+class _Scaled:
+    """Observations ready for :func:`_sweeps`.
+
+    ``Ys`` holds the live columns ``live`` of the observations divided by
+    ``scale``, the smallest power of two above their mean, as
+    Fortran-ordered float32.
+    """
+
+    Ys: np.ndarray
+    live: np.ndarray
+    scale: float
+
+
+def _prepare(
+    Y: np.ndarray, n_atoms: int, init: np.ndarray | None = None
+) -> tuple[_Scaled, np.ndarray]:
+    """Scale the checked float64 observations ``(P, N)`` for the sweeps.
+
+    A column is live when it sums to more than ``EPS * scale``; observations
+    whose mean is 0 have no live column.  Also returns the float32 start
+    weights ``(n_atoms, live)`` in scaled units: ``mean / n_atoms``, or
+    ``init`` floored at :data:`FLOOR`.
+    """
+    N = Y.shape[1]
+    mean = float(np.mean(Y)) if Y.size else 0.0
+    scale = float(np.ldexp(1.0, np.frexp(mean)[1])) if mean > 0.0 else 1.0
+    live = np.flatnonzero(np.sum(Y, axis=0) > EPS * scale) if mean > 0.0 else np.arange(0)
+    gather = live.size < N
+    # Scale straight into Fortran-ordered float32: one pass, no temporaries.
+    Ys = np.empty((Y.shape[0], live.size), dtype=np.float32, order="F")
+    np.divide(Y[:, live] if gather else Y, scale, out=Ys, casting="same_kind")
+    if init is None:
+        Xl = np.full((n_atoms, live.size), mean / scale / n_atoms, dtype=np.float32, order="F")
+    else:
+        # FLOOR is exact in float32, so flooring after the cast gives the same bits
+        Xl = np.empty((n_atoms, live.size), dtype=np.float32, order="F")
+        np.divide(init[:, live] if gather else init, scale, out=Xl, casting="same_kind")
+        np.maximum(Xl, FLOOR, out=Xl)
+    return _Scaled(Ys, live, scale), Xl
+
+
+def _unscale(X: np.ndarray, cols: np.ndarray, Xl: np.ndarray, scale: float) -> None:
+    """Write the float32 weights ``Xl`` times ``scale`` into columns ``cols`` of float64 ``X``.
+
+    The product is taken in float64, where a power of two scales exactly.
+    """
+    if cols.size == X.shape[1]:
+        np.multiply(Xl, scale, out=X, dtype=np.float64)
+    else:
+        X[:, cols] = np.multiply(Xl, scale, dtype=np.float64)
+
+
+def _sweeps(
+    obs: _Scaled,
+    B: np.ndarray,
+    colsum: np.ndarray,
+    Xl: np.ndarray,
+    n_iter: int,
+    X: np.ndarray,
+    tol: float = 0.0,
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Run up to ``n_iter`` multiplicative-update sweeps from the float32 weights ``Xl``.
+
+    ``Xl`` holds one column per live column of ``obs`` and is updated in
+    place.  Each sweep forms the model ``B @ Xl``, its :data:`EPS` floor and
+    the ratio ``Ys / (B @ Xl)`` in one float32 buffer, then multiplies the
+    weights by ``(B / colsum).T`` times that ratio and floors them at
+    :data:`FLOOR`.  With ``tol > 0`` a column stops at the first check, every
+    :data:`CHECK_EVERY` sweeps, where its share of weight per block (starting
+    at ``starts``) has moved by at most ``tol`` since the previous check.
+    Each column's final weights, times ``obs.scale``, go into its column of
+    the float64 result ``X``.  Returns the float32 weights of the columns
+    that ran all ``n_iter`` sweeps: with ``tol=0``, ``Xl`` itself.
+    """
+    Bs = B.astype(np.float32)
+    Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
+    live, Ys = obs.live, obs.Ys
+    buf = np.empty_like(Ys)
+    update = np.empty_like(Xl)
+    shares = _block_shares(Xl, starts) if tol > 0.0 else None
+    for it in range(n_iter):
+        np.matmul(Bs, Xl, out=buf)
+        np.maximum(buf, EPS, out=buf)
+        np.divide(Ys, buf, out=buf)
+        np.matmul(Bt_scaled, buf, out=update)
+        Xl *= update
+        np.maximum(Xl, FLOOR, out=Xl)
+        if tol > 0.0 and (it + 1) % CHECK_EVERY == 0:
+            now = _block_shares(Xl, starts)
+            done = np.max(np.abs(now - shares), axis=0) <= tol
+            if np.any(done):
+                _unscale(X, live[done], Xl[:, done], obs.scale)
+                keep = ~done
+                live, Ys, Xl, now = live[keep], Ys[:, keep], Xl[:, keep], now[:, keep]
+                if live.size == 0:
+                    return Xl
+                buf = np.empty_like(Ys)
+                update = np.empty_like(Xl)
+            shares = now
+    _unscale(X, live, Xl, obs.scale)
+    return Xl
+
+
 def solve_mu(
     y: np.ndarray,
     dictionary: np.ndarray,
@@ -136,12 +242,14 @@ def solve_mu(
     n_iter : int
         Maximum number of update sweeps.
     tol : float
-        If positive, every :data:`CHECK_EVERY` sweeps each column's share of
-        its total weight per atom block is compared with the previous check
+        If positive, every :data:`CHECK_EVERY` (5) sweeps each column's share
+        of its total weight per atom block is compared with the previous check
         (the first check compares with the start's shares: uniform, or those
         of ``init``).  A column whose largest share change is at most ``tol``
-        stops there and leaves the sweeps, which go on over the other columns.  ``tol=0`` runs every
-        column for the full ``n_iter`` sweeps.
+        stops there and leaves the sweeps, which go on over the other columns.
+        The pipeline's shortlist coding uses ``tol=2e-4``, a change of at most
+        4e-5 per sweep.  ``tol=0`` runs every column for the full ``n_iter``
+        sweeps.
     blocks : sequence of int, optional
         Start index of each contiguous block of atoms, beginning at 0 and
         increasing; only the stopping test reads it.  The default puts each
@@ -172,48 +280,9 @@ def solve_mu(
         init = init.reshape(M, -1)
 
     X = np.zeros((M, N), dtype=np.float64)
-    mean = float(np.mean(Y)) if Y.size else 0.0
-    if mean > 0.0:
-        scale = float(np.ldexp(1.0, np.frexp(mean)[1]))
-        live = np.flatnonzero(np.sum(Y, axis=0) > EPS * scale)
-        gather = live.size < N
-        # Scale straight into Fortran-ordered float32: one pass, no temporaries.
-        Ys = np.empty((Y.shape[0], live.size), dtype=np.float32, order="F")
-        np.divide(Y[:, live] if gather else Y, scale, out=Ys, casting="same_kind")
-        Bs = B.astype(np.float32)
-        Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
-        if init is None:
-            Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32, order="F")
-        else:
-            # FLOOR is exact in float32, so flooring after the cast gives the same bits
-            Xl = np.empty((M, live.size), dtype=np.float32, order="F")
-            np.divide(init[:, live] if gather else init, scale, out=Xl, casting="same_kind")
-            np.maximum(Xl, FLOOR, out=Xl)
-        Yhat = np.empty_like(Ys)
-        ratio = np.empty_like(Ys)
-        update = np.empty_like(Xl)
-        shares = _block_shares(Xl, starts) if tol > 0.0 else None
-        for it in range(n_iter):
-            np.matmul(Bs, Xl, out=Yhat)
-            np.maximum(Yhat, EPS, out=Yhat)
-            np.divide(Ys, Yhat, out=ratio)
-            np.matmul(Bt_scaled, ratio, out=update)
-            Xl *= update
-            np.maximum(Xl, FLOOR, out=Xl)
-            if tol > 0.0 and (it + 1) % CHECK_EVERY == 0:
-                now = _block_shares(Xl, starts)
-                done = np.max(np.abs(now - shares), axis=0) <= tol
-                if np.any(done):
-                    X[:, live[done]] = Xl[:, done].astype(np.float64) * scale
-                    keep = ~done
-                    live, Ys, Xl, now = live[keep], Ys[:, keep], Xl[:, keep], now[:, keep]
-                    if live.size == 0:
-                        break
-                    Yhat = np.empty_like(Ys)
-                    ratio = np.empty_like(Ys)
-                    update = np.empty_like(Xl)
-                shares = now
-        X[:, live] = Xl.astype(np.float64) * scale
+    obs, Xl = _prepare(Y, M, init)
+    if obs.live.size:
+        _sweeps(obs, B, colsum, Xl, n_iter, X, tol, starts)
     if not np.all(np.isfinite(X)):
         raise NumericalError("multiplicative updates diverged")
     return X[:, 0] if single else X

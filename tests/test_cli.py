@@ -347,6 +347,16 @@ def test_python_dash_m_runs_the_cli():
     assert run("sparsescene.cli", "learn-dict").returncode == 1
 
 
+def test_importing_the_package_loads_neither_scipy_signal_nor_scipy_cluster():
+    # Only corpus synthesis and the k-means learner need them, so `classify`
+    # and `separate` do not pay for loading them.
+    env = dict(os.environ, PYTHONPATH=str(Path(ss.__file__).parents[1]))
+    probe = "import sys, sparsescene; print(sorted(set(sys.modules) & {'scipy.signal', 'scipy.cluster'}))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_separate_writes_component_wavs(cli_bank, short_wav, tmp_path, capsys):
     prefix = tmp_path / "sep" / "mix"
     code, summary = _run(

@@ -274,14 +274,15 @@ def test_ksvd_matches_the_residual_matrix_loop_for_an_atom_without_users(
     sparse_frames, monkeypatch
 ):
     codings = []
-    solve_mu = solvers.solve_mu
+    sweeps = solvers._sweeps
 
-    def recorded(*args, **kwargs):
-        X = solve_mu(*args, **kwargs)
+    def recorded(*args):
+        X = sweeps(*args)
         codings.append(X.copy())
         return X
 
-    monkeypatch.setattr(solvers, "solve_mu", recorded)
+    # Both learners' codings run through the sweep loop.
+    monkeypatch.setattr(solvers, "_sweeps", recorded)
     _assert_ksvd_matches_reference(sparse_frames, 6, 0, sparsity=1)
     # With one weight kept per frame, an atom that is no frame's largest has no users.
     k = codings[0].shape[0]
@@ -301,17 +302,69 @@ def test_ksvd_matches_the_residual_matrix_loop_through_a_reseed(sparse_frames):
 
 def test_ksvd_codes_the_frames_once_per_round(frames, monkeypatch):
     calls = []
-    solve_mu = solvers.solve_mu
+    sweeps = solvers._sweeps
 
-    def counted(*args, **kwargs):
-        X = solve_mu(*args, **kwargs)
-        calls.append((kwargs.get("n_iter"), kwargs.get("init"), X.copy()))
-        return X
+    def counted(obs, B, colsum, Xl, n_iter, X, *args):
+        start = Xl.copy()
+        out = sweeps(obs, B, colsum, Xl, n_iter, X, *args)
+        calls.append((obs, n_iter, start, out.copy()))
+        return out
 
-    monkeypatch.setattr(solvers, "solve_mu", counted)
+    monkeypatch.setattr(solvers, "_sweeps", counted)
     learn_dictionary(frames, "ksvd", 10, rng=np.random.default_rng(0))
-    assert [n_iter for n_iter, _, _ in calls] == [60] + [20] * 9
-    assert calls[0][1] is None
-    # Each later round starts from the previous round's dense weights.
-    for (_, _, previous), (_, init, _) in zip(calls, calls[1:]):
-        assert np.array_equal(init, previous)
+    assert [n_iter for _, n_iter, _, _ in calls] == [60] + [20] * 9
+    # The frames are prepared once, and the first round starts uniform.
+    assert all(obs is calls[0][0] for obs, _, _, _ in calls)
+    assert np.all(calls[0][2] == calls[0][2][0, 0])
+    # Each later round starts from the previous round's float32 weights.
+    for (_, _, _, previous), (_, _, start, _) in zip(calls, calls[1:]):
+        assert start.dtype == np.float32 and np.array_equal(start, previous)
+
+
+def _ksvd_coding_each_round_with_solve_mu(frames, n_atoms, rng, n_iter=10, sparsity=5):
+    """``_learn_ksvd`` as it was when each round called ``solve_mu``, kept verbatim."""
+    atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
+    k = atoms.shape[1]
+    dense = None
+    for _ in range(n_iter):
+        sweeps = 60 if dense is None else 20
+        dense = solvers.solve_mu(frames, atoms, n_iter=sweeps, init=dense)
+        X = dense.copy()
+        if sparsity < k:
+            order = np.argsort(X, axis=0)
+            X[order[: k - sparsity, :], np.arange(X.shape[1])[None, :]] = 0.0
+        FX = frames @ X.T
+        for j in range(k):
+            x = X[j]
+            users = np.flatnonzero(x > 0)
+            if users.size == 0:
+                worst = int(np.argmax(np.sum((frames - atoms @ X) ** 2, axis=0)))
+                atom = frames[:, worst].copy()
+            else:
+                atom = FX[:, j] - atoms @ (X @ x) + atoms[:, j] * (x @ x)
+                np.maximum(atom, 0.0, out=atom)
+            norm = np.linalg.norm(atom)
+            if norm <= 1e-12:
+                atom = frames[:, int(rng.integers(frames.shape[1]))].copy()
+                norm = np.linalg.norm(atom)
+            atom /= norm
+            if users.size:
+                weights = (
+                    (atom @ frames)[users]
+                    - (atom @ atoms) @ X[:, users]
+                    + (atom @ atoms[:, j]) * x[users]
+                )
+                X[j, users] = np.maximum(weights, 0.0)
+            atoms[:, j] = atom
+    return atoms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("silent", [False, True], ids=["all_live", "silent_column"])
+def test_ksvd_codes_as_one_solve_mu_per_round_bit_for_bit(frames, seed, silent):
+    F = frames.copy()
+    if silent:
+        F[:, 7] = 0.0
+    got = _learn_ksvd(F, 12, np.random.default_rng(seed))
+    want = _ksvd_coding_each_round_with_solve_mu(F, 12, np.random.default_rng(seed))
+    assert np.array_equal(got, want)

@@ -78,6 +78,11 @@ def _both_noises_on_every_frame(params):
     return {**_before_the_shortlist(params), "screen_iters": 50, "shortlist": 2}
 
 
+def _before_the_settle_rule(params):
+    """``EvalParams.to_dict`` as it was before it recorded the shortlist's settle rule."""
+    return {**_both_noises_on_every_frame(params), "shortlist_noise": "per_side"}
+
+
 def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
@@ -92,6 +97,10 @@ def test_run_key_is_pinned(monkeypatch):
         ),
         seed=12345,
     )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "d77b03c1e47458d0f1e7"
+    # the key this run had while the shortlist settled every 25 sweeps at tol 1e-3
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_settle_rule)
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
     assert key == "75774c5fef78a9d3b03c"
     # the key this run had while the shortlist coded both noises on every frame

@@ -162,6 +162,69 @@ def test_columns_stop_at_their_own_check_and_keep_their_place():
     assert np.all(X[:, 3] == 0.0)
 
 
+def test_a_warm_start_whose_shares_have_settled_stops_at_the_first_check():
+    assert CHECK_EVERY == 5
+    y, B = _random_problem(24)
+    stop = {"tol": 2e-4, "blocks": [0, 3, 5]}
+    # From the uniform start the shares still move at the first check.
+    cold = solve_mu(y, B, n_iter=400, **stop)
+    assert not np.array_equal(cold, solve_mu(y, B, n_iter=CHECK_EVERY))
+    # 300 sweeps settle the shares, but the weights still move.
+    settled = solve_mu(y, B, n_iter=300)
+    x = solve_mu(y, B, n_iter=400, init=settled, **stop)
+    assert np.array_equal(x, solve_mu(y, B, n_iter=CHECK_EVERY, init=settled))
+    assert not np.array_equal(x, solve_mu(y, B, n_iter=CHECK_EVERY + 1, init=settled))
+
+
+def _two_buffer_mu(Y, B, n_iter, init=None):
+    """``solve_mu`` at ``tol=0`` as it was with separate model and ratio buffers, kept verbatim."""
+    B = np.asarray(B, dtype=np.float64)
+    M, N = B.shape[1], Y.shape[1]
+    colsum = np.sum(B, axis=0)
+    X = np.zeros((M, N), dtype=np.float64)
+    mean = float(np.mean(Y))
+    scale = float(np.ldexp(1.0, np.frexp(mean)[1]))
+    live = np.flatnonzero(np.sum(Y, axis=0) > EPS * scale)
+    gather = live.size < N
+    Ys = np.empty((Y.shape[0], live.size), dtype=np.float32, order="F")
+    np.divide(Y[:, live] if gather else Y, scale, out=Ys, casting="same_kind")
+    Bs = B.astype(np.float32)
+    Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
+    if init is None:
+        Xl = np.full((M, live.size), mean / scale / M, dtype=np.float32, order="F")
+    else:
+        Xl = np.empty((M, live.size), dtype=np.float32, order="F")
+        np.divide(init[:, live] if gather else init, scale, out=Xl, casting="same_kind")
+        np.maximum(Xl, FLOOR, out=Xl)
+    Yhat = np.empty_like(Ys)
+    ratio = np.empty_like(Ys)
+    update = np.empty_like(Xl)
+    for _ in range(n_iter):
+        np.matmul(Bs, Xl, out=Yhat)
+        np.maximum(Yhat, EPS, out=Yhat)
+        np.divide(Ys, Yhat, out=ratio)
+        np.matmul(Bt_scaled, ratio, out=update)
+        Xl *= update
+        np.maximum(Xl, FLOOR, out=Xl)
+    X[:, live] = Xl.astype(np.float64) * scale
+    return X
+
+
+@pytest.mark.parametrize("P, M", [(12, 40), (30, 8)], ids=["screen_like", "ksvd_like"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("silent", [False, True], ids=["all_live", "silent_column"])
+def test_one_buffer_sweeps_equal_the_two_buffer_sweeps_bit_for_bit(P, M, warm, silent):
+    rng = np.random.default_rng(P * M)
+    B = np.abs(rng.standard_normal((P, M))) + 0.05
+    B /= np.linalg.norm(B, axis=0)
+    Y = np.abs(rng.standard_normal((P, 9))) * 37.0
+    if silent:
+        Y[:, 4] = 0.0
+    init = rng.random((M, 9)) * (rng.random((M, 9)) < 0.7) if warm else None
+    X = solve_mu(Y, B, n_iter=120, init=init)
+    assert np.array_equal(X, _two_buffer_mu(Y, B, 120, init))
+
+
 @pytest.mark.parametrize(
     "blocks",
     [[1, 4], [0, 4, 4], [0, 5, 3], [0, 8], [0, -1], [], [0.0, 4.0], [[0, 4]]],
