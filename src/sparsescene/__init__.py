@@ -7,7 +7,7 @@ source separation, SNR estimation, and a reproducible evaluation harness.
 """
 
 from .bank import DictionaryBank
-from .classify import NoiseDecision, classify_noise, rank_speakers
+from .classify import Coding, NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus, generate_corpus, read_wav, write_wav
 from .dictionary import METHODS, LearnedDictionary, learn_dictionary
 from .errors import DataError, NumericalError, SparseSceneError
@@ -26,6 +26,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_REGIMES",
+    "Coding",
     "Corpus",
     "DataError",
     "DictionaryBank",

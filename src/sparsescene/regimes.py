@@ -2,9 +2,9 @@
 
 Every regime runs the same blind pipeline, :func:`analyze`, which codes each
 frame in two stages: a short screen against a bank view's whole
-``[speakers | noises]``, then a full coding against only the speakers the
-screen shortlisted and the one noise it detected on that frame's side of the
-switch.  A *regime* only fixes which
+``[speakers | noises]``, then a full coding against the screen's atoms of
+only the speakers it shortlisted and the one noise it detected on that
+frame's side of the switch.  A *regime* only fixes which
 bank view that pipeline sees and which ground-truth facts replace its
 answers when a rendered scenario is scored:
 
@@ -46,13 +46,13 @@ is a bug and propagates.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .bank import DictionaryBank
-from .classify import SCREEN_ITERS, NoiseDecision, classify_noise, rank_speakers
+from .classify import SCREEN_ITERS, Coding, NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
 from .dictionary import LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
@@ -317,13 +317,13 @@ def _adapted_noises(
 class Analysis:
     """What the blind pipeline finds in one signal.
 
-    ``screen`` is the first coding, against the whole bank view; ``noise``
-    carries the same noise pair and switch with the shortlist's coding.
+    ``noise`` is read off ``screen``; the ranking and separation read ``coding``.
     """
 
     speech_spans: list[tuple[float, float]]
-    screen: NoiseDecision
     noise: NoiseDecision
+    screen: Coding
+    coding: Coding
     speaker_ranking: list[str]
     separation: SeparationResult
 
@@ -339,22 +339,19 @@ def analyze(
     ``front`` holds the signal, its detected speech frames (with
     :data:`VAD_PRIMARY_K` clusters) and its STFT, taken with the bank's own
     settings.  The STFT's magnitude is screened against ``bank``'s whole
-    ``[speakers | noises]`` (:func:`classify_noise`); the noise pair, the
-    switch and a first speaker ranking over detected speech come from that
-    coding.  The frames before the switch are then coded as ``params`` says
-    against the :data:`SHORTLIST` top-ranked speakers and ``noise_first``,
-    and the frames after it against the same speakers and ``noise_second``,
-    each starting (for ``mu``) from the screen's weights on its own atoms
-    and frames.  A side without frames is not coded; a one-noise bank's
-    switch is at frame 0, so it codes one side.  The two codings fill one
-    weight matrix over the view of ``bank`` that keeps the shortlist and
-    both detected noises, where each side's weights on the other side's
-    noise are 0.  The returned ``noise`` decision carries that matrix and
-    ``screen`` the first coding.  The ranking is the shortlist in its order
-    there, then the other speakers in screen order; the Wiener mask, applied
-    to the same STFT, is the top speaker's block of the second model over
-    the whole second model.  ``on_stage`` is told the name of each stage as
-    it starts.
+    ``[speakers | noises]`` (:func:`classify_noise`), which gives the noise
+    pair, the switch and a first speaker ranking over detected speech.  The
+    second coding keeps the screen's atoms (:meth:`Coding.only`) of the
+    :data:`SHORTLIST` top-ranked speakers and both detected noises.  It codes
+    the frames before the switch as ``params`` says against the shortlist and
+    ``noise_first``, those after it against the shortlist and
+    ``noise_second``, each from (for ``mu``) the screen's weights on those
+    atoms and frames; a side's weights on the other side's noise are 0, and a
+    side without frames (a one-noise bank switches at frame 0) is not coded.
+    The ranking is the shortlist in its second-coding order, then the other
+    speakers in screen order; the Wiener mask, applied to the same STFT, is
+    the top speaker's block of the second model over that model.
+    ``on_stage`` is told each stage's name as it starts.
     """
     config = bank.stft_config
     if front.config != config:
@@ -364,41 +361,35 @@ def analyze(
     spectrogram = front.spectrogram()
     mag = front.magnitude()
     on_stage("noise_id")
-    screen = classify_noise(mag, bank)
+    noise, screen = classify_noise(mag, bank)
     on_stage("speaker_id")
     screened = rank_speakers(mag, screen, speech_mask)
-    rest = screened[SHORTLIST:]
-    detected = {screen.noise_first, screen.noise_second}
-    view = bank.restricted(
-        exclude_speakers=rest, exclude_noises=set(bank.noise_labels) - detected
-    )
-    D, groups = view.concatenated()
-    W = np.zeros((D.shape[1], mag.shape[1]))
+    shortlist = {("speaker", label) for label in screened[:SHORTLIST]}
     sides = (
-        (slice(0, screen.split), screen.noise_first),
-        (slice(screen.split, mag.shape[1]), screen.noise_second),
+        (slice(0, noise.split), noise.noise_first),
+        (slice(noise.split, mag.shape[1]), noise.noise_second),
     )
-    for frames, noise in sides:
+    coding = screen.only(shortlist | {("noise", label) for _, label in sides})
+    for frames, label in sides:
         if frames.start == frames.stop:
             continue
-        kept = [g for g in groups if g[0] == "speaker" or g[1] == noise]
-        rows = np.r_[tuple(g[2] for g in kept)]
-        screened = np.r_[tuple(screen.block(*g[:2]) for g in kept)]
-        starts = np.cumsum([0] + [g[2].stop - g[2].start for g in kept[:-1]])
-        W[rows, frames] = code_frames(
+        side = coding.only(shortlist | {("noise", label)})
+        coded = code_frames(
             mag[:, frames],
-            D[:, rows],
+            side.dictionary,
             solver=params.solver,
-            blocks=starts.tolist(),
+            blocks=[g[2].start for g in side.groups],
             **params.solver_kwargs(),
-            **({"init": screen.weights[screened, frames]} if params.solver == "mu" else {}),
+            **({"init": side.weights[:, frames]} if params.solver == "mu" else {}),
         )
-    decision = replace(screen, dictionary=D, groups=groups, weights=W)
-    ranking = rank_speakers(mag, decision, speech_mask) + rest
+        coding.weights[:, frames] = 0.0  # the other side's noise is not coded here
+        for kind, source, rows in side.groups:
+            coding.weights[coding.block(kind, source), frames] = coded[rows]
+    ranking = rank_speakers(mag, coding, speech_mask) + screened[SHORTLIST:]
     on_stage("separation")
-    speech_atoms = decision.block("speaker", ranking[0])
-    sep = separate(spectrogram, front.samples, D, W, speech_atoms, config)
-    return Analysis(front.speech_spans(), screen, decision, ranking, sep)
+    top = coding.block("speaker", ranking[0])
+    sep = separate(spectrogram, front.samples, coding.dictionary, coding.weights, top, config)
+    return Analysis(front.speech_spans(), noise, screen, coding, ranking, sep)
 
 
 def run_regime(

@@ -69,6 +69,10 @@ def _check_inputs(
         Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != B.shape[0]:
         raise ValueError("observations and dictionary have mismatched feature dimensions")
+    if Y.shape[1] == 0:
+        raise ValueError("no observations to code")
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(Y))):
+        raise ValueError("observations and dictionary must be finite (no NaN or Inf)")
     if np.any(B < 0) or np.any(Y < 0):
         raise ValueError("observations and dictionary must be non-negative")
     colsum = np.sum(B, axis=0)
@@ -236,9 +240,11 @@ def solve_mu(
     Parameters
     ----------
     y : np.ndarray
-        Observation vector ``(P,)`` or matrix of column observations ``(P, N)``.
+        Observation vector ``(P,)`` or matrix of column observations ``(P, N)``
+        with ``N >= 1``.
     dictionary : np.ndarray
-        Non-negative atoms as columns, ``(P, M)``.
+        Non-negative atoms as columns, ``(P, M)``.  Observations or atoms that
+        are negative, NaN or infinite are a ``ValueError``.
     n_iter : int
         Maximum number of update sweeps.
     tol : float

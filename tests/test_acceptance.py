@@ -67,7 +67,7 @@ def noise_decisions(noise_scenes, banks_all):
     timing: dict[str, float] = {}
     for method, bank in banks_all.items():
         t0 = time.perf_counter()
-        decisions[method] = [(s, ss.classify_noise(mag, bank)) for s, mag in scenes]
+        decisions[method] = [(s, ss.classify_noise(mag, bank)[0]) for s, mag in scenes]
         timing[method] = time.perf_counter() - t0
     return decisions, timing
 

@@ -387,21 +387,17 @@ def coding_calls(monkeypatch):
     return calls
 
 
-def _mag(samples, config):
-    """The magnitude spectrogram that ``analyze`` codes."""
-    return np.abs(regimes.FrontEnd(samples, config).spectrogram())
-
-
-def _check_screen_then_sides(calls, view, params, mag):
+def _check_screen_then_sides(calls, view, params, front):
     """One screen of every frame over ``view``, then one coding per non-empty side of its switch.
 
-    Each side is coded against [the shortlisted speakers | that side's
-    detected noise], starting (``mu``) from the screen's weights on those
-    atoms and frames.  Returns the shortlisted ``(kind, label)`` speakers
-    and the screen.
+    Each side is coded against the screen's atoms of [the shortlisted
+    speakers | that side's detected noise], starting (``mu``) from the
+    screen's weights on those atoms and frames.  Returns the shortlisted
+    ``(kind, label)`` speakers and the noise decision.
     """
     calls = list(calls)
-    screen = classify.classify_noise(mag, view)
+    mag = front.magnitude()
+    decision, screen = classify.classify_noise(mag, view)
     n_frames = mag.shape[1]
     (screen_shape, screen_D, screen_kw), *coded = calls
     assert screen_shape == (129, n_frames)
@@ -409,38 +405,29 @@ def _check_screen_then_sides(calls, view, params, mag):
     assert np.array_equal(screen_D, view_D)
     assert screen_kw == {"solver": "mu", "n_iter": classify.SCREEN_ITERS, "tol": 0.0}
 
+    ranked = classify.rank_speakers(mag, screen, front.speech_mask())
+    shortlist = [("speaker", label) for label in sorted(ranked[: regimes.SHORTLIST])]
     sides = [
         (frames, noise)
         for frames, noise in (
-            (slice(0, screen.split), screen.noise_first),
-            (slice(screen.split, n_frames), screen.noise_second),
+            (slice(0, decision.split), decision.noise_first),
+            (slice(decision.split, n_frames), decision.noise_second),
         )
         if frames.stop > frames.start
     ]
     assert len(coded) == len(sides)
-    shortlists = []
     for (shape, D, kw), (frames, noise) in zip(coded, sides):
         assert shape == (129, frames.stop - frames.start)
-        kept, blocks, start = [], [], 0
-        for kind, label, cols in groups:
-            atoms = view_D[:, cols]
-            if np.array_equal(D[:, start : start + atoms.shape[1]], atoms):
-                kept.append((kind, label, cols))
-                blocks.append(start)
-                start += atoms.shape[1]
-        assert start == D.shape[1]
-        speakers = [g[:2] for g in kept if g[0] == "speaker"]
-        assert 1 <= len(speakers) <= regimes.SHORTLIST
-        assert [g[:2] for g in kept if g[0] == "noise"] == [("noise", noise)]
+        side = screen.only({*shortlist, ("noise", noise)})
+        assert [g[:2] for g in side.groups] == [*shortlist, ("noise", noise)]
+        assert np.array_equal(D, side.dictionary)
         init = kw.pop("init", None)
+        blocks = [cols.start for _, _, cols in side.groups]
         assert kw == {"solver": params.solver, "blocks": blocks, **params.solver_kwargs()}
         assert (init is None) == (params.solver == "asna")
         if init is not None:
-            screened = np.concatenate([screen.weights[cols, frames] for _, _, cols in kept])
-            assert np.array_equal(init, screened)
-        shortlists.append(speakers)
-    assert all(speakers == shortlists[0] for speakers in shortlists)
-    return shortlists[0], screen
+            assert np.array_equal(init, side.weights[:, frames])
+    return shortlist, decision
 
 
 @pytest.fixture()
@@ -481,12 +468,12 @@ def test_analyze_signal_codes_the_clip_once(
     assert pipeline_calls == {"rfft": 1, "frame_energies": 1, "detect_speech_frames": 1}
     # the clip switches noise inside it, so each side is coded once
     assert len(coding_calls) == 3
-    mag = _mag(short_rendered.mixture, kmeans_bank.stft_config)
-    speakers, screen = _check_screen_then_sides(coding_calls, kmeans_bank, params, mag)
-    assert 0 < screen.split < mag.shape[1]
+    front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
+    speakers, decision = _check_screen_then_sides(coding_calls, kmeans_bank, params, front)
+    assert 0 < decision.split < front.magnitude().shape[1]
     assert (analysis["noise_first"], analysis["noise_second"]) == (
-        screen.noise_first,
-        screen.noise_second,
+        decision.noise_first,
+        decision.noise_second,
     )
     assert [label for _, label in speakers] == sorted(
         analysis["speaker_ranking"][: regimes.SHORTLIST]
@@ -497,10 +484,10 @@ def test_the_asna_shortlist_follows_the_mu_screen(short_rendered, kmeans_bank, c
     params = ss.EvalParams(solver="asna")
     clip = short_rendered.mixture[: 40 * 128]
     analysis, _ = ss.analyze_signal(kmeans_bank, clip, params)
-    mag = _mag(clip, kmeans_bank.stft_config)
-    _, screen = _check_screen_then_sides(coding_calls, kmeans_bank, params, mag)
-    assert analysis["noise_first"] == screen.noise_first
-    assert analysis["noise_second"] == screen.noise_second
+    front = regimes.FrontEnd(clip, kmeans_bank.stft_config)
+    _, decision = _check_screen_then_sides(coding_calls, kmeans_bank, params, front)
+    assert analysis["noise_first"] == decision.noise_first
+    assert analysis["noise_second"] == decision.noise_second
 
 
 @pytest.mark.parametrize("regime", ss.ALL_REGIMES)
@@ -522,13 +509,11 @@ def test_every_regime_codes_the_clip_once(
     }
     front = regimes.FrontEnd(short_rendered.mixture, stft_config)
     view = ctx.bank_for(regime, short_rendered, front)
-    _, screen = _check_screen_then_sides(
-        coding_calls, view, ctx.params, np.abs(front.spectrogram())
-    )
+    _, decision = _check_screen_then_sides(coding_calls, view, ctx.params, front)
     if regime not in ("ground_truth", "updated_noise"):
         assert (result.noise_first_pred, result.noise_second_pred) == (
-            screen.noise_first,
-            screen.noise_second,
+            decision.noise_first,
+            decision.noise_second,
         )
 
 
@@ -621,25 +606,28 @@ def test_the_shortlist_coding_continues_the_screen(
     front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
     view = ctx.bank_for("ground_truth", short_rendered, front)
     found = _analyze(short_rendered.mixture, view, params)
-    mag = np.abs(front.spectrogram())
+    mag = front.magnitude()
     D, groups = view.concatenated()
-    screen = classify.classify_noise(mag, view)
+    decision, screen = classify.classify_noise(mag, view)
+    assert found.noise == decision
+    assert found.screen.groups == screen.groups == groups
     assert np.array_equal(found.screen.weights, screen.weights)
-    assert found.noise.groups == groups
-    assert np.array_equal(found.noise.dictionary, D)
-    split, sc = screen.split, short_rendered.scenario
+    assert found.coding.groups == groups
+    assert np.array_equal(found.coding.dictionary, D)
+    split, sc = decision.split, short_rendered.scenario
     assert 0 < split < mag.shape[1]
-    assert (screen.noise_first, screen.noise_second) == (sc.noise_first, sc.noise_second)
+    assert (decision.noise_first, decision.noise_second) == (sc.noise_first, sc.noise_second)
+    coding = found.coding
     for frames, noise, other in (
         (slice(0, split), sc.noise_first, sc.noise_second),
         (slice(split, None), sc.noise_second, sc.noise_first),
     ):
-        rows = np.r_[found.noise.block("speaker", sc.speaker), found.noise.block("noise", noise)]
+        rows = np.r_[coding.block("speaker", sc.speaker), coding.block("noise", noise)]
         expected = solvers.solve_mu(
             mag[:, frames], D[:, rows], n_iter=params.coding_iters, init=screen.weights[rows, frames]
         )
-        assert np.array_equal(found.noise.weights[rows, frames], expected)
-        assert np.all(found.noise.weights[found.noise.block("noise", other), frames] == 0.0)
+        assert np.array_equal(coding.weights[rows, frames], expected)
+        assert np.all(coding.weights[coding.block("noise", other), frames] == 0.0)
 
 
 @pytest.mark.parametrize("where", ["first_frame", "after_the_last_frame"])
@@ -649,20 +637,21 @@ def test_a_switch_at_either_end_codes_one_side(
     original = regimes.classify_noise
 
     def moved(mag, bank):
-        screen = original(mag, bank)
-        return dataclasses.replace(screen, split=0 if where == "first_frame" else mag.shape[1])
+        decision, screen = original(mag, bank)
+        split = 0 if where == "first_frame" else mag.shape[1]
+        return dataclasses.replace(decision, split=split), screen
 
     monkeypatch.setattr(regimes, "classify_noise", moved)
     found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
-    n_frames = found.noise.weights.shape[1]
+    n_frames = found.coding.weights.shape[1]
     coded = coding_calls[1:]
     assert [shape for shape, _, _ in coded] == [(129, n_frames)]
-    kept, absent = found.screen.noise_second, found.screen.noise_first
+    kept, absent = found.noise.noise_second, found.noise.noise_first
     if where == "after_the_last_frame":
         kept, absent = absent, kept
     assert kept != absent
-    assert np.all(found.noise.weights[found.noise.block("noise", absent)] == 0.0)
-    assert np.all(found.noise.weights[found.noise.block("noise", kept)] > 0.0)
+    assert np.all(found.coding.weights[found.coding.block("noise", absent)] == 0.0)
+    assert np.all(found.coding.weights[found.coding.block("noise", kept)] > 0.0)
 
 
 @pytest.mark.parametrize("shortlist", [1, 2, 3, 10])
@@ -673,8 +662,8 @@ def test_the_ranking_is_the_shortlist_then_the_screen_order(
     # it cannot pass by agreeing with the screen.
     calls = itertools.count()
 
-    def reverse_the_second(mag, decision, mask):
-        ranking = classify.rank_speakers(mag, decision, mask)
+    def reverse_the_second(mag, coding, mask):
+        ranking = classify.rank_speakers(mag, coding, mask)
         return ranking[::-1] if next(calls) == 1 else ranking
 
     monkeypatch.setattr(regimes, "rank_speakers", reverse_the_second)
@@ -682,15 +671,20 @@ def test_the_ranking_is_the_shortlist_then_the_screen_order(
     found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
     front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
     mag, mask = np.abs(front.spectrogram()), front.speech_mask()
-    screen, second = found.screen, found.noise
+    screen, second = found.screen, found.coding
     assert len(screen.groups) == 8
-    assert np.array_equal(screen.weights, classify.classify_noise(mag, kmeans_bank).weights)
+    assert np.array_equal(screen.weights, classify.classify_noise(mag, kmeans_bank)[1].weights)
     screened = classify.rank_speakers(mag, screen, mask)
     ranked = classify.rank_speakers(mag, second, mask)
     assert found.speaker_ranking == ranked[::-1] + screened[shortlist:]
     assert sorted(found.speaker_ranking) == sorted(kmeans_bank.speaker_labels)
     kept = [g[1] for g in second.groups if g[0] == "speaker"]
     assert kept == sorted(screened[:shortlist])
+    # the second coding's atoms are the screen's, of the shortlist and the detected noises
+    detected = {("noise", found.noise.noise_first), ("noise", found.noise.noise_second)}
+    expected = screen.only({("speaker", label) for label in screened[:shortlist]} | detected)
+    assert second.groups == expected.groups
+    assert np.array_equal(second.dictionary, expected.dictionary)
     # the Wiener mask is the top speaker's block of the shortlist's model over that model
     D, W = second.dictionary, second.weights
     top = second.block("speaker", found.speaker_ranking[0])
@@ -706,9 +700,9 @@ def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank, cod
     assert analysis["noise_first"] == analysis["noise_second"] == noise
     # the screen, then one coding of every frame against the shortlist and the one noise
     assert len(coding_calls) == 2
-    mag = _mag(short_rendered.mixture, view.stft_config)
-    _, screen = _check_screen_then_sides(coding_calls, view, params, mag)
-    assert screen.split == 0
+    front = regimes.FrontEnd(short_rendered.mixture, view.stft_config)
+    _, decision = _check_screen_then_sides(coding_calls, view, params, front)
+    assert decision.split == 0
     assert sorted(analysis["speaker_ranking"]) == sorted(kmeans_bank.speaker_labels)
     assert sep.speech.shape == short_rendered.mixture.shape
 
@@ -721,9 +715,9 @@ def test_the_shortlist_coding_reads_only_what_it_keeps(
     original = regimes.classify_noise
 
     def spy(*args):
-        decision = original(*args)
+        found = original(*args)
         after_screen.append(dict(kmeans_bank.access_counts))
-        return decision
+        return found
 
     monkeypatch.setattr(regimes, "classify_noise", spy)
     ctx = ss.RegimeContext(kmeans_bank, corpus, ss.EvalParams(coding_iters=50))
@@ -736,10 +730,8 @@ def test_the_shortlist_coding_reads_only_what_it_keeps(
         if regime == "out_of_set_noise"
         else {("speaker", sc.speaker)}
     )
-    kept = {("speaker", label) for label in result.speaker_rank[: regimes.SHORTLIST]}
-    kept |= {("noise", result.noise_first_pred), ("noise", result.noise_second_pred)}
-    read = {k for k, n in kmeans_bank.access_counts.items() if n != after_screen[0][k]}
-    assert read == kept
+    # the shortlist coding takes its atoms from the screen's coding, not from the bank
+    assert kmeans_bank.access_counts == after_screen[0]
     assert all(kmeans_bank.access_counts[k] == before[k] for k in removed)
 
 
@@ -779,7 +771,7 @@ def test_analyze_signal_reports_the_noise_typing_decision(short_rendered, kmeans
     mixture = short_rendered.mixture
     analysis, sep = ss.analyze_signal(kmeans_bank, mixture)
     config = ss.StftConfig()
-    decision = ss.classify_noise(ss.magnitudes(mixture, config), kmeans_bank)
+    decision, _ = ss.classify_noise(ss.magnitudes(mixture, config), kmeans_bank)
     assert analysis["noise_first"] == decision.noise_first
     assert analysis["noise_second"] == decision.noise_second
     assert analysis["noise_transition_s"] == round(decision.transition_s, 4)

@@ -358,3 +358,29 @@ def test_negative_inputs_are_rejected():
     y, B = _random_problem(8)
     with pytest.raises(ValueError):
         solve_asna(-y, B)
+
+
+def _spoilt(seed, what):
+    """A two-column problem with one NaN or +Inf observation or atom, or with no column."""
+    y, B = _random_problem(seed)
+    Y, B = np.stack([y, y], axis=1), B.copy()
+    if what == "no_frames":
+        return Y[:, :0], B
+    bad = np.nan if what.endswith("nan") else np.inf
+    (Y if what.startswith("observation") else B)[3, 1] = bad
+    return Y, B
+
+
+@pytest.mark.parametrize("solver", [solve_mu, solve_asna], ids=["mu", "asna"])
+@pytest.mark.parametrize(
+    "what", ["observation_nan", "observation_inf", "atom_nan", "atom_inf", "no_frames"]
+)
+def test_non_finite_or_frameless_inputs_are_rejected(solver, what):
+    # The check comes before any arithmetic: a ValueError, and no RuntimeWarning
+    # (the suite turns one into an error).
+    Y, B = _spoilt(9, what)
+    with pytest.raises(ValueError):
+        solver(Y, B)
+    if what.startswith("observation"):
+        with pytest.raises(ValueError):
+            solver(np.full(12, np.nan if what.endswith("nan") else np.inf), B)
