@@ -4,8 +4,9 @@ All decisions share one mechanism: frames are coded against a concatenation
 of per-source dictionaries (a :class:`Coding`) and each source is scored by
 the sum of its atoms' weights (its "block" of the weight vector).
 :func:`classify_noise` screens the frames against ``[all speakers | all
-noises]`` with a fixed, short ``mu`` sweep budget — speech energy is absorbed
-by the speaker blocks, so the per-frame winner among the noise blocks stays
+noises]`` with a fixed, short budget of over-relaxed ``mu`` sweeps (each
+update raised to the power 1.5) — speech energy is absorbed by the speaker
+blocks, so the per-frame winner among the noise blocks stays
 reliable even where speech is present.  The switch between the two noise
 types is the change point that makes the per-frame noise decisions before
 and after it maximally consistent.  It returns its decision and the screen's
@@ -26,8 +27,11 @@ from .solvers import code_frames
 
 __all__ = ["Coding", "NoiseDecision", "classify_noise", "rank_speakers"]
 
-#: ``mu`` sweeps, at ``tol = 0``, of the screen that :func:`classify_noise` runs
-SCREEN_ITERS = 50
+#: over-relaxed ``mu`` sweeps, at ``tol = 0``, of the screen that
+#: :func:`classify_noise` runs.  On 36 clips of the bundled corpus they fit
+#: every clip more closely than 50 plain sweeps, with each of the five
+#: learners; 34 do too by a thinner margin, 33 do not in the median.
+SCREEN_ITERS = 35
 
 
 @dataclass
@@ -43,8 +47,14 @@ class Coding:
     weights: np.ndarray
 
     def block(self, kind: str, label: str) -> slice:
-        """Columns of ``dictionary`` (rows of ``weights``) holding one source."""
-        return next(g[2] for g in self.groups if g[:2] == (kind, label))
+        """Columns of ``dictionary`` (rows of ``weights``) holding one source.
+
+        A source the coding does not hold is a ``KeyError``.
+        """
+        for g in self.groups:
+            if g[:2] == (kind, label):
+                return g[2]
+        raise KeyError(f"the coding holds no {kind} {label!r}")
 
     def scores(self, kind: str) -> tuple[list[str], np.ndarray]:
         """The labels of ``kind`` in order, and their block sums ``(n_labels, n_frames)``."""
@@ -100,7 +110,8 @@ def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> tuple[NoiseDecision
     mag : np.ndarray
         Magnitude spectrogram of the whole mixture, ``(P, N)``, taken with
         ``bank.stft_config``.  Every frame is screened against every source of
-        ``bank`` with ``mu`` for :data:`SCREEN_ITERS` sweeps.  A spectrogram
+        ``bank`` with :data:`SCREEN_ITERS` over-relaxed ``mu`` sweeps
+        (``relaxed=True``).  A spectrogram
         with no frame, or with a NaN or infinite entry, is a ``ValueError``.
 
     Returns the decision and the screen's coding, from which it was read.
@@ -108,7 +119,8 @@ def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> tuple[NoiseDecision
     if not bank.noise_labels:
         raise ValueError("bank holds no noise dictionaries")
     D, groups = bank.concatenated()
-    screen = Coding(D, groups, code_frames(mag, D, solver="mu", n_iter=SCREEN_ITERS, tol=0.0))
+    weights = code_frames(mag, D, solver="mu", n_iter=SCREEN_ITERS, tol=0.0, relaxed=True)
+    screen = Coding(D, groups, weights)
     labels, scores = screen.scores("noise")
     frame_label_idx = np.argmax(scores, axis=0)
 

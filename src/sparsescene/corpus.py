@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DataError
 
@@ -56,6 +55,10 @@ SPLITS = {"train": range(0, 6), "update": range(6, 9), "test": range(9, 12)}
 
 
 def write_wav(path: Path, samples: np.ndarray, sample_rate: int) -> None:
+    # scipy.io is imported where a WAV is read or written: its package init
+    # loads scipy.sparse, which `import sparsescene` would otherwise pay for
+    from scipy.io import wavfile
+
     wavfile.write(path, sample_rate, np.asarray(samples, dtype=np.float32))
 
 
@@ -73,6 +76,8 @@ def read_wav(path: Path, expect_sr: int | None = None) -> tuple[int, np.ndarray]
 
 def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
     """:func:`read_wav` without the check on sample values."""
+    from scipy.io import wavfile  # outside the try: a missing SciPy is not a bad file
+
     try:
         sr, data = wavfile.read(path)
     except Exception as exc:  # a malformed file can make scipy raise almost anything

@@ -78,9 +78,11 @@ def stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """Complex spectrogram of shape ``(n_bins, n_frames)``.
 
     Frames start at multiples of ``config.hop``; no padding is applied, so a
-    trailing partial frame is dropped.
+    trailing partial frame is dropped.  The result is the FFT's frame-major
+    array seen through its transpose, so it is Fortran-ordered: each frame's
+    bins are contiguous, and :func:`istft` reads them without a copy.
     """
-    return _spectra(signal, config).T.copy()
+    return _spectra(signal, config).T
 
 
 def istft(spec: np.ndarray, config: StftConfig, n_samples: int | None = None) -> np.ndarray:
@@ -101,7 +103,8 @@ def istft(spec: np.ndarray, config: StftConfig, n_samples: int | None = None) ->
     hop, n_fft = config.hop, config.n_fft
     window = config.window()
     natural = (n_frames - 1) * hop + n_fft if n_frames else 0
-    # irfft over contiguous rows runs several times faster than over spec.T's strides
+    # irfft over contiguous rows runs several times faster than over spec.T's
+    # strides; a spectrogram from stft is already frame-major, so nothing is copied
     frames = np.fft.irfft(np.ascontiguousarray(spec.T), n=n_fft, axis=1)
     frames *= window
     wsq = window * window

@@ -60,7 +60,7 @@ from .features import StftConfig, frame_energies, frame_times, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
 from .scenario import RenderedScenario
 from .separate import SeparationResult, estimate_snr_db, separate
-from .solvers import CHECK_EVERY, code_frames
+from .solvers import CHECK_EVERY, RELAX_EXPONENT, code_frames
 from .training import _gate_silence, relearn_speakers
 from .vad import (
     detect_speech_frames,
@@ -117,8 +117,9 @@ class EvalParams:
     earlier, at the first check every :data:`~sparsescene.solvers.CHECK_EVERY`
     (5) sweeps where its block shares moved by at most :data:`SETTLE_TOL`
     (2e-4), that is 4e-5 per sweep.  ``to_dict()``, which also records the
-    screen's budget, the shortlist length, that the noises are coded per
-    side and that settle rule, is part of every campaign run key.
+    screen's budget and the exponent of its over-relaxed updates, the
+    shortlist length, that the noises are coded per side and that settle
+    rule, is part of every campaign run key.
     """
 
     solver: str = "mu"
@@ -134,6 +135,7 @@ class EvalParams:
         return {
             **asdict(self),
             "screen_iters": SCREEN_ITERS,
+            "screen_exponent": RELAX_EXPONENT,
             "shortlist": SHORTLIST,
             "shortlist_noise": "per_side",
             "settle": {"every": CHECK_EVERY, "tol": SETTLE_TOL},
@@ -187,8 +189,13 @@ class FrontEnd:
         return self._once("spectrogram", lambda: stft(self.samples, self.config))
 
     def magnitude(self) -> np.ndarray:
-        """The STFT's magnitude, the features every coding reads."""
-        return self._once("magnitude", lambda: np.abs(self.spectrogram()))
+        """The STFT's magnitude, the features every coding reads.
+
+        It is C-ordered like :func:`~.features.magnitudes`, whatever the
+        STFT's layout, so sums over it (such as ``solve_mu``'s scale) add in
+        one fixed order.
+        """
+        return self._once("magnitude", lambda: np.abs(self.spectrogram(), order="C"))
 
 
 class RegimeContext:

@@ -49,10 +49,13 @@ def separate(
     if weights.shape[1] != spectrogram.shape[1]:
         raise ValueError("separation needs a weight column for every frame")
     speech_model = dictionary[:, speech_atoms] @ weights[speech_atoms, :]
-    mask = speech_model / (dictionary @ weights + EPS)
+    mask = dictionary @ weights
+    mask += EPS
+    np.divide(speech_model, mask, out=mask)
     np.clip(mask, 0.0, 1.0, out=mask)
 
-    speech = istft(mask * spectrogram, config, n_samples=len(mixture))
+    # frame-major, like stft's output, so that istft reads it without a copy
+    speech = istft(np.multiply(mask, spectrogram, order="F"), config, n_samples=len(mixture))
     return SeparationResult(speech=speech, noise=mixture - speech, mask=mask)
 
 

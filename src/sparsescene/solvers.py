@@ -13,7 +13,12 @@ solvers approach the same optimum and can be used to cross-check each other:
     data scaled by a power of two, with a floor that keeps the weights out of
     the subnormal range; the result is float64.  With ``tol > 0`` each column
     stops once its share of weight per atom block settles, since the block
-    sums are what the classification stages read.
+    sums are what the classification stages read.  With ``relaxed=True``
+    each sweep raises its multiplicative update to the power
+    :data:`RELAX_EXPONENT` (1.5), an over-relaxed step that gets further per
+    sweep; exponents in (0, 2) keep the KL updates stable (Badeau, Bertin &
+    Vincent, IEEE TNN 2010), and an exponent of 2 diverges on the pipeline's
+    screen.
 ``solve_asna``
     an active-set Newton method; maintains a small set of non-zero weights,
     takes damped Newton steps on that set, and adds/removes atoms based on the
@@ -42,6 +47,10 @@ FLOOR = float(np.float32(1e-20))
 
 #: sweeps between :func:`solve_mu`'s per-column stopping checks when ``tol > 0``
 CHECK_EVERY = 5
+
+#: power to which a ``relaxed`` :func:`solve_mu` sweep raises its update,
+#: computed as ``update * sqrt(update)``
+RELAX_EXPONENT = 1.5
 
 
 def generalized_kl(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -169,14 +178,17 @@ def _sweeps(
     X: np.ndarray,
     tol: float = 0.0,
     starts: np.ndarray | None = None,
+    relaxed: bool = False,
 ) -> np.ndarray:
     """Run up to ``n_iter`` multiplicative-update sweeps from the float32 weights ``Xl``.
 
     ``Xl`` holds one column per live column of ``obs`` and is updated in
     place.  Each sweep forms the model ``B @ Xl``, its :data:`EPS` floor and
     the ratio ``Ys / (B @ Xl)`` in one float32 buffer, then multiplies the
-    weights by ``(B / colsum).T`` times that ratio and floors them at
-    :data:`FLOOR`.  With ``tol > 0`` a column stops at the first check, every
+    weights by the update ``(B / colsum).T`` times that ratio and floors them
+    at :data:`FLOOR`.  With ``relaxed`` the weights are multiplied by
+    ``update * sqrt(update)`` instead, formed in place with one more buffer.
+    With ``tol > 0`` a column stops at the first check, every
     :data:`CHECK_EVERY` sweeps, where its share of weight per block (starting
     at ``starts``) has moved by at most ``tol`` since the previous check.
     Each column's final weights, times ``obs.scale``, go into its column of
@@ -188,12 +200,17 @@ def _sweeps(
     live, Ys = obs.live, obs.Ys
     buf = np.empty_like(Ys)
     update = np.empty_like(Xl)
+    root = np.empty_like(Xl) if relaxed else None
     shares = _block_shares(Xl, starts) if tol > 0.0 else None
     for it in range(n_iter):
         np.matmul(Bs, Xl, out=buf)
         np.maximum(buf, EPS, out=buf)
         np.divide(Ys, buf, out=buf)
         np.matmul(Bt_scaled, buf, out=update)
+        if relaxed:
+            # update ** 1.5; np.power costs about three times as much
+            np.sqrt(update, out=root)
+            update *= root
         Xl *= update
         np.maximum(Xl, FLOOR, out=Xl)
         if tol > 0.0 and (it + 1) % CHECK_EVERY == 0:
@@ -207,6 +224,7 @@ def _sweeps(
                     return Xl
                 buf = np.empty_like(Ys)
                 update = np.empty_like(Xl)
+                root = np.empty_like(Xl) if relaxed else None
             shares = now
     _unscale(X, live, Xl, obs.scale)
     return Xl
@@ -219,6 +237,7 @@ def solve_mu(
     tol: float = 0.0,
     blocks: Sequence[int] | None = None,
     init: np.ndarray | None = None,
+    relaxed: bool = False,
 ) -> np.ndarray:
     """Multiplicative-update minimisation of the generalized KL divergence.
 
@@ -231,11 +250,11 @@ def solve_mu(
     floor :data:`FLOOR` apply in scaled units.  Flooring the weights after each
     sweep keeps them far from float32's subnormal range, where arithmetic is
     many times slower; Févotte & Idier (Neural Computation 2011) show that
-    such a floor keeps the monotone descent of the updates.  The returned
-    weights are float64 and in the units of ``y``, so they can be passed
-    back as ``init``: ``solve_mu(y, B, n_iter=a + b)`` equals
+    such a floor keeps the monotone descent of the plain updates.  The
+    returned weights are float64 and in the units of ``y``, so they can be
+    passed back as ``init``: ``solve_mu(y, B, n_iter=a + b)`` equals
     ``solve_mu(y, B, n_iter=b, init=solve_mu(y, B, n_iter=a))`` bit for bit
-    at ``tol=0``.
+    at ``tol=0``, relaxed or not.
 
     Parameters
     ----------
@@ -265,6 +284,15 @@ def solve_mu(
         of the shape the result has.  They are floored at ``FLOOR * scale``
         and ignored on columns that get all-zero weights.  The default starts
         every weight at ``mean(y) / M``.
+    relaxed : bool
+        If true, each sweep multiplies the weights by its update raised to
+        :data:`RELAX_EXPONENT` (1.5) rather than by the update itself.  This
+        over-relaxed update stays stable for exponents in (0, 2) (Badeau,
+        Bertin & Vincent, IEEE TNN 2010) and in the pipeline's screen reaches
+        a lower divergence in 35 sweeps than the plain update in 50.  Above
+        an exponent of 1 the divergence is not guaranteed to fall at every
+        sweep: Févotte & Idier's floor argument covers the plain update only.
+        The default runs the plain update.
 
     Returns
     -------
@@ -288,7 +316,7 @@ def solve_mu(
     X = np.zeros((M, N), dtype=np.float64)
     obs, Xl = _prepare(Y, M, init)
     if obs.live.size:
-        _sweeps(obs, B, colsum, Xl, n_iter, X, tol, starts)
+        _sweeps(obs, B, colsum, Xl, n_iter, X, tol, starts, relaxed)
     if not np.all(np.isfinite(X)):
         raise NumericalError("multiplicative updates diverged")
     return X[:, 0] if single else X
@@ -431,6 +459,7 @@ def code_frames(
 
     ``blocks`` gives the start of each source's block of atoms; it feeds
     :func:`solve_mu`'s stopping test and :func:`solve_asna` does not need it.
+    Other keywords, such as ``solve_mu``'s ``relaxed``, go to the solver.
     """
     if solver == "asna":
         return solve_asna(features, dictionary, **kwargs)

@@ -79,7 +79,7 @@ def test_only_keeps_the_coding_order_and_rebases_the_blocks():
     assert np.array_equal(kept.dictionary, coding.dictionary[:, [0, 1, 3, 4]])
     assert np.array_equal(kept.weights, coding.weights[[0, 1, 3, 4]])
     assert kept.block("noise", "y") == slice(2, 4)
-    with pytest.raises(StopIteration):
+    with pytest.raises(KeyError, match="noise 'x'"):
         kept.block("noise", "x")
     noise = coding.only({("noise", "y")}).only({("noise", "y")})
     assert noise.groups == [("noise", "y", slice(0, 2))]
@@ -224,3 +224,15 @@ def test_classify_noise_rejects_a_spectrogram_it_cannot_code(toy_bank, bad):
     if bad is not None:
         with pytest.raises(ValueError):
             ss.classify_noise(np.full_like(mag, bad), toy_bank)
+
+
+def test_the_relaxed_screen_fits_no_worse_than_50_plain_sweeps(corpus, kmeans_bank):
+    scenario = ss.generate_scenarios(corpus, 1, seed=3, half_duration_s=6.0)[0]
+    mixture = ss.render_scenario(corpus, scenario, snr_db=0.0).mixture
+    mag = np.abs(ss.stft(mixture, kmeans_bank.stft_config))
+    _, screen = classify.classify_noise(mag, kmeans_bank)
+    D = screen.dictionary
+    plain = ss.solve_mu(mag, D, n_iter=50)
+    assert classify.SCREEN_ITERS == 35
+    assert np.array_equal(screen.weights, ss.solve_mu(mag, D, n_iter=35, relaxed=True))
+    assert ss.generalized_kl(mag, D @ screen.weights) <= ss.generalized_kl(mag, D @ plain)

@@ -348,10 +348,13 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_importing_the_package_loads_neither_scipy_signal_nor_scipy_cluster():
-    # Only corpus synthesis and the k-means learner need them, so `classify`
-    # and `separate` do not pay for loading them.
+    # Only corpus synthesis, the k-means learner and WAV reading and writing
+    # need them, so `--help` and a bank load do not pay for loading them.
     env = dict(os.environ, PYTHONPATH=str(Path(ss.__file__).parents[1]))
-    probe = "import sys, sparsescene; print(sorted(set(sys.modules) & {'scipy.signal', 'scipy.cluster'}))"
+    probe = (
+        "import sys, sparsescene; "
+        "print(sorted(set(sys.modules) & {'scipy.signal', 'scipy.cluster', 'scipy.io'}))"
+    )
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

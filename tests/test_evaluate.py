@@ -83,6 +83,11 @@ def _before_the_settle_rule(params):
     return {**_both_noises_on_every_frame(params), "shortlist_noise": "per_side"}
 
 
+def _before_the_relaxed_screen(params):
+    """``EvalParams.to_dict`` as it was while the screen ran 50 plain sweeps."""
+    return {**_before_the_settle_rule(params), "settle": {"every": 5, "tol": 2e-4}}
+
+
 def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
@@ -97,6 +102,10 @@ def test_run_key_is_pinned(monkeypatch):
         ),
         seed=12345,
     )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "ffafe46bb6ae9774783e"
+    # the key this run had while the screen ran 50 plain sweeps
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_screen)
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
     assert key == "d77b03c1e47458d0f1e7"
     # the key this run had while the shortlist settled every 25 sweeps at tol 1e-3
@@ -403,7 +412,9 @@ def _check_screen_then_sides(calls, view, params, front):
     assert screen_shape == (129, n_frames)
     view_D, groups = view.concatenated()
     assert np.array_equal(screen_D, view_D)
-    assert screen_kw == {"solver": "mu", "n_iter": classify.SCREEN_ITERS, "tol": 0.0}
+    assert screen_kw == {
+        "solver": "mu", "n_iter": classify.SCREEN_ITERS, "tol": 0.0, "relaxed": True
+    }
 
     ranked = classify.rank_speakers(mag, screen, front.speech_mask())
     shortlist = [("speaker", label) for label in sorted(ranked[: regimes.SHORTLIST])]

@@ -7,6 +7,7 @@ from sparsescene.solvers import (
     CHECK_EVERY,
     EPS,
     FLOOR,
+    RELAX_EXPONENT,
     code_frames,
     generalized_kl,
     solve_asna,
@@ -223,6 +224,66 @@ def test_one_buffer_sweeps_equal_the_two_buffer_sweeps_bit_for_bit(P, M, warm, s
     init = rng.random((M, 9)) * (rng.random((M, 9)) < 0.7) if warm else None
     X = solve_mu(Y, B, n_iter=120, init=init)
     assert np.array_equal(X, _two_buffer_mu(Y, B, 120, init))
+
+
+def _one_relaxed_sweep(Y, B, init=None):
+    """One over-relaxed sweep written out: the floor of ``X * u * sqrt(u)``, for update ``u``."""
+    B = np.asarray(B, dtype=np.float64)
+    M = B.shape[1]
+    mean = float(np.mean(Y))
+    scale = float(np.ldexp(1.0, np.frexp(mean)[1]))
+    Ys = np.asfortranarray(Y / scale, dtype=np.float32)
+    if init is None:
+        Xl = np.full((M, Y.shape[1]), mean / scale / M, dtype=np.float32, order="F")
+    else:
+        Xl = np.maximum(np.asfortranarray(init / scale, dtype=np.float32), np.float32(FLOOR))
+    Bt_scaled = np.ascontiguousarray((B / np.sum(B, axis=0)).T, dtype=np.float32)
+    model = np.empty_like(Ys)
+    np.matmul(B.astype(np.float32), Xl, out=model)
+    u = np.empty_like(Xl)
+    np.matmul(Bt_scaled, Ys / np.maximum(model, EPS), out=u)
+    Xl = np.maximum(Xl * (u * np.sqrt(u)), np.float32(FLOOR))
+    return Xl.astype(np.float64) * scale
+
+
+@pytest.mark.parametrize("P, M", [(12, 40), (30, 8)], ids=["screen_like", "ksvd_like"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_one_relaxed_sweep_raises_the_update_to_the_power_1_5(P, M, warm):
+    assert RELAX_EXPONENT == 1.5
+    rng = np.random.default_rng(P + M)
+    B = np.abs(rng.standard_normal((P, M))) + 0.05
+    B /= np.linalg.norm(B, axis=0)
+    Y = np.abs(rng.standard_normal((P, 9))) * 37.0
+    init = rng.random((M, 9)) * (rng.random((M, 9)) < 0.7) if warm else None
+    X = solve_mu(Y, B, n_iter=1, init=init, relaxed=True)
+    assert np.array_equal(X, _one_relaxed_sweep(Y, B, init))
+    assert not np.array_equal(X, solve_mu(Y, B, n_iter=1, init=init))
+    # the plain update is the default
+    assert np.array_equal(solve_mu(Y, B, n_iter=7, init=init, relaxed=False),
+                          solve_mu(Y, B, n_iter=7, init=init))
+
+
+@pytest.mark.parametrize("c", [2.0**-100, 2.0**7, 2.0**100], ids=["2**-100", "2**7", "2**100"])
+def test_relaxed_updates_are_scale_equivariant_bit_for_bit(c):
+    y1, B = _random_problem(31)
+    y2, _ = _random_problem(32)
+    Y = np.stack([y1, np.zeros(12), 3.0 * y2], axis=1)
+    W = np.random.default_rng(33).random((8, 3))
+    for stop in ({}, {"tol": 1e-3, "blocks": [0, 3, 5]}):
+        for init in (None, W):
+            X = solve_mu(Y, B, n_iter=70, init=init, relaxed=True, **stop)
+            scaled = None if init is None else c * init
+            X_c = solve_mu(c * Y, B, n_iter=70, init=scaled, relaxed=True, **stop)
+            assert np.array_equal(X_c, c * X)
+
+
+def test_a_relaxed_run_continued_from_its_own_weights_equals_one_longer_run():
+    y1, B = _random_problem(34)
+    y2, _ = _random_problem(35)
+    Y = np.stack([y1, np.zeros(12), 5.0 * y2], axis=1)
+    for a, b in ((1, 1), (20, 15), (7, 93)):
+        warm = solve_mu(Y, B, n_iter=b, init=solve_mu(Y, B, n_iter=a, relaxed=True), relaxed=True)
+        assert np.array_equal(warm, solve_mu(Y, B, n_iter=a + b, relaxed=True))
 
 
 @pytest.mark.parametrize(
