@@ -199,11 +199,13 @@ def _learn_kmedoid(
     return frames[:, medoids]
 
 
-#: multiplicative-update sweeps of the first K-SVD round, from the uniform start
-KSVD_COLD_SWEEPS = 60
+#: over-relaxed multiplicative-update sweeps of the first K-SVD round, from the
+#: uniform start: 0.7 times the 60 plain sweeps they replace, and a KL no higher
+KSVD_COLD_SWEEPS = 42
 
-#: sweeps of each later K-SVD round, which starts from the previous round's weights
-KSVD_WARM_SWEEPS = 20
+#: over-relaxed sweeps of each later K-SVD round, which starts from the previous
+#: round's weights: 0.7 times the 20 plain sweeps they replace, and a KL no higher
+KSVD_WARM_SWEEPS = 14
 
 
 def _learn_ksvd(
@@ -215,18 +217,18 @@ def _learn_ksvd(
 ) -> np.ndarray:
     """K-SVD with non-negative rank-one atom updates.
 
-    Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``'s sweeps,
-    keeps the ``sparsity`` largest weights per frame, then sweeps the atoms
-    in order.  The frames are scaled and cast to float32 once, before the
-    first round.  The first round codes from the uniform start with
+    Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``'s
+    over-relaxed sweeps (``relaxed=True``), keeps the ``sparsity`` largest
+    weights per frame, then sweeps the atoms in order.  The frames are
+    scaled and cast to float32 once, before the first round.  The first round codes from the uniform start with
     :data:`KSVD_COLD_SWEEPS` sweeps.  Every later round starts from the
     previous round's float32 weights, taken before the sparsification, and
     runs :data:`KSVD_WARM_SWEEPS` sweeps: the frames are the same and the
     atoms moved little, so the codes need only be refined, as alternating
     NMF refines its codes between factor updates (Lee & Seung, NIPS 2001).
     Each round's dense weights are bit for bit
-    ``solve_mu(frames, atoms, n_iter=sweeps, init=previous_dense)``, since
-    scaling by a power of two and back is exact.
+    ``solve_mu(frames, atoms, n_iter=sweeps, init=previous_dense, relaxed=True)``,
+    since scaling by a power of two and back is exact.
     Atom ``j`` with weight row ``x = X[j]`` and users ``u`` (frames where
     ``x > 0``) becomes the clipped, normalised ``residual @ x_u``, and its
     weights on ``u`` become the clipped ``atom @ residual``, where
@@ -249,7 +251,9 @@ def _learn_ksvd(
     dense = np.zeros((k, frames.shape[1]))
     for i in range(n_iter):
         sweeps = KSVD_WARM_SWEEPS if i else KSVD_COLD_SWEEPS
-        scaled = solvers._sweeps(obs, atoms, atoms.sum(axis=0), scaled, sweeps, dense)
+        scaled = solvers._sweeps(
+            obs, atoms, atoms.sum(axis=0), scaled, sweeps, dense, relaxed=True
+        )
         X = dense.copy()
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:

@@ -54,7 +54,7 @@ import numpy as np
 from .bank import DictionaryBank
 from .classify import SCREEN_ITERS, Coding, NoiseDecision, classify_noise, rank_speakers
 from .corpus import Corpus
-from .dictionary import LearnedDictionary, learn_dictionary
+from .dictionary import KSVD_COLD_SWEEPS, KSVD_WARM_SWEEPS, LearnedDictionary, learn_dictionary
 from .errors import DataError, SparseSceneError
 from .features import StftConfig, frame_energies, frame_times, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
@@ -118,8 +118,10 @@ class EvalParams:
     (5) sweeps where its block shares moved by at most :data:`SETTLE_TOL`
     (2e-4), that is 4e-5 per sweep.  ``to_dict()``, which also records the
     screen's budget and the exponent of its over-relaxed updates, the
-    shortlist length, that the noises are coded per side and that settle
-    rule, is part of every campaign run key.
+    shortlist length, that the noises are coded per side, that settle rule
+    and the over-relaxed sweeps of K-SVD's first and later rounds (with
+    which ``updated_speaker`` and ``updated_noise`` relearn for a ``ksvd``
+    bank), is part of every campaign run key.
     """
 
     solver: str = "mu"
@@ -139,6 +141,11 @@ class EvalParams:
             "shortlist": SHORTLIST,
             "shortlist_noise": "per_side",
             "settle": {"every": CHECK_EVERY, "tol": SETTLE_TOL},
+            "ksvd_sweeps": {
+                "cold": KSVD_COLD_SWEEPS,
+                "warm": KSVD_WARM_SWEEPS,
+                "exponent": RELAX_EXPONENT,
+            },
         }
 
     def solver_kwargs(self) -> dict:

@@ -16,6 +16,7 @@ from sparsescene.dictionary import (
     learn_dictionary,
     normalize_atoms,
 )
+from sparsescene.training import noise_training_features, speaker_training_features
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +220,9 @@ def _reference_ksvd(
 ) -> np.ndarray:
     """The residual-matrix K-SVD loop that ``_learn_ksvd`` replaced, kept verbatim.
 
-    Only its coding follows ``_learn_ksvd``'s schedule: 60 sweeps from the
-    uniform start, then 20 from the previous round's dense weights.
+    Only its coding follows ``_learn_ksvd``'s schedule: 42 over-relaxed
+    sweeps from the uniform start, then 14 from the previous round's dense
+    weights.
     """
     from sparsescene.solvers import solve_mu
 
@@ -228,7 +230,8 @@ def _reference_ksvd(
     k = atoms.shape[1]
     dense = None
     for _ in range(n_iter):
-        dense = solve_mu(frames, atoms, n_iter=60 if dense is None else 20, init=dense)
+        sweeps = 42 if dense is None else 14
+        dense = solve_mu(frames, atoms, n_iter=sweeps, init=dense, relaxed=True)
         X = dense.copy()
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:
@@ -276,8 +279,8 @@ def test_ksvd_matches_the_residual_matrix_loop_for_an_atom_without_users(
     codings = []
     sweeps = solvers._sweeps
 
-    def recorded(*args):
-        X = sweeps(*args)
+    def recorded(*args, **kwargs):
+        X = sweeps(*args, **kwargs)
         codings.append(X.copy())
         return X
 
@@ -302,17 +305,20 @@ def test_ksvd_matches_the_residual_matrix_loop_through_a_reseed(sparse_frames):
 
 def test_ksvd_codes_the_frames_once_per_round(frames, monkeypatch):
     calls = []
+    relaxed = []
     sweeps = solvers._sweeps
 
-    def counted(obs, B, colsum, Xl, n_iter, X, *args):
+    def counted(obs, B, colsum, Xl, n_iter, X, *args, **kwargs):
         start = Xl.copy()
-        out = sweeps(obs, B, colsum, Xl, n_iter, X, *args)
+        out = sweeps(obs, B, colsum, Xl, n_iter, X, *args, **kwargs)
         calls.append((obs, n_iter, start, out.copy()))
+        relaxed.append(kwargs.get("relaxed"))
         return out
 
     monkeypatch.setattr(solvers, "_sweeps", counted)
     learn_dictionary(frames, "ksvd", 10, rng=np.random.default_rng(0))
-    assert [n_iter for _, n_iter, _, _ in calls] == [60] + [20] * 9
+    assert [n_iter for _, n_iter, _, _ in calls] == [42] + [14] * 9
+    assert relaxed == [True] * 10
     # The frames are prepared once, and the first round starts uniform.
     assert all(obs is calls[0][0] for obs, _, _, _ in calls)
     assert np.all(calls[0][2] == calls[0][2][0, 0])
@@ -322,13 +328,13 @@ def test_ksvd_codes_the_frames_once_per_round(frames, monkeypatch):
 
 
 def _ksvd_coding_each_round_with_solve_mu(frames, n_atoms, rng, n_iter=10, sparsity=5):
-    """``_learn_ksvd`` as it was when each round called ``solve_mu``, kept verbatim."""
+    """``_learn_ksvd`` as it was when each round called ``solve_mu``, on its schedule."""
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
     k = atoms.shape[1]
     dense = None
     for _ in range(n_iter):
-        sweeps = 60 if dense is None else 20
-        dense = solvers.solve_mu(frames, atoms, n_iter=sweeps, init=dense)
+        sweeps = 42 if dense is None else 14
+        dense = solvers.solve_mu(frames, atoms, n_iter=sweeps, init=dense, relaxed=True)
         X = dense.copy()
         if sparsity < k:
             order = np.argsort(X, axis=0)
@@ -368,3 +374,23 @@ def test_ksvd_codes_as_one_solve_mu_per_round_bit_for_bit(frames, seed, silent):
     got = _learn_ksvd(F, 12, np.random.default_rng(seed))
     want = _ksvd_coding_each_round_with_solve_mu(F, 12, np.random.default_rng(seed))
     assert np.array_equal(got, want)
+
+
+def test_relaxed_ksvd_rounds_fit_no_worse_than_the_plain_schedule(corpus, stft_config):
+    noise = sorted(corpus.noises)[0]
+    speaker = sorted(corpus.speakers)[0]
+    kl = solvers.generalized_kl
+    for F in (
+        noise_training_features(corpus, noise, stft_config),
+        speaker_training_features(corpus, speaker, stft_config),
+    ):
+        # The first round codes the initial atoms from the uniform start.
+        start = normalize_atoms(_select_random(F, 20, np.random.default_rng(0)))
+        cold = solvers.solve_mu(F, start, n_iter=42, relaxed=True)
+        plain = solvers.solve_mu(F, start, n_iter=60)
+        assert kl(F, start @ cold) <= kl(F, start @ plain)
+        # The second round starts from the first round's dense weights.
+        atoms = _learn_ksvd(F, 20, np.random.default_rng(0), n_iter=1)
+        warm = solvers.solve_mu(F, atoms, n_iter=14, init=cold, relaxed=True)
+        plain = solvers.solve_mu(F, atoms, n_iter=20, init=cold)
+        assert kl(F, atoms @ warm) <= kl(F, atoms @ plain)

@@ -88,6 +88,15 @@ def _before_the_relaxed_screen(params):
     return {**_before_the_settle_rule(params), "settle": {"every": 5, "tol": 2e-4}}
 
 
+def _before_the_relaxed_ksvd(params):
+    """``EvalParams.to_dict`` as it was while K-SVD coded 60 + 9 x 20 plain sweeps."""
+    return {
+        **_before_the_relaxed_screen(params),
+        "screen_iters": 35,
+        "screen_exponent": 1.5,
+    }
+
+
 def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
@@ -102,6 +111,10 @@ def test_run_key_is_pinned(monkeypatch):
         ),
         seed=12345,
     )
+    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
+    assert key == "2b7dbe43a21a389fe1aa"
+    # the key this run had while K-SVD coded its rounds with plain sweeps
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_ksvd)
     key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
     assert key == "ffafe46bb6ae9774783e"
     # the key this run had while the screen ran 50 plain sweeps
