@@ -86,16 +86,25 @@ def _bank_for(
 
 
 def run_key(
-    scenario: MixScenario, regime: str, snr_db: float, bank_hash: str, params: EvalParams
+    scenario: MixScenario,
+    regime: str,
+    snr_db: float,
+    bank_hash: str,
+    params: EvalParams,
+    method: str,
 ) -> str:
-    """Content address of one run (stable across resumes and row ordering)."""
+    """Content address of one run (stable across resumes and row ordering).
+
+    ``method`` is the bank's learning method: only a ``ksvd`` key records
+    K-SVD's schedule, with which that campaign relearns.
+    """
     payload = json.dumps(
         {
             "scenario": scenario.to_dict(),
             "regime": regime,
             "snr_db": snr_db,
             "bank": bank_hash,
-            "eval": params.to_dict(),
+            "eval": params.to_dict(method),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -150,7 +159,9 @@ def run_manifest(
         for i, scenario in enumerate(scenarios):
             for regime in manifest.regimes:
                 for snr in manifest.snrs_db:
-                    key = run_key(scenario, regime, snr, bank_hash, manifest.eval_params)
+                    key = run_key(
+                        scenario, regime, snr, bank_hash, manifest.eval_params, ctx.bank.method
+                    )
                     if key in seen_keys:
                         continue
                     seen_keys.add(key)
@@ -268,6 +279,8 @@ def analyze_signal(
     """
     config = bank.stft_config
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataError(f"signal has shape {x.shape}; analysis needs a one-dimensional signal")
     if x.size < config.n_fft:
         raise DataError(f"signal has {x.size} samples; analysis needs at least {config.n_fft}")
     if not np.all(np.isfinite(x)):

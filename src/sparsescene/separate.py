@@ -54,8 +54,8 @@ def separate(
     np.divide(speech_model, mask, out=mask)
     np.clip(mask, 0.0, 1.0, out=mask)
 
-    # frame-major, like stft's output, so that istft reads it without a copy
-    speech = istft(np.multiply(mask, spectrogram, order="F"), config, n_samples=len(mixture))
+    # istft masks one block of frames at a time; the masked spectrogram is never formed whole
+    speech = istft(spectrogram, config, n_samples=len(mixture), mask=mask)
     return SeparationResult(speech=speech, noise=mixture - speech, mask=mask)
 
 

@@ -18,8 +18,8 @@ solvers approach the same optimum and can be used to cross-check each other:
     :data:`RELAX_EXPONENT` (1.5), an over-relaxed step that gets further per
     sweep; exponents in (0, 2) keep the KL updates stable (Badeau, Bertin &
     Vincent, IEEE TNN 2010), and an exponent of 2 diverges on the pipeline's
-    screen.  The screen and K-SVD's coding rounds run relaxed; every other
-    caller runs the plain update.
+    screen.  The screen, the shortlist's coding and K-SVD's coding rounds
+    run relaxed; every other caller runs the plain update.
 ``solve_asna``
     an active-set Newton method; maintains a small set of non-zero weights,
     takes damped Newton steps on that set, and adds/removes atoms based on the
@@ -273,9 +273,9 @@ def solve_mu(
         (the first check compares with the start's shares: uniform, or those
         of ``init``).  A column whose largest share change is at most ``tol``
         stops there and leaves the sweeps, which go on over the other columns.
-        The pipeline's shortlist coding uses ``tol=2e-4``, a change of at most
-        4e-5 per sweep.  ``tol=0`` runs every column for the full ``n_iter``
-        sweeps.
+        The pipeline's shortlist coding uses ``tol=3e-4`` with relaxed
+        sweeps, a change of at most 6e-5 per sweep.  ``tol=0`` runs every
+        column for the full ``n_iter`` sweeps.
     blocks : sequence of int, optional
         Start index of each contiguous block of atoms, beginning at 0 and
         increasing; only the stopping test reads it.  The default puts each
@@ -291,8 +291,10 @@ def solve_mu(
         over-relaxed update stays stable for exponents in (0, 2) (Badeau,
         Bertin & Vincent, IEEE TNN 2010).  In the pipeline's screen it
         reaches a lower divergence in 35 sweeps than the plain update in 50,
-        and in K-SVD's rounds in 42 and 14 sweeps than the plain update in
-        60 and 20.  Above
+        in K-SVD's rounds in 42 and 14 sweeps than the plain update in 60
+        and 20, and in the shortlist's coding at ``tol=3e-4`` than the plain
+        update at ``tol=2e-4``: a relaxed sweep moves the block shares about
+        1.5 times as far, so the tolerance is 1.5 times larger.  Above
         an exponent of 1 the divergence is not guaranteed to fall at every
         sweep: Févotte & Idier's floor argument covers the plain update only.
         The default runs the plain update.

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -63,37 +64,45 @@ def test_rows_are_stored_under_their_content_key(corpus_root, kmeans_bank, tmp_p
         corpus, 1, seed=0, half_duration_s=6.0, utterances_per_half=1
     )[0]
     expected = run_key(
-        scenario, "ground_truth", 0.0, kmeans_bank.content_hash(), manifest.eval_params
+        scenario, "ground_truth", 0.0, kmeans_bank.content_hash(), manifest.eval_params, "kmeans"
     )
     assert row_path.stem == expected
 
 
-def _before_the_shortlist(params):
+def _before_the_shortlist(params, method=None):
     """``EvalParams.to_dict`` as it was before ``screen_iters`` and ``shortlist``."""
     return {"solver": params.solver, "coding_iters": params.coding_iters}
 
 
-def _both_noises_on_every_frame(params):
+def _both_noises_on_every_frame(params, method=None):
     """``EvalParams.to_dict`` as it was before the shortlist coded each side's noise only."""
     return {**_before_the_shortlist(params), "screen_iters": 50, "shortlist": 2}
 
 
-def _before_the_settle_rule(params):
+def _before_the_settle_rule(params, method=None):
     """``EvalParams.to_dict`` as it was before it recorded the shortlist's settle rule."""
     return {**_both_noises_on_every_frame(params), "shortlist_noise": "per_side"}
 
 
-def _before_the_relaxed_screen(params):
+def _before_the_relaxed_screen(params, method=None):
     """``EvalParams.to_dict`` as it was while the screen ran 50 plain sweeps."""
     return {**_before_the_settle_rule(params), "settle": {"every": 5, "tol": 2e-4}}
 
 
-def _before_the_relaxed_ksvd(params):
+def _before_the_relaxed_ksvd(params, method=None):
     """``EvalParams.to_dict`` as it was while K-SVD coded 60 + 9 x 20 plain sweeps."""
     return {
         **_before_the_relaxed_screen(params),
         "screen_iters": 35,
         "screen_exponent": 1.5,
+    }
+
+
+def _before_the_relaxed_stage_2(params, method=None):
+    """``EvalParams.to_dict`` as it was while the shortlist coded plain sweeps, for any bank."""
+    return {
+        **_before_the_relaxed_ksvd(params),
+        "ksvd_sweeps": {"cold": 42, "warm": 14, "exponent": 1.5},
     }
 
 
@@ -111,28 +120,38 @@ def test_run_key_is_pinned(monkeypatch):
         ),
         seed=12345,
     )
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "2b7dbe43a21a389fe1aa"
+
+    def key_for(method="kmeans"):
+        return run_key(
+            scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams(), method
+        )
+
+    # only a ksvd bank's key records K-SVD's schedule
+    assert key_for("kmeans") == "fcf2aa20af6d4f82e021"
+    assert key_for("tdcs") == key_for("kmeans")
+    assert key_for("ksvd") == "0a4ab8ee697ac43c6454"
+    with monkeypatch.context() as patched:
+        patched.setattr(regimes, "KSVD_WARM_SWEEPS", 13)
+        assert key_for("kmeans") == "fcf2aa20af6d4f82e021"
+        assert key_for("ksvd") != "0a4ab8ee697ac43c6454"
+    # the key this run had while the shortlist coded plain sweeps at tol 2e-4
+    monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_stage_2)
+    assert key_for("kmeans") == key_for("ksvd") == "2b7dbe43a21a389fe1aa"
     # the key this run had while K-SVD coded its rounds with plain sweeps
     monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_ksvd)
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "ffafe46bb6ae9774783e"
+    assert key_for() == "ffafe46bb6ae9774783e"
     # the key this run had while the screen ran 50 plain sweeps
     monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_screen)
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "d77b03c1e47458d0f1e7"
+    assert key_for() == "d77b03c1e47458d0f1e7"
     # the key this run had while the shortlist settled every 25 sweeps at tol 1e-3
     monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_settle_rule)
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "75774c5fef78a9d3b03c"
+    assert key_for() == "75774c5fef78a9d3b03c"
     # the key this run had while the shortlist coded both noises on every frame
     monkeypatch.setattr(ss.EvalParams, "to_dict", _both_noises_on_every_frame)
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "6e7274d48a4e72a62e51"
+    assert key_for() == "6e7274d48a4e72a62e51"
     # the key this run had before the screen and shortlist settings
     monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_shortlist)
-    key = run_key(scenario, "updated_noise", -5.0, "0123456789abcdef", ss.EvalParams())
-    assert key == "7fa8823264bd3ed6bd3f"
+    assert key_for() == "7fa8823264bd3ed6bd3f"
 
 
 def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, tmp_path):
@@ -456,7 +475,7 @@ def _check_screen_then_sides(calls, view, params, front):
 
 @pytest.fixture()
 def pipeline_calls(monkeypatch):
-    """Count STFTs (``np.fft.rfft``), ``frame_energies`` and detector passes."""
+    """Count STFTs (``stft`` and ``magnitudes``), ``frame_energies`` and detector passes."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -466,8 +485,8 @@ def pipeline_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
-    for original in (features.frame_energies, vad.detect_speech_frames):
+    originals = (features.stft, features.magnitudes, features.frame_energies)
+    for original in (*originals, vad.detect_speech_frames):
         name = original.__name__
         wrapper = counted(name, original)
         for mod_name, module in list(sys.modules.items()):
@@ -489,7 +508,7 @@ def test_analyze_signal_codes_the_clip_once(
 ):
     params = ss.EvalParams(coding_iters=50)
     analysis, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture, params)
-    assert pipeline_calls == {"rfft": 1, "frame_energies": 1, "detect_speech_frames": 1}
+    assert pipeline_calls == {"stft": 1, "frame_energies": 1, "detect_speech_frames": 1}
     # the clip switches noise inside it, so each side is coded once
     assert len(coding_calls) == 3
     front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
@@ -527,7 +546,7 @@ def test_every_regime_codes_the_clip_once(
     assert result.failure_stage is None, result.error
     # updated_noise learns its noises from the same spectrogram the pipeline codes
     assert pipeline_calls == {
-        "rfft": 1,
+        "stft": 1,
         "frame_energies": 1,
         "detect_speech_frames": len(regimes.VAD_KS),
     }
@@ -581,7 +600,7 @@ def test_a_campaign_renders_frames_and_transforms_each_mixture_once(
     # one render, framing, STFT and set of detector passes per (method, scenario, SNR)
     assert [args[2] for args in renders] == [-5.0, 5.0]
     assert pipeline_calls == {
-        "rfft": 2,
+        "stft": 2,
         "frame_energies": 2,
         "detect_speech_frames": 2 * len(regimes.VAD_KS),
     }
@@ -652,6 +671,36 @@ def test_the_shortlist_coding_continues_the_screen(
         )
         assert np.array_equal(coding.weights[rows, frames], expected)
         assert np.all(coding.weights[coding.block("noise", other), frames] == 0.0)
+
+
+def test_relaxed_stage_2_fits_each_side_no_worse_than_the_plain_rule(corpus, kmeans_bank):
+    # An over-relaxed sweep moves the block shares about 1.5 times as far, so
+    # the settle tolerance is 1.5 times the plain sweeps' 2e-4.
+    assert regimes.SETTLE_TOL == 3e-4
+    params = ss.EvalParams()
+    assert params.solver_kwargs() == {"n_iter": 400, "tol": 3e-4, "relaxed": True}
+    scenario = ss.generate_scenarios(corpus, 1, seed=3, half_duration_s=6.0)[0]
+    mixture = ss.render_scenario(corpus, scenario, snr_db=0.0).mixture
+    found = _analyze(mixture, kmeans_bank, params)
+    mag = regimes.FrontEnd(mixture, kmeans_bank.stft_config).magnitude()
+    noise, coding = found.noise, found.coding
+    shortlist = {("speaker", label) for label in found.speaker_ranking[: regimes.SHORTLIST]}
+    for frames, label in (
+        (slice(0, noise.split), noise.noise_first),
+        (slice(noise.split, None), noise.noise_second),
+    ):
+        side = found.screen.only(shortlist | {("noise", label)})
+        Y, D, blocks = mag[:, frames], side.dictionary, [g[2].start for g in side.groups]
+        init = side.weights[:, frames]
+        relaxed = np.concatenate(
+            [coding.weights[coding.block(kind, source), frames] for kind, source, _ in side.groups]
+        )
+        assert np.array_equal(
+            relaxed,
+            solvers.solve_mu(Y, D, n_iter=400, tol=3e-4, blocks=blocks, init=init, relaxed=True),
+        )
+        plain = solvers.solve_mu(Y, D, n_iter=400, tol=2e-4, blocks=blocks, init=init)
+        assert ss.generalized_kl(Y, D @ relaxed) <= ss.generalized_kl(Y, D @ plain)
 
 
 @pytest.mark.parametrize("where", ["first_frame", "after_the_last_frame"])
@@ -820,6 +869,12 @@ def test_analyze_signal_rejects_signals_shorter_than_a_frame(kmeans_bank, n_samp
         ss.analyze_signal(kmeans_bank, np.ones(n_samples))
     analysis, _ = ss.analyze_signal(kmeans_bank, np.ones(256), ss.EvalParams(coding_iters=5))
     assert analysis["speaker"] in kmeans_bank.speaker_labels
+
+
+@pytest.mark.parametrize("shape", [(2, 4000), (4000, 1), ()])
+def test_analyze_signal_rejects_a_signal_that_is_not_one_dimensional(kmeans_bank, shape):
+    with pytest.raises(DataError, match=rf"shape {re.escape(str(shape))}; .* one-dimensional"):
+        ss.analyze_signal(kmeans_bank, np.ones(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsescene.features import (
+    BLOCK_FRAMES,
     StftConfig,
     _frames,
     frame_energies,
@@ -161,7 +164,15 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [255, 256, 257, 20 * 8000])
+def _samples_for(n_frames):
+    return (n_frames - 1) * CFG.hop + CFG.n_fft
+
+
+# lengths below a frame, of one frame, around the transforms' first block
+# boundary (one frame short, exact, one frame over) and of 20 s
+@pytest.mark.parametrize(
+    "n", [255, 256, 257, *(_samples_for(BLOCK_FRAMES + d) for d in (-1, 0, 1)), 20 * 8000]
+)
 def test_strided_framing_and_contiguous_istft_keep_every_bit(n):
     x = np.random.default_rng(n).standard_normal(n).astype(np.float32)
     frames = _gathered_frames(x, CFG)
@@ -173,5 +184,36 @@ def test_strided_framing_and_contiguous_istft_keep_every_bit(n):
     assert _same_bits(mag, np.abs(X))
     assert mag.flags.c_contiguous
     natural = (X.shape[1] - 1) * CFG.hop + CFG.n_fft if X.shape[1] else 0
+    mask = np.random.default_rng(n + 1).uniform(-0.2, 1.2, X.shape).clip(0.0, 1.0)
     for n_samples in (max(natural - 100, 0), natural, natural + 500):
         assert _same_bits(istft(X, CFG, n_samples), _istft_masked(X, CFG, n_samples))
+        # the masked resynthesis never forms mask * X whole, but equals resynthesising it
+        expected = _istft_masked(np.multiply(mask, X, order="F"), CFG, n_samples)
+        assert _same_bits(istft(X, CFG, n_samples, mask=mask), expected)
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """``fn``'s result and the peak of the memory it allocated on top of its inputs."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("transform", ["stft", "magnitudes", "frame_energies", "istft", "masked"])
+def test_transforms_of_20_s_peak_at_their_output_plus_1_mb(transform):
+    x = np.random.default_rng(20).standard_normal(20 * CFG.sample_rate)
+    X = stft(x, CFG)
+    mask = np.full(X.shape, 0.5)
+    calls = {
+        "stft": (stft, (x, CFG), {}),
+        "magnitudes": (magnitudes, (x, CFG), {}),
+        "frame_energies": (frame_energies, (x, CFG), {}),
+        "istft": (istft, (X, CFG, x.size), {}),
+        "masked": (istft, (X, CFG, x.size), {"mask": mask}),
+    }
+    fn, args, kwargs = calls[transform]
+    out, peak = _peak_bytes(fn, *args, **kwargs)
+    assert peak <= out.nbytes + 2**20
