@@ -220,7 +220,11 @@ class DictionaryBank:
         return bank
 
     def _problem(self) -> str | None:
-        """What keeps this bank from being one ``save`` writes, or None."""
+        """What keeps this bank from being a whole one that ``save`` writes, or None.
+
+        A whole bank holds at least one speaker and one noise, each with at
+        least one atom and one ``appended`` flag per atom.
+        """
         if self.method not in METHODS:
             return f"method {self.method!r} is not one of {METHODS}"
         problem = recipe_problem(self.params)
@@ -232,11 +236,18 @@ class DictionaryBank:
             return f"feature_params {fp} are not positive integers for exactly {sorted(stft_keys)}"
         n_bins = self.stft_config.n_bins
         for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
+            if not table:
+                return f"it holds no {kind} dictionary"
             for label, d in table.items():
                 atoms, where = d.atoms, f"{kind} {label!r}"
                 if atoms.ndim != 2 or atoms.shape[0] != n_bins:
                     shape, n_fft = atoms.shape, fp["n_fft"]
                     return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
+                if atoms.shape[1] == 0:
+                    return f"{where} has no atoms"
+                if d.appended.shape != atoms.shape[1:]:
+                    shape, n_atoms = d.appended.shape, atoms.shape[1]
+                    return f"{where} has appended flags of shape {shape} for {n_atoms} atoms"
                 if not np.all(np.isfinite(atoms)):
                     return f"{where} has non-finite atoms (NaN or Inf)"
                 if np.any(atoms < 0):

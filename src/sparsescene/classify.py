@@ -9,9 +9,10 @@ update raised to the power 1.5) — speech energy is absorbed by the speaker
 blocks, so the per-frame winner among the noise blocks stays
 reliable even where speech is present.  The switch between the two noise
 types is the change point that makes the per-frame noise decisions before
-and after it maximally consistent.  It returns its decision and the screen's
-coding apart, and :func:`rank_speakers` reads block scores off a coding
-instead of coding the frames again.
+and after it maximally consistent; the decision hands the clip on as its
+non-empty segments, runs of frames that each carry one noise.  It returns
+its decision and the screen's coding apart, and :func:`rank_speakers` reads
+block scores off a coding instead of coding the frames again.
 """
 
 from __future__ import annotations
@@ -73,18 +74,21 @@ class Coding:
 
 @dataclass
 class NoiseDecision:
-    """Outcome of noise typing: the noise of each side of the switch and where it is.
+    """Outcome of noise typing: the clip's segments and the switch between them.
 
-    Frames ``[0, split)`` lie before the switch and ``[split, n_frames)``
-    after it; ``transition_s`` is the same switch in seconds.
-    ``frame_labels`` holds each frame's winning noise in the screen.
+    ``segments`` are the clip's non-empty runs of frames in order, as
+    ``(frames, noise label)`` pairs that cover every frame once: the frames
+    before the switch carry ``noise_first`` and those after it
+    ``noise_second``, and ``transition_s`` is the switch in seconds.  A
+    switch at the first frame or after the last leaves one segment, and one
+    of ``noise_first``/``noise_second`` then names a noise that has no
+    frames.
     """
 
     noise_first: str
     noise_second: str
     transition_s: float
-    split: int
-    frame_labels: list[str]
+    segments: list[tuple[slice, str]]
 
 
 def _best_changepoint(votes: np.ndarray, n_labels: int) -> tuple[int, int, int]:
@@ -122,24 +126,16 @@ def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> tuple[NoiseDecision
     weights = code_frames(mag, D, solver="mu", n_iter=SCREEN_ITERS, tol=0.0, relaxed=True)
     screen = Coding(D, groups, weights)
     labels, scores = screen.scores("noise")
-    frame_label_idx = np.argmax(scores, axis=0)
-
-    a_idx, b_idx, split = _best_changepoint(frame_label_idx, len(labels))
-
-    times = frame_times(mag.shape[1], bank.stft_config)
-    if split <= 0:
-        transition = float(times[0])
-    elif split >= times.size:
-        transition = float(times[-1])
-    else:
-        transition = float(0.5 * (times[split - 1] + times[split]))
-
+    a_idx, b_idx, split = _best_changepoint(np.argmax(scores, axis=0), len(labels))
+    n_frames = mag.shape[1]
+    # a switch at either edge sits on the edge frame's own time
+    t = np.pad(frame_times(n_frames, bank.stft_config), 1, mode="edge")
+    runs = ((slice(0, split), labels[a_idx]), (slice(split, n_frames), labels[b_idx]))
     decision = NoiseDecision(
         noise_first=labels[a_idx],
         noise_second=labels[b_idx],
-        transition_s=transition,
-        split=split,
-        frame_labels=[labels[i] for i in frame_label_idx],
+        transition_s=float(0.5 * (t[split] + t[split + 1])),
+        segments=[(frames, label) for frames, label in runs if frames.stop > frames.start],
     )
     return decision, screen
 

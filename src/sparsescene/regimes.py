@@ -3,8 +3,8 @@
 Every regime runs the same blind pipeline, :func:`analyze`, which codes each
 frame in two stages: a short screen against a bank view's whole
 ``[speakers | noises]``, then a full coding against the screen's atoms of
-only the speakers it shortlisted and the one noise it detected on that
-frame's side of the switch.  A *regime* only fixes which
+only the speakers it shortlisted and the one noise it detected in that
+frame's segment.  A *regime* only fixes which
 bank view that pipeline sees and which ground-truth facts replace its
 answers when a rendered scenario is scored:
 
@@ -114,9 +114,9 @@ class EvalParams:
     """How every run of an evaluation codes its frames.
 
     Each frame is first screened against the whole bank view
-    (:func:`classify_noise`); each side of the switch is then coded against
-    the :data:`SHORTLIST` speakers that score highest there and that side's
-    detected noise with ``solver`` (``mu`` or ``asna``), where
+    (:func:`classify_noise`); each noise segment is then coded against the
+    :data:`SHORTLIST` speakers that score highest on detected speech and that
+    segment's noise with ``solver`` (``mu`` or ``asna``), where
     ``coding_iters`` is the budget of over-relaxed ``mu`` sweeps
     (``relaxed=True``).  A ``mu`` frame stops earlier, at the first check
     every :data:`~sparsescene.solvers.CHECK_EVERY` (5) sweeps where its block
@@ -356,20 +356,18 @@ def analyze(
     params: EvalParams,
     on_stage: Callable[[str], None] = lambda stage: None,
 ) -> Analysis:
-    """The blind pipeline: screen every frame of one STFT, then code each side of the switch.
+    """The blind pipeline: screen every frame of one STFT, then code each noise segment.
 
     ``front`` holds the signal, its detected speech frames (with
     :data:`VAD_PRIMARY_K` clusters) and its STFT, taken with the bank's own
     settings.  The STFT's magnitude is screened against ``bank``'s whole
     ``[speakers | noises]`` (:func:`classify_noise`), which gives the noise
-    pair, the switch and a first speaker ranking over detected speech.  The
-    second coding keeps the screen's atoms (:meth:`Coding.only`) of the
+    segments and a first speaker ranking over detected speech.  The second
+    coding keeps the screen's atoms (:meth:`Coding.only`) of the
     :data:`SHORTLIST` top-ranked speakers and both detected noises.  It codes
-    the frames before the switch as ``params`` says against the shortlist and
-    ``noise_first``, those after it against the shortlist and
-    ``noise_second``, each from (for ``mu``) the screen's weights on those
-    atoms and frames; a side's weights on the other side's noise are 0, and a
-    side without frames (a one-noise bank switches at frame 0) is not coded.
+    each segment's frames in turn as ``params`` says against the shortlist
+    and that segment's noise, from (for ``mu``) the screen's weights on those
+    atoms and frames; a segment's weights on any other noise are 0.
     The ranking is the shortlist in its second-coding order, then the other
     speakers in screen order; the Wiener mask, applied to the same STFT, is
     the top speaker's block of the second model over that model.
@@ -387,25 +385,20 @@ def analyze(
     on_stage("speaker_id")
     screened = rank_speakers(mag, screen, speech_mask)
     shortlist = {("speaker", label) for label in screened[:SHORTLIST]}
-    sides = (
-        (slice(0, noise.split), noise.noise_first),
-        (slice(noise.split, mag.shape[1]), noise.noise_second),
-    )
-    coding = screen.only(shortlist | {("noise", label) for _, label in sides})
-    for frames, label in sides:
-        if frames.start == frames.stop:
-            continue
-        side = coding.only(shortlist | {("noise", label)})
+    detected = {("noise", noise.noise_first), ("noise", noise.noise_second)}
+    coding = screen.only(shortlist | detected)
+    for frames, label in noise.segments:
+        segment = coding.only(shortlist | {("noise", label)})
         coded = code_frames(
             mag[:, frames],
-            side.dictionary,
+            segment.dictionary,
             solver=params.solver,
-            blocks=[g[2].start for g in side.groups],
+            blocks=[g[2].start for g in segment.groups],
             **params.solver_kwargs(),
-            **({"init": side.weights[:, frames]} if params.solver == "mu" else {}),
+            **({"init": segment.weights[:, frames]} if params.solver == "mu" else {}),
         )
-        coding.weights[:, frames] = 0.0  # the other side's noise is not coded here
-        for kind, source, rows in side.groups:
+        coding.weights[:, frames] = 0.0  # another segment's noise is not coded here
+        for kind, source, rows in segment.groups:
             coding.weights[coding.block(kind, source), frames] = coded[rows]
     ranking = rank_speakers(mag, coding, speech_mask) + screened[SHORTLIST:]
     on_stage("separation")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,35 @@ def test_loading_garbage_raises_data_error(tmp_path):
         DictionaryBank.load(tmp_path / "list.npz")
 
 
+def _no_atoms(bank):
+    return bank.with_replaced("noise", "hiss", LearnedDictionary(np.zeros((6, 0)), "random"))
+
+
+def _two_flags_for_three_atoms(bank):
+    atoms = bank.get_noise("hiss").atoms
+    return bank.with_replaced(
+        "noise", "hiss", LearnedDictionary(atoms, "random", np.zeros(2, dtype=bool))
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda bank: bank.restricted(exclude_noises=bank.noise_labels), "holds no noise"),
+        (lambda bank: bank.restricted(exclude_speakers=bank.speaker_labels), "holds no speaker"),
+        (_no_atoms, "noise 'hiss' has no atoms"),
+        (_two_flags_for_three_atoms, "noise 'hiss' has appended flags of shape (2,) for 3 atoms"),
+    ],
+    ids=["no_noises", "no_speakers", "zero_atom_source", "too_few_appended_flags"],
+)
+def test_a_bank_short_of_sources_atoms_or_flags_is_a_data_error(bank, tmp_path, tamper, message):
+    path = tmp_path / "short.npz"
+    tamper(bank).save(path)
+    with pytest.raises(DataError, match=re.escape(message)) as raised:
+        DictionaryBank.load(path)
+    assert str(path) in str(raised.value)
+
+
 @pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
 def test_a_bank_whose_meta_is_not_json_is_a_data_error(tmp_path, meta):
     path = tmp_path / "bad.npz"
@@ -192,6 +222,7 @@ def test_a_bank_with_one_meta_value_replaced_loads_whole_or_is_a_data_error(save
         assert str(path) in str(exc)
     else:
         assert recipe_problem(bank.params) is None
+        assert bank.speaker_labels and bank.noise_labels
         D, groups = bank.concatenated()
         assert D.shape == (bank.stft_config.n_bins, groups[-1][2].stop)
         assert len(bank.content_hash()) == 64

@@ -96,8 +96,8 @@ def test_classify_noise_finds_labels_and_switch(toy_bank, stft_config):
     times = frame_times(40, stft_config)
     expected = 0.5 * (times[19] + times[20])
     assert decision.transition_s == pytest.approx(expected, abs=1e-9)
-    assert decision.frame_labels[:20] == ["alpha"] * 20
-    assert decision.frame_labels[20:] == ["beta"] * 20
+    assert _votes(screen) == ["alpha"] * 20 + ["beta"] * 20
+    assert decision.segments == [(slice(0, 20), "alpha"), (slice(20, 40), "beta")]
     # the coding behind the votes covers every frame against [speakers | noises]
     assert [g[:2] for g in screen.groups] == [
         ("speaker", "sA"),
@@ -108,6 +108,12 @@ def test_classify_noise_finds_labels_and_switch(toy_bank, stft_config):
     assert screen.dictionary.shape == (8, 8)
     assert screen.weights.shape == (8, 40)
     assert screen.block("noise", "beta") == slice(6, 8)
+
+
+def _votes(screen):
+    """Each frame's winning noise in the screen."""
+    labels, scores = screen.scores("noise")
+    return [labels[i] for i in np.argmax(scores, axis=0)]
 
 
 def _brute_force_changepoint(votes, n_labels):
@@ -151,13 +157,42 @@ def test_speech_energy_does_not_flip_noise_votes(toy_bank):
 def test_uniform_signal_degenerates_to_edge_transition(toy_bank, stft_config):
     mag = np.zeros((8, 30))
     mag[0:2, :] = 1.0  # pure 'alpha' throughout
-    decision, _ = ss.classify_noise(mag, toy_bank)
-    # With no real switch the best split is at an edge; the non-empty side
+    decision, screen = ss.classify_noise(mag, toy_bank)
+    # With no real switch the best split is at an edge; the one segment
     # must carry the true label and the transition sits at that edge.
     assert "alpha" in (decision.noise_first, decision.noise_second)
     times = frame_times(30, stft_config)
     assert decision.transition_s in (pytest.approx(times[0]), pytest.approx(times[-1]))
-    assert decision.frame_labels == ["alpha"] * 30
+    assert _votes(screen) == ["alpha"] * 30
+    assert decision.segments == [(slice(0, 30), "alpha")]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 0)], ids=["ab", "ba", "one_noise"])
+@pytest.mark.parametrize("at", [0, 1, -1, None], ids=["0", "1", "n-1", "n"])
+def test_the_segments_cover_the_frames_once_on_each_side_of_any_split(
+    pair, at, toy_bank, stft_config, monkeypatch
+):
+    n_frames = 30
+    split = n_frames if at is None else at % n_frames
+    monkeypatch.setattr(classify, "_best_changepoint", lambda votes, n_labels: (*pair, split))
+    bank = toy_bank.restricted(exclude_noises=["beta"]) if pair == (0, 0) else toy_bank
+    decision, _ = ss.classify_noise(_toy_mag(n_frames, switch=15), bank)
+    first, second = (bank.noise_labels[i] for i in pair)
+    assert (decision.noise_first, decision.noise_second) == (first, second)
+    covered = [f for frames, _ in decision.segments for f in range(frames.start, frames.stop)]
+    assert covered == list(range(n_frames))
+    assert all(frames.stop > frames.start for frames, _ in decision.segments)
+    for frames, label in decision.segments:
+        assert label == (first if frames.stop <= split else second)
+        assert frames.start >= split or frames.stop <= split
+    times = frame_times(n_frames, stft_config)
+    if split <= 0:
+        expected = float(times[0])
+    elif split >= times.size:
+        expected = float(times[-1])
+    else:
+        expected = float(0.5 * (times[split - 1] + times[split]))
+    assert decision.transition_s == expected
 
 
 def test_classify_noise_requires_noise_dictionaries(toy_bank):

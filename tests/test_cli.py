@@ -268,6 +268,15 @@ def _one_dimensional_atoms(meta, arrays):
     arrays["noise/hum/atoms"] = arrays["noise/hum/atoms"][:, 0]
 
 
+def _zero_atom_noise(meta, arrays):
+    arrays["noise/am/atoms"] = arrays["noise/am/atoms"][:, :0]
+    arrays["noise/am/appended"] = arrays["noise/am/appended"][:0]
+
+
+def _one_appended_flag_short(meta, arrays):
+    arrays["noise/am/appended"] = arrays["noise/am/appended"][1:]
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -295,6 +304,10 @@ def _one_dimensional_atoms(meta, arrays):
         (_set_params(n_atoms=4.0), "n_atoms must be a positive integer, not 4.0"),
         (_set_params(seed=-3), "seed must be a non-negative integer, not -3"),
         (_set_params(seed=1.5), "seed must be a non-negative integer, not 1.5"),
+        (lambda meta, arrays: meta.update(noises=[]), "it holds no noise dictionary"),
+        (lambda meta, arrays: meta.update(speakers=[]), "it holds no speaker dictionary"),
+        (_zero_atom_noise, "noise 'am' has no atoms"),
+        (_one_appended_flag_short, "noise 'am' has appended flags of shape (3,) for 4 atoms"),
     ],
     ids=[
         "n_fft_mismatch",
@@ -321,6 +334,10 @@ def _one_dimensional_atoms(meta, arrays):
         "float_atoms",
         "negative_seed",
         "fractional_seed",
+        "no_noises",
+        "no_speakers",
+        "zero_atom_noise",
+        "short_appended_flags",
     ],
 )
 def test_classify_with_malformed_bank_is_a_data_error(
@@ -334,7 +351,7 @@ def test_classify_with_malformed_bank_is_a_data_error(
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     assert main(["classify", "--bank", str(bad), "--wav", str(short_wav)]) == 2
-    assert message in caplog.text
+    assert message in caplog.text and str(bad) in caplog.text
 
 
 def test_python_dash_m_runs_the_cli():

@@ -428,11 +428,11 @@ def coding_calls(monkeypatch):
     return calls
 
 
-def _check_screen_then_sides(calls, view, params, front):
-    """One screen of every frame over ``view``, then one coding per non-empty side of its switch.
+def _check_screen_then_segments(calls, view, params, front):
+    """One screen of every frame over ``view``, then one coding per noise segment.
 
-    Each side is coded against the screen's atoms of [the shortlisted
-    speakers | that side's detected noise], starting (``mu``) from the
+    Each segment is coded against the screen's atoms of [the shortlisted
+    speakers | that segment's detected noise], starting (``mu``) from the
     screen's weights on those atoms and frames.  Returns the shortlisted
     ``(kind, label)`` speakers and the noise decision.
     """
@@ -450,16 +450,8 @@ def _check_screen_then_sides(calls, view, params, front):
 
     ranked = classify.rank_speakers(mag, screen, front.speech_mask())
     shortlist = [("speaker", label) for label in sorted(ranked[: regimes.SHORTLIST])]
-    sides = [
-        (frames, noise)
-        for frames, noise in (
-            (slice(0, decision.split), decision.noise_first),
-            (slice(decision.split, n_frames), decision.noise_second),
-        )
-        if frames.stop > frames.start
-    ]
-    assert len(coded) == len(sides)
-    for (shape, D, kw), (frames, noise) in zip(coded, sides):
+    assert len(coded) == len(decision.segments)
+    for (shape, D, kw), (frames, noise) in zip(coded, decision.segments):
         assert shape == (129, frames.stop - frames.start)
         side = screen.only({*shortlist, ("noise", noise)})
         assert [g[:2] for g in side.groups] == [*shortlist, ("noise", noise)]
@@ -509,11 +501,14 @@ def test_analyze_signal_codes_the_clip_once(
     params = ss.EvalParams(coding_iters=50)
     analysis, _ = ss.analyze_signal(kmeans_bank, short_rendered.mixture, params)
     assert pipeline_calls == {"stft": 1, "frame_energies": 1, "detect_speech_frames": 1}
-    # the clip switches noise inside it, so each side is coded once
+    # the clip switches noise inside it, so each of its two segments is coded once
     assert len(coding_calls) == 3
     front = regimes.FrontEnd(short_rendered.mixture, kmeans_bank.stft_config)
-    speakers, decision = _check_screen_then_sides(coding_calls, kmeans_bank, params, front)
-    assert 0 < decision.split < front.magnitude().shape[1]
+    speakers, decision = _check_screen_then_segments(coding_calls, kmeans_bank, params, front)
+    assert [label for _, label in decision.segments] == [
+        decision.noise_first,
+        decision.noise_second,
+    ]
     assert (analysis["noise_first"], analysis["noise_second"]) == (
         decision.noise_first,
         decision.noise_second,
@@ -528,7 +523,7 @@ def test_the_asna_shortlist_follows_the_mu_screen(short_rendered, kmeans_bank, c
     clip = short_rendered.mixture[: 40 * 128]
     analysis, _ = ss.analyze_signal(kmeans_bank, clip, params)
     front = regimes.FrontEnd(clip, kmeans_bank.stft_config)
-    _, decision = _check_screen_then_sides(coding_calls, kmeans_bank, params, front)
+    _, decision = _check_screen_then_segments(coding_calls, kmeans_bank, params, front)
     assert analysis["noise_first"] == decision.noise_first
     assert analysis["noise_second"] == decision.noise_second
 
@@ -552,7 +547,7 @@ def test_every_regime_codes_the_clip_once(
     }
     front = regimes.FrontEnd(short_rendered.mixture, stft_config)
     view = ctx.bank_for(regime, short_rendered, front)
-    _, decision = _check_screen_then_sides(coding_calls, view, ctx.params, front)
+    _, decision = _check_screen_then_segments(coding_calls, view, ctx.params, front)
     if regime not in ("ground_truth", "updated_noise"):
         assert (result.noise_first_pred, result.noise_second_pred) == (
             decision.noise_first,
@@ -657,14 +652,11 @@ def test_the_shortlist_coding_continues_the_screen(
     assert np.array_equal(found.screen.weights, screen.weights)
     assert found.coding.groups == groups
     assert np.array_equal(found.coding.dictionary, D)
-    split, sc = decision.split, short_rendered.scenario
-    assert 0 < split < mag.shape[1]
+    sc = short_rendered.scenario
+    assert [label for _, label in decision.segments] == [sc.noise_first, sc.noise_second]
     assert (decision.noise_first, decision.noise_second) == (sc.noise_first, sc.noise_second)
     coding = found.coding
-    for frames, noise, other in (
-        (slice(0, split), sc.noise_first, sc.noise_second),
-        (slice(split, None), sc.noise_second, sc.noise_first),
-    ):
+    for (frames, noise), other in zip(decision.segments, (sc.noise_second, sc.noise_first)):
         rows = np.r_[coding.block("speaker", sc.speaker), coding.block("noise", noise)]
         expected = solvers.solve_mu(
             mag[:, frames], D[:, rows], n_iter=params.coding_iters, init=screen.weights[rows, frames]
@@ -685,10 +677,7 @@ def test_relaxed_stage_2_fits_each_side_no_worse_than_the_plain_rule(corpus, kme
     mag = regimes.FrontEnd(mixture, kmeans_bank.stft_config).magnitude()
     noise, coding = found.noise, found.coding
     shortlist = {("speaker", label) for label in found.speaker_ranking[: regimes.SHORTLIST]}
-    for frames, label in (
-        (slice(0, noise.split), noise.noise_first),
-        (slice(noise.split, None), noise.noise_second),
-    ):
+    for frames, label in noise.segments:
         side = found.screen.only(shortlist | {("noise", label)})
         Y, D, blocks = mag[:, frames], side.dictionary, [g[2].start for g in side.groups]
         init = side.weights[:, frames]
@@ -711,8 +700,8 @@ def test_a_switch_at_either_end_codes_one_side(
 
     def moved(mag, bank):
         decision, screen = original(mag, bank)
-        split = 0 if where == "first_frame" else mag.shape[1]
-        return dataclasses.replace(decision, split=split), screen
+        label = decision.noise_second if where == "first_frame" else decision.noise_first
+        return dataclasses.replace(decision, segments=[(slice(0, mag.shape[1]), label)]), screen
 
     monkeypatch.setattr(regimes, "classify_noise", moved)
     found = _analyze(short_rendered.mixture, kmeans_bank, ss.EvalParams(coding_iters=50))
@@ -774,8 +763,8 @@ def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank, cod
     # the screen, then one coding of every frame against the shortlist and the one noise
     assert len(coding_calls) == 2
     front = regimes.FrontEnd(short_rendered.mixture, view.stft_config)
-    _, decision = _check_screen_then_sides(coding_calls, view, params, front)
-    assert decision.split == 0
+    _, decision = _check_screen_then_segments(coding_calls, view, params, front)
+    assert decision.segments == [(slice(0, front.magnitude().shape[1]), noise)]
     assert sorted(analysis["speaker_ranking"]) == sorted(kmeans_bank.speaker_labels)
     assert sep.speech.shape == short_rendered.mixture.shape
 

@@ -1,11 +1,13 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsescene.bank import DictionaryBank
+from sparsescene.dictionary import LearnedDictionary
 from sparsescene.errors import DataError
 from sparsescene.features import StftConfig
 from sparsescene.manifest import MANIFEST_SCHEMA_VERSION, Manifest
@@ -254,7 +256,13 @@ def test_a_manifest_with_one_value_replaced_reads_whole_or_is_a_data_error(data)
         return
     # What an accepted manifest hands to learn_bank is a recipe a bank can record.
     recipe = {"n_atoms": m.n_atoms, "tw": m.tw, "tb": m.tb, "seed": m.bank_seed}
+    n_bins = StftConfig().n_bins
+    one_atom = LearnedDictionary(np.full((n_bins, 1), n_bins**-0.5), "kmeans")  # unit norm
     bank = DictionaryBank(
-        {}, {}, method="kmeans", params=recipe, feature_params=asdict(StftConfig())
+        {"s": one_atom},
+        {"n": one_atom},
+        method="kmeans",
+        params=recipe,
+        feature_params=asdict(StftConfig()),
     )
     assert bank._problem() is None
