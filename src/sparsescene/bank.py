@@ -1,9 +1,10 @@
 """A bank of per-source dictionaries with instrumented access.
 
-The bank maps speaker and noise-type labels to learned dictionaries and keeps
-a shared access counter per source.  Restricted views (with some sources
-removed) share the parent's counters, so a test can run a pipeline on a view
-and then assert that the removed sources were never consulted.  The bank
+The bank maps each source, a ``(kind, label)`` pair naming a speaker or a
+noise type, to its learned dictionary and keeps a shared access counter per
+source.  Restricted views (with some sources removed) share the parent's
+counters, so a test can run a pipeline on a view and then assert that the
+removed sources were never consulted.  The bank
 also records how it was made (learning method, ``learn_bank`` parameters and
 STFT settings), and :meth:`DictionaryBank.load` accepts only what ``save`` writes.
 """
@@ -21,33 +22,42 @@ from .dictionary import METHODS, LearnedDictionary, recipe_problem
 from .errors import DataError
 from .features import StftConfig
 
-__all__ = ["DictionaryBank"]
+__all__ = ["KINDS", "DictionaryBank"]
+
+#: the kinds of source, in the order a bank stacks, saves and hashes them
+KINDS = ("speaker", "noise")
 
 
 class DictionaryBank:
-    """Speaker and noise dictionaries, access-counted and serialisable."""
+    """Speaker and noise dictionaries, access-counted and serialisable.
+
+    ``sources`` maps each source, named ``(kind, label)``, to its learned
+    dictionary.  The bank keeps them in :data:`KINDS` order, labels sorted
+    within each kind.
+    """
 
     def __init__(
         self,
-        speakers: Mapping[str, LearnedDictionary],
-        noises: Mapping[str, LearnedDictionary],
+        sources: Mapping[tuple[str, str], LearnedDictionary],
         *,
         method: str,
         params: Mapping[str, object] | None = None,
         feature_params: Mapping[str, object] | None = None,
         _counters: dict[tuple[str, str], int] | None = None,
     ) -> None:
-        self._speakers = dict(speakers)
-        self._noises = dict(noises)
+        unknown = sorted({kind for kind, _ in sources} - set(KINDS))
+        if unknown:
+            raise ValueError(f"source kinds {unknown} are not in {KINDS}")
+        order = sorted(sources, key=lambda key: (KINDS.index(key[0]), key[1]))
+        self._sources = {key: sources[key] for key in order}
         self.method = method
         self.params = dict(params or {})
         self.feature_params = dict(feature_params or {})
         self.access_counts: dict[tuple[str, str], int] = (
             _counters if _counters is not None else {}
         )
-        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
-            for label in table:
-                self.access_counts.setdefault((kind, label), 0)
+        for key in self._sources:
+            self.access_counts.setdefault(key, 0)
 
     @property
     def stft_config(self) -> StftConfig:
@@ -62,35 +72,38 @@ class DictionaryBank:
     # -- lookup ---------------------------------------------------------------
 
     @property
+    def sources(self) -> tuple[tuple[str, str], ...]:
+        """Every ``(kind, label)`` source, in the bank's order."""
+        return tuple(self._sources)
+
+    def _labels(self, kind: str) -> tuple[str, ...]:
+        return tuple(label for k, label in self._sources if k == kind)
+
+    @property
     def speaker_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self._speakers))
+        return self._labels("speaker")
 
     @property
     def noise_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self._noises))
+        return self._labels("noise")
 
-    def get_speaker(self, label: str) -> LearnedDictionary:
-        if label not in self._speakers:
-            raise KeyError(f"speaker {label!r} not in bank")
-        self.access_counts[("speaker", label)] += 1
-        return self._speakers[label]
-
-    def get_noise(self, label: str) -> LearnedDictionary:
-        if label not in self._noises:
-            raise KeyError(f"noise {label!r} not in bank")
-        self.access_counts[("noise", label)] += 1
-        return self._noises[label]
+    def get(self, kind: str, label: str) -> LearnedDictionary:
+        """The dictionary of source ``(kind, label)``; counts one access to it."""
+        if (kind, label) not in self._sources:
+            raise KeyError(f"{kind} {label!r} not in bank")
+        self.access_counts[(kind, label)] += 1
+        return self._sources[(kind, label)]
 
     def noise_dictionaries(self) -> dict[str, LearnedDictionary]:
         """Copy of the noise dictionaries by label, for building another bank.
 
-        Unlike :meth:`get_noise` it counts no access: copying a dictionary
-        into another bank is not consulting it.
+        Unlike :meth:`get` it counts no access: copying a dictionary into
+        another bank is not consulting it.
         """
-        return dict(self._noises)
+        return {label: d for (kind, label), d in self._sources.items() if kind == "noise"}
 
     def concatenated(self) -> tuple[np.ndarray, list[tuple[str, str, slice]]]:
-        """Stack every speaker's, then every noise's atoms, each in label order.
+        """Stack every source's atoms in the bank's order: speakers, then noises.
 
         Returns the matrix and a list of ``(kind, label, column_slice)``
         giving each source's block of columns.  A :meth:`restricted` view
@@ -99,9 +112,8 @@ class DictionaryBank:
         blocks: list[np.ndarray] = []
         groups: list[tuple[str, str, slice]] = []
         start = 0
-        wanted = [("speaker", label) for label in self.speaker_labels]
-        for kind, label in wanted + [("noise", label) for label in self.noise_labels]:
-            atoms = (self.get_speaker if kind == "speaker" else self.get_noise)(label).atoms
+        for kind, label in self._sources:
+            atoms = self.get(kind, label).atoms
             blocks.append(atoms)
             groups.append((kind, label, slice(start, start + atoms.shape[1])))
             start += atoms.shape[1]
@@ -111,40 +123,21 @@ class DictionaryBank:
 
     # -- derived banks --------------------------------------------------------
 
-    def restricted(
-        self,
-        exclude_speakers: Iterable[str] = (),
-        exclude_noises: Iterable[str] = (),
-    ) -> "DictionaryBank":
-        """View without the given sources; shares this bank's access counters."""
-        ex_s = set(exclude_speakers)
-        ex_n = set(exclude_noises)
-        return self._view(
-            {k: v for k, v in self._speakers.items() if k not in ex_s},
-            {k: v for k, v in self._noises.items() if k not in ex_n},
-        )
+    def restricted(self, exclude: Iterable[tuple[str, str]] = ()) -> "DictionaryBank":
+        """View without the ``(kind, label)`` sources in ``exclude``; shares the counters."""
+        dropped = set(exclude)
+        return self._view({key: d for key, d in self._sources.items() if key not in dropped})
 
     def with_replaced(
         self, kind: str, label: str, replacement: LearnedDictionary
     ) -> "DictionaryBank":
         """Copy of the bank with one source dictionary replaced or added."""
-        speakers = dict(self._speakers)
-        noises = dict(self._noises)
-        if kind == "speaker":
-            speakers[label] = replacement
-        elif kind == "noise":
-            noises[label] = replacement
-        else:
-            raise ValueError("kind must be 'speaker' or 'noise'")
-        return self._view(speakers, noises)
+        return self._view({**self._sources, (kind, label): replacement})
 
-    def _view(
-        self, speakers: Mapping[str, LearnedDictionary], noises: Mapping[str, LearnedDictionary]
-    ) -> "DictionaryBank":
+    def _view(self, sources: Mapping[tuple[str, str], LearnedDictionary]) -> "DictionaryBank":
         """Bank of these sources with this bank's recipe and access counters."""
         return DictionaryBank(
-            speakers,
-            noises,
+            sources,
             method=self.method,
             params=self.params,
             feature_params=self.feature_params,
@@ -154,21 +147,21 @@ class DictionaryBank:
     # -- serialisation --------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the bank to ``path``; a bank :meth:`load` would reject is a :class:`DataError`."""
+        problem = self._problem()
+        if problem:
+            raise DataError(f"cannot save dictionary bank {path}: {problem}")
         arrays: dict[str, np.ndarray] = {}
-        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
-            for label, d in table.items():
-                arrays[f"{kind}/{label}/atoms"] = d.atoms
-                arrays[f"{kind}/{label}/appended"] = d.appended
+        for (kind, label), d in self._sources.items():
+            arrays[f"{kind}/{label}/atoms"] = d.atoms
+            arrays[f"{kind}/{label}/appended"] = d.appended
         meta = {
             "format": "sparsescene-bank",
             "version": 1,
             **self._recipe,
-            "speakers": sorted(self._speakers),
-            "noises": sorted(self._noises),
+            **{f"{kind}s": list(self._labels(kind)) for kind in KINDS},
             "dict_methods": {
-                f"{kind}/{label}": d.method
-                for kind, table in (("speaker", self._speakers), ("noise", self._noises))
-                for label, d in table.items()
+                f"{kind}/{label}": d.method for (kind, label), d in self._sources.items()
             },
         }
         arrays["meta"] = np.frombuffer(
@@ -192,20 +185,17 @@ class DictionaryBank:
             problem = _meta_problem(meta)
             if problem:
                 raise DataError(f"{path} is not a valid dictionary bank: {problem}")
-            tables = {
-                kind: {
-                    label: LearnedDictionary(
-                        atoms=np.asarray(data[f"{kind}/{label}/atoms"], dtype=np.float64),
-                        method=meta["dict_methods"][f"{kind}/{label}"],
-                        appended=np.asarray(data[f"{kind}/{label}/appended"], dtype=bool),
-                    )
-                    for label in meta[f"{kind}s"]
-                }
-                for kind in ("speaker", "noise")
+            sources = {
+                (kind, label): LearnedDictionary(
+                    atoms=np.asarray(data[f"{kind}/{label}/atoms"], dtype=np.float64),
+                    method=meta["dict_methods"][f"{kind}/{label}"],
+                    appended=np.asarray(data[f"{kind}/{label}/appended"], dtype=bool),
+                )
+                for kind in KINDS
+                for label in meta[f"{kind}s"]
             }
             bank = cls(
-                tables["speaker"],
-                tables["noise"],
+                sources,
                 method=meta["method"],
                 params=meta["params"],
                 feature_params=meta["feature_params"],
@@ -235,37 +225,35 @@ class DictionaryBank:
         if set(fp) != stft_keys or not all(type(v) is int and v > 0 for v in fp.values()):
             return f"feature_params {fp} are not positive integers for exactly {sorted(stft_keys)}"
         n_bins = self.stft_config.n_bins
-        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
-            if not table:
+        for kind in KINDS:
+            if not self._labels(kind):
                 return f"it holds no {kind} dictionary"
-            for label, d in table.items():
-                atoms, where = d.atoms, f"{kind} {label!r}"
-                if atoms.ndim != 2 or atoms.shape[0] != n_bins:
-                    shape, n_fft = atoms.shape, fp["n_fft"]
-                    return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
-                if atoms.shape[1] == 0:
-                    return f"{where} has no atoms"
-                if d.appended.shape != atoms.shape[1:]:
-                    shape, n_atoms = d.appended.shape, atoms.shape[1]
-                    return f"{where} has appended flags of shape {shape} for {n_atoms} atoms"
-                if not np.all(np.isfinite(atoms)):
-                    return f"{where} has non-finite atoms (NaN or Inf)"
-                if np.any(atoms < 0):
-                    return f"{where} has negative atoms"
-                if np.any(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) > 1e-6):
-                    return f"{where} has atoms that are not unit-norm"
+        for (kind, label), d in self._sources.items():
+            atoms, where = d.atoms, f"{kind} {label!r}"
+            if atoms.ndim != 2 or atoms.shape[0] != n_bins:
+                shape, n_fft = atoms.shape, fp["n_fft"]
+                return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
+            if atoms.shape[1] == 0:
+                return f"{where} has no atoms"
+            if d.appended.shape != atoms.shape[1:]:
+                shape, n_atoms = d.appended.shape, atoms.shape[1]
+                return f"{where} has appended flags of shape {shape} for {n_atoms} atoms"
+            if not np.all(np.isfinite(atoms)):
+                return f"{where} has non-finite atoms (NaN or Inf)"
+            if np.any(atoms < 0):
+                return f"{where} has negative atoms"
+            if np.any(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) > 1e-6):
+                return f"{where} has atoms that are not unit-norm"
         return None
 
     def content_hash(self) -> str:
         """Stable digest of the bank's dictionaries and parameters."""
         h = hashlib.sha256()
         h.update(json.dumps(self._recipe, sort_keys=True).encode("utf-8"))
-        for kind, table in (("speaker", self._speakers), ("noise", self._noises)):
-            for label in sorted(table):
-                d = table[label]
-                h.update(f"{kind}/{label}/{d.method}".encode("utf-8"))
-                h.update(np.ascontiguousarray(d.atoms).tobytes())
-                h.update(np.ascontiguousarray(d.appended).tobytes())
+        for (kind, label), d in self._sources.items():
+            h.update(f"{kind}/{label}/{d.method}".encode("utf-8"))
+            h.update(np.ascontiguousarray(d.atoms).tobytes())
+            h.update(np.ascontiguousarray(d.appended).tobytes())
         return h.hexdigest()
 
 

@@ -251,9 +251,7 @@ def _learn_ksvd(
     dense = np.zeros((k, frames.shape[1]))
     for i in range(n_iter):
         sweeps = KSVD_WARM_SWEEPS if i else KSVD_COLD_SWEEPS
-        scaled = solvers._sweeps(
-            obs, atoms, atoms.sum(axis=0), scaled, sweeps, dense, relaxed=True
-        )
+        solvers._sweeps(obs, atoms, atoms.sum(axis=0), scaled, sweeps, dense, relaxed=True)
         X = dense.copy()
         # hard sparsification: keep the largest weights per frame
         if sparsity < k:

@@ -247,27 +247,24 @@ class RegimeContext:
         ``rendered``'s mixture.
         """
         sc = rendered.scenario
+        speaker = {("speaker", sc.speaker)}
+        noises = {("noise", sc.noise_first), ("noise", sc.noise_second)}
+        everything = set(self.bank.sources)
         if regime == "ground_truth":
-            speakers, noises = {sc.speaker}, {sc.noise_first, sc.noise_second}
-            missing = (speakers - set(self.bank.speaker_labels)) | (
-                noises - set(self.bank.noise_labels)
-            )
+            missing = sorted(label for _, label in (speaker | noises) - everything)
             if missing:
-                raise KeyError(f"bank lacks the true sources {sorted(missing)}")
-            return self.bank.restricted(
-                exclude_speakers=set(self.bank.speaker_labels) - speakers,
-                exclude_noises=set(self.bank.noise_labels) - noises,
-            )
+                raise KeyError(f"bank lacks the true sources {missing}")
+            return self.bank.restricted(everything - speaker - noises)
         if regime == "updated_noise":
             first, second = _adapted_noises(rendered, front, self)
-            view = self.bank.restricted(exclude_noises=self.bank.noise_labels)
+            view = self.bank.restricted(source for source in everything if source[0] == "noise")
             return view.with_replaced("noise", "adapted_first", first).with_replaced(
                 "noise", "adapted_second", second
             )
         if regime == "out_of_set_noise":
-            return self.bank.restricted(exclude_noises={sc.noise_first, sc.noise_second})
+            return self.bank.restricted(noises)
         if regime == "out_of_set_speaker":
-            return self.bank.restricted(exclude_speakers={sc.speaker})
+            return self.bank.restricted(speaker)
         if regime == "updated_speaker":
             return self.updated_speaker_bank()
         return self.bank

@@ -180,7 +180,7 @@ def _sweeps(
     tol: float = 0.0,
     starts: np.ndarray | None = None,
     relaxed: bool = False,
-) -> np.ndarray:
+) -> None:
     """Run up to ``n_iter`` multiplicative-update sweeps from the float32 weights ``Xl``.
 
     ``Xl`` holds one column per live column of ``obs`` and is updated in
@@ -193,8 +193,7 @@ def _sweeps(
     :data:`CHECK_EVERY` sweeps, where its share of weight per block (starting
     at ``starts``) has moved by at most ``tol`` since the previous check.
     Each column's final weights, times ``obs.scale``, go into its column of
-    the float64 result ``X``.  Returns the float32 weights of the columns
-    that ran all ``n_iter`` sweeps: with ``tol=0``, ``Xl`` itself.
+    the float64 result ``X``; with ``tol=0`` they also stay in ``Xl``.
     """
     Bs = B.astype(np.float32)
     Bt_scaled = np.ascontiguousarray((B / colsum[None, :]).T, dtype=np.float32)
@@ -222,13 +221,12 @@ def _sweeps(
                 keep = ~done
                 live, Ys, Xl, now = live[keep], Ys[:, keep], Xl[:, keep], now[:, keep]
                 if live.size == 0:
-                    return Xl
+                    return
                 buf = np.empty_like(Ys)
                 update = np.empty_like(Xl)
                 root = np.empty_like(Xl) if relaxed else None
             shares = now
     _unscale(X, live, Xl, obs.scale)
-    return Xl
 
 
 def solve_mu(

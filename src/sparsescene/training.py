@@ -113,7 +113,7 @@ def _learn_sources(
     children = np.random.SeedSequence(recipe["seed"]).spawn(len(order))
 
     prior: list[np.ndarray] = []
-    tables: dict[str, dict[str, LearnedDictionary]] = {"noise": {}, "speaker": {}}
+    sources: dict[tuple[str, str], LearnedDictionary] = {}
     for (kind, label), child in zip(order, children):
         if kind == "noise" and noises is not None:
             learned = noises[label]
@@ -137,11 +137,10 @@ def _learn_sources(
                 raise DataError(f"{kind} {label!r}: {exc}") from None
             log.debug("learned %s/%s: %d atoms", kind, label, learned.atoms.shape[1])
         prior.append(learned.atoms)
-        tables[kind][label] = learned
+        sources[kind, label] = learned
 
     return DictionaryBank(
-        tables["speaker"],
-        tables["noise"],
+        sources,
         method=method,
         params=recipe,
         feature_params=asdict(config),

@@ -163,18 +163,18 @@ def test_single_atom_observations_recover_exactly():
     """Coding an atom against its own dictionary returns only that atom."""
     rng = np.random.default_rng(7)
     sources = {
-        f"src{i}": LearnedDictionary(
+        ("noise", f"src{i}"): LearnedDictionary(
             normalize_atoms(rng.uniform(0.05, 1.0, size=(32, 8))), "random"
         )
         for i in range(5)
     }
-    bank = DictionaryBank({}, sources, method="random")
+    bank = DictionaryBank(sources, method="random")
     worst_off = 0.0
     worst_kl = 0.0
     all_single = True
     n_checked = 0
     for label in bank.noise_labels:
-        D = bank.get_noise(label).atoms
+        D = bank.get("noise", label).atoms
         for k in range(D.shape[1]):
             y = D[:, k].copy()
             x = solve_asna(y, D)
@@ -205,7 +205,7 @@ def test_threshold_dictionaries_respect_similarity_bounds(banks_all):
     n_appended = 0
     n_kept = 0
     for kind, label in order:
-        d = bank.get_noise(label) if kind == "noise" else bank.get_speaker(label)
+        d = bank.get(kind, label)
         kept = d.atoms[:, ~d.appended]
         n_appended += int(np.sum(d.appended))
         n_kept += kept.shape[1]
@@ -284,7 +284,7 @@ def test_warm_started_ksvd_fits_its_sources_as_well_as_cold_coding(
         """Mean over sources of the KL of its frames coded on its atoms, relative to their sum."""
         rel = []
         for (kind, label), F in frames.items():
-            A = (bank.get_noise(label) if kind == "noise" else bank.get_speaker(label)).atoms
+            A = bank.get(kind, label).atoms
             rel.append(generalized_kl(F, A @ solve_mu(F, A, n_iter=200)) / float(np.sum(F)))
         return float(np.mean(rel))
 

@@ -20,8 +20,12 @@ def _small_bank():
     rng = np.random.default_rng(0)
     mk = lambda: LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 3))) + 0.1), "random")
     return DictionaryBank(
-        {"alice": mk(), "bob": mk()},
-        {"hiss": mk(), "thump": mk()},
+        {
+            ("speaker", "alice"): mk(),
+            ("speaker", "bob"): mk(),
+            ("noise", "hiss"): mk(),
+            ("noise", "thump"): mk(),
+        },
         method="random",
         params={"n_atoms": 3, "tw": 0.8, "tb": 0.8, "seed": 0},
         feature_params={"sample_rate": 8000, "n_fft": 10, "hop": 5},  # 6-row atoms
@@ -38,6 +42,20 @@ def test_labels_are_sorted(bank):
     assert bank.noise_labels == ("hiss", "thump")
 
 
+def test_sources_are_kept_speakers_first_and_sorted_whatever_the_order_given(bank):
+    order = [("speaker", "alice"), ("speaker", "bob"), ("noise", "hiss"), ("noise", "thump")]
+    assert bank.sources == tuple(order)
+    shuffled = DictionaryBank(
+        {key: bank.get(*key) for key in reversed(order)},
+        method=bank.method,
+        params=bank.params,
+        feature_params=bank.feature_params,
+    )
+    assert shuffled.sources == tuple(order)
+    assert [group[:2] for group in shuffled.concatenated()[1]] == order
+    assert shuffled.content_hash() == bank.content_hash()
+
+
 def test_access_counters_track_reads(bank):
     # Every label starts with an explicit zero so "never read" is provable.
     assert set(bank.access_counts) == {
@@ -47,22 +65,25 @@ def test_access_counters_track_reads(bank):
         ("noise", "thump"),
     }
     assert all(v == 0 for v in bank.access_counts.values())
-    bank.get_speaker("alice")
-    bank.get_noise("hiss")
-    bank.get_noise("hiss")
+    bank.get("speaker", "alice")
+    bank.get("noise", "hiss")
+    bank.get("noise", "hiss")
     assert bank.access_counts[("speaker", "alice")] == 1
     assert bank.access_counts[("noise", "hiss")] == 2
 
 
 def test_missing_label_raises(bank):
     with pytest.raises(KeyError):
-        bank.get_speaker("nobody")
+        bank.get("speaker", "nobody")
     with pytest.raises(KeyError):
-        bank.get_noise("silence")
+        bank.get("noise", "silence")
+    # A label is looked up under its own kind only.
+    with pytest.raises(KeyError):
+        bank.get("noise", "alice")
 
 
 def test_concatenated_blocks_and_slices(bank):
-    D, groups = bank.restricted(exclude_speakers=["alice"]).concatenated()
+    D, groups = bank.restricted([("speaker", "alice")]).concatenated()
     assert D.shape == (6, 9)
     assert [(k, l) for k, l, _ in groups] == [
         ("speaker", "bob"),
@@ -70,17 +91,16 @@ def test_concatenated_blocks_and_slices(bank):
         ("noise", "thump"),
     ]
     for kind, label, sl in groups:
-        d = bank.get_speaker(label) if kind == "speaker" else bank.get_noise(label)
-        assert np.array_equal(D[:, sl], d.atoms)
+        assert np.array_equal(D[:, sl], bank.get(kind, label).atoms)
 
 
 def test_restricted_view_hides_sources_and_shares_counters(bank):
-    view = bank.restricted(exclude_speakers=["alice"], exclude_noises=["thump"])
+    view = bank.restricted([("speaker", "alice"), ("noise", "thump")])
     assert view.speaker_labels == ("bob",)
     assert view.noise_labels == ("hiss",)
     with pytest.raises(KeyError):
-        view.get_speaker("alice")
-    view.get_speaker("bob")
+        view.get("speaker", "alice")
+    view.get("speaker", "bob")
     assert bank.access_counts[("speaker", "bob")] == 1
     assert bank.access_counts[("speaker", "alice")] == 0
 
@@ -89,9 +109,9 @@ def test_replacement_creates_an_updated_copy(bank):
     rng = np.random.default_rng(9)
     repl = LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 2))) + 0.1), "kmeans")
     updated = bank.with_replaced("noise", "hiss", repl)
-    assert updated.get_noise("hiss").atoms.shape == (6, 2)
-    assert bank.get_noise("hiss").atoms.shape == (6, 3)
-    with pytest.raises(ValueError):
+    assert updated.get("noise", "hiss").atoms.shape == (6, 2)
+    assert bank.get("noise", "hiss").atoms.shape == (6, 3)
+    with pytest.raises(ValueError, match="weather"):
         bank.with_replaced("weather", "hiss", repl)
 
 
@@ -102,10 +122,9 @@ def test_save_load_round_trip(bank, tmp_path):
     assert loaded.method == bank.method
     assert loaded.params == bank.params
     assert loaded.feature_params == bank.feature_params
-    assert loaded.speaker_labels == bank.speaker_labels
-    assert loaded.noise_labels == bank.noise_labels
-    for label in bank.noise_labels:
-        a, b = bank.get_noise(label), loaded.get_noise(label)
+    assert loaded.sources == bank.sources
+    for kind, label in bank.sources:
+        a, b = bank.get(kind, label), loaded.get(kind, label)
         assert np.array_equal(a.atoms, b.atoms)
         assert np.array_equal(a.appended, b.appended)
         assert a.method == b.method
@@ -124,30 +143,73 @@ def test_loading_garbage_raises_data_error(tmp_path):
         DictionaryBank.load(tmp_path / "list.npz")
 
 
+def _meta_array(meta):
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
+def _without(kind):
+    """The bank, and the saved arrays, with every ``kind`` source dropped."""
+
+    def bank_without(bank):
+        return bank.restricted(source for source in bank.sources if source[0] == kind)
+
+    def arrays_without(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta[f"{kind}s"] = []
+        meta["dict_methods"] = {
+            k: v for k, v in meta["dict_methods"].items() if not k.startswith(f"{kind}/")
+        }
+        kept = {k: v for k, v in arrays.items() if not k.startswith(f"{kind}/")}
+        return {**kept, "meta": _meta_array(meta)}
+
+    return bank_without, arrays_without
+
+
 def _no_atoms(bank):
     return bank.with_replaced("noise", "hiss", LearnedDictionary(np.zeros((6, 0)), "random"))
 
 
 def _two_flags_for_three_atoms(bank):
-    atoms = bank.get_noise("hiss").atoms
+    atoms = bank.get("noise", "hiss").atoms
     return bank.with_replaced(
         "noise", "hiss", LearnedDictionary(atoms, "random", np.zeros(2, dtype=bool))
     )
 
 
 @pytest.mark.parametrize(
-    "tamper, message",
+    "tamper_bank, tamper_arrays, message",
     [
-        (lambda bank: bank.restricted(exclude_noises=bank.noise_labels), "holds no noise"),
-        (lambda bank: bank.restricted(exclude_speakers=bank.speaker_labels), "holds no speaker"),
-        (_no_atoms, "noise 'hiss' has no atoms"),
-        (_two_flags_for_three_atoms, "noise 'hiss' has appended flags of shape (2,) for 3 atoms"),
+        (*_without("noise"), "holds no noise"),
+        (*_without("speaker"), "holds no speaker"),
+        (
+            _no_atoms,
+            lambda arrays: {
+                **arrays,
+                "noise/hiss/atoms": np.zeros((6, 0)),
+                "noise/hiss/appended": np.zeros(0, dtype=bool),
+            },
+            "noise 'hiss' has no atoms",
+        ),
+        (
+            _two_flags_for_three_atoms,
+            lambda arrays: {**arrays, "noise/hiss/appended": np.zeros(2, dtype=bool)},
+            "noise 'hiss' has appended flags of shape (2,) for 3 atoms",
+        ),
     ],
     ids=["no_noises", "no_speakers", "zero_atom_source", "too_few_appended_flags"],
 )
-def test_a_bank_short_of_sources_atoms_or_flags_is_a_data_error(bank, tmp_path, tamper, message):
+def test_a_bank_short_of_sources_atoms_or_flags_is_a_data_error(
+    bank, saved_bank, tmp_path, tamper_bank, tamper_arrays, message
+):
+    # ``save`` refuses the bank before it opens the file ...
     path = tmp_path / "short.npz"
-    tamper(bank).save(path)
+    with pytest.raises(DataError, match=re.escape(message)) as raised:
+        tamper_bank(bank).save(path)
+    assert str(path) in str(raised.value)
+    assert not path.exists()
+    # ... and ``load`` refuses the archive such a bank would make.
+    _, arrays = saved_bank
+    np.savez(path, **tamper_arrays(arrays))
     with pytest.raises(DataError, match=re.escape(message)) as raised:
         DictionaryBank.load(path)
     assert str(path) in str(raised.value)
@@ -174,6 +236,13 @@ def test_content_hash_is_stable_and_sensitive(bank, tmp_path):
         LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 3))) + 0.1), "random"),
     )
     assert other.content_hash() != h
+
+
+def test_the_content_hash_is_pinned(bank):
+    # Run keys embed the bank's hash: if it moves, every resumed campaign recomputes.
+    assert bank.content_hash() == (
+        "5faa64bbad61f6f55c1c4885ce71fe01c0402bf05dfa9fe89c37abf2d29cd1ac"
+    )
 
 
 #: a JSON number, string, boolean or null; NaN, infinities and integers past
@@ -214,8 +283,7 @@ def test_a_bank_with_one_meta_value_replaced_loads_whole_or_is_a_data_error(save
     target = meta[where[0]] if len(where) == 2 else meta
     target[where[-1]] = data.draw(_JSON)
     path = directory / "tampered.npz"
-    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **{**arrays, "meta": meta_bytes})
+    np.savez(path, **{**arrays, "meta": _meta_array(meta)})
     try:
         bank = DictionaryBank.load(path)
     except DataError as exc:

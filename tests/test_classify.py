@@ -32,8 +32,12 @@ def toy_bank():
         _unit_columns(rows, [(1.0, 0.2), (0.2, 1.0)]), "random"
     )
     return DictionaryBank(
-        speakers={"sA": mk((4, 5)), "sB": mk((6, 7))},
-        noises={"alpha": mk((0, 1)), "beta": mk((2, 3))},
+        {
+            ("speaker", "sA"): mk((4, 5)),
+            ("speaker", "sB"): mk((6, 7)),
+            ("noise", "alpha"): mk((0, 1)),
+            ("noise", "beta"): mk((2, 3)),
+        },
         method="random",
     )
 
@@ -175,7 +179,7 @@ def test_the_segments_cover_the_frames_once_on_each_side_of_any_split(
     n_frames = 30
     split = n_frames if at is None else at % n_frames
     monkeypatch.setattr(classify, "_best_changepoint", lambda votes, n_labels: (*pair, split))
-    bank = toy_bank.restricted(exclude_noises=["beta"]) if pair == (0, 0) else toy_bank
+    bank = toy_bank.restricted([("noise", "beta")]) if pair == (0, 0) else toy_bank
     decision, _ = ss.classify_noise(_toy_mag(n_frames, switch=15), bank)
     first, second = (bank.noise_labels[i] for i in pair)
     assert (decision.noise_first, decision.noise_second) == (first, second)
@@ -196,7 +200,7 @@ def test_the_segments_cover_the_frames_once_on_each_side_of_any_split(
 
 
 def test_classify_noise_requires_noise_dictionaries(toy_bank):
-    only_speakers = toy_bank.restricted(exclude_noises=["alpha", "beta"])
+    only_speakers = toy_bank.restricted([("noise", "alpha"), ("noise", "beta")])
     with pytest.raises(ValueError):
         ss.classify_noise(np.ones((8, 4)), only_speakers)
 
@@ -239,7 +243,7 @@ def test_rank_speakers_falls_back_to_loud_frames(toy_bank):
     ranking = ss.rank_speakers(mag, screen, empty)
     assert ranking[0] == "sA"
 
-    no_speakers = toy_bank.restricted(exclude_speakers=["sA", "sB"])
+    no_speakers = toy_bank.restricted([("speaker", "sA"), ("speaker", "sB")])
     _, screen = ss.classify_noise(mag, no_speakers)
     with pytest.raises(ValueError):
         ss.rank_speakers(mag, screen, empty)

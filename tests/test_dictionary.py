@@ -279,10 +279,9 @@ def test_ksvd_matches_the_residual_matrix_loop_for_an_atom_without_users(
     codings = []
     sweeps = solvers._sweeps
 
-    def recorded(*args, **kwargs):
-        X = sweeps(*args, **kwargs)
-        codings.append(X.copy())
-        return X
+    def recorded(obs, B, colsum, Xl, *args, **kwargs):
+        sweeps(obs, B, colsum, Xl, *args, **kwargs)
+        codings.append(Xl.copy())
 
     # Both learners' codings run through the sweep loop.
     monkeypatch.setattr(solvers, "_sweeps", recorded)
@@ -310,10 +309,9 @@ def test_ksvd_codes_the_frames_once_per_round(frames, monkeypatch):
 
     def counted(obs, B, colsum, Xl, n_iter, X, *args, **kwargs):
         start = Xl.copy()
-        out = sweeps(obs, B, colsum, Xl, n_iter, X, *args, **kwargs)
-        calls.append((obs, n_iter, start, out.copy()))
+        sweeps(obs, B, colsum, Xl, n_iter, X, *args, **kwargs)
+        calls.append((obs, n_iter, start, Xl.copy()))
         relaxed.append(kwargs.get("relaxed"))
-        return out
 
     monkeypatch.setattr(solvers, "_sweeps", counted)
     learn_dictionary(frames, "ksvd", 10, rng=np.random.default_rng(0))

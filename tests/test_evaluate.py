@@ -286,8 +286,10 @@ def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
 ):
     atoms = normalize_atoms(np.random.default_rng(0).random((129, 2)))
     hand_built = DictionaryBank(
-        {"ghost": LearnedDictionary(atoms, "kmeans")},
-        {"static": LearnedDictionary(atoms, "kmeans")},
+        {
+            ("speaker", "ghost"): LearnedDictionary(atoms, "kmeans"),
+            ("noise", "static"): LearnedDictionary(atoms, "kmeans"),
+        },
         method="kmeans",
     )
     manifest = _small_manifest(corpus_root, regimes=("updated_speaker",))
@@ -330,8 +332,10 @@ def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
     atoms = np.abs(np.random.default_rng(0).standard_normal((129, 2))) + 0.1
     atoms /= np.linalg.norm(atoms, axis=0)
     toy = DictionaryBank(
-        {"ghost": LearnedDictionary(atoms, "kmeans")},
-        {"static": LearnedDictionary(atoms, "kmeans")},
+        {
+            ("speaker", "ghost"): LearnedDictionary(atoms, "kmeans"),
+            ("noise", "static"): LearnedDictionary(atoms, "kmeans"),
+        },
         method="kmeans",
     )
     manifest = _small_manifest(corpus_root)
@@ -756,7 +760,9 @@ def test_the_ranking_is_the_shortlist_then_the_screen_order(
 
 def test_a_one_noise_bank_still_gives_an_answer(short_rendered, kmeans_bank, coding_calls):
     noise = short_rendered.scenario.noise_first
-    view = kmeans_bank.restricted(exclude_noises=set(kmeans_bank.noise_labels) - {noise})
+    view = kmeans_bank.restricted(
+        ("noise", label) for label in kmeans_bank.noise_labels if label != noise
+    )
     params = ss.EvalParams(coding_iters=50)
     analysis, sep = ss.analyze_signal(view, short_rendered.mixture, params)
     assert analysis["noise_first"] == analysis["noise_second"] == noise

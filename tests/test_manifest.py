@@ -259,8 +259,7 @@ def test_a_manifest_with_one_value_replaced_reads_whole_or_is_a_data_error(data)
     n_bins = StftConfig().n_bins
     one_atom = LearnedDictionary(np.full((n_bins, 1), n_bins**-0.5), "kmeans")  # unit norm
     bank = DictionaryBank(
-        {"s": one_atom},
-        {"n": one_atom},
+        {("speaker", "s"): one_atom, ("noise", "n"): one_atom},
         method="kmeans",
         params=recipe,
         feature_params=asdict(StftConfig()),
