@@ -124,8 +124,15 @@ class DictionaryBank:
     # -- derived banks --------------------------------------------------------
 
     def restricted(self, exclude: Iterable[tuple[str, str]] = ()) -> "DictionaryBank":
-        """View without the ``(kind, label)`` sources in ``exclude``; shares the counters."""
-        dropped = set(exclude)
+        """View without the ``(kind, label)`` sources in ``exclude``; shares the counters.
+
+        A label the bank lacks drops nothing; an entry that is not a
+        ``(kind, label)`` pair with ``kind`` in :data:`KINDS` is a ``ValueError``.
+        """
+        dropped = list(exclude)
+        bad = [e for e in dropped if not (isinstance(e, tuple) and len(e) == 2 and e[0] in KINDS)]
+        if bad:
+            raise ValueError(f"{bad} are not (kind, label) sources with a kind in {KINDS}")
         return self._view({key: d for key, d in self._sources.items() if key not in dropped})
 
     def with_replaced(

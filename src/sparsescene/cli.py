@@ -1,10 +1,8 @@
 """Command-line interface: the ``sparsescene`` console script.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every subcommand and flag is declared once, in ``_COMMANDS``. A flag can also
-be supplied via a ``SPARSESCENE_<FLAG>`` environment variable or a
-``key = value`` file passed with ``--config``; explicit flags win over the
-environment, which wins over the file, which wins over the declared default.
+Every subcommand and flag is declared once, in ``_COMMANDS``; argparse fills
+each flag from the command line or its declared default, and nothing else.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -20,19 +17,16 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .bank import DictionaryBank
-from .corpus import Corpus, generate_corpus, read_wav, write_wav
+from .corpus import NOISE_SECONDS, Corpus, generate_corpus, read_wav, write_wav
 from .errors import DataError, NumericalError
 from .evaluate import analyze_signal, run_manifest, simulate_manifest
 from .manifest import Manifest
-from .regimes import ALL_REGIMES
 from .training import learn_bank
 from .dictionary import METHODS, RECIPE
 
-__all__ = ["main", "build_parser", "load_config_file", "parse_bool"]
+__all__ = ["main", "build_parser", "parse_bool"]
 
 log = logging.getLogger(__name__)
-
-ENV_PREFIX = "SPARSESCENE_"
 
 
 def parse_bool(text: str) -> bool:
@@ -42,31 +36,6 @@ def parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def load_config_file(path: Path | str | None) -> dict[str, str]:
-    """Read a ``key = value`` file; ``#`` starts a comment, blanks ignored."""
-    if path is None:
-        return {}
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().lower().replace("-", "_")] = value.strip()
-    return values
-
-
-def _csv(text: str) -> tuple[str, ...]:
-    return tuple(r.strip() for r in str(text).split(",") if r.strip())
 
 
 #: default of a flag that has no default and must be given
@@ -81,10 +50,6 @@ class _Flag(NamedTuple):
     default: Any = REQUIRED
     parse: Callable[[str], Any] = str
     choices: tuple[str, ...] = ()
-
-
-class _UsageError(Exception):
-    """Raised for problems that are usage, not data."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,8 +117,6 @@ def _cmd_separate(o) -> dict:
 
 def _cmd_evaluate(o) -> dict:
     manifest = Manifest.from_file(o.manifest)
-    if o.regimes is not None:
-        manifest.regimes = o.regimes
     banks = None
     if o.bank is not None:
         bank = DictionaryBank.load(o.bank)
@@ -165,12 +128,12 @@ def _cmd_evaluate(o) -> dict:
 _BANK = _Flag("bank", "bank file (.npz)")
 _WAV = _Flag("wav", "input WAV file")
 
-#: subcommand -> (handler, help, flags); flags resolve in this order
+#: subcommand -> (handler, help, flags)
 _COMMANDS: dict[str, tuple[Callable[[Any], dict], str, tuple[_Flag, ...]]] = {
     "make-corpus": (_cmd_make_corpus, "synthesise the desk-scale corpus", (
         _Flag("out", "corpus output directory"),
         _Flag("seed", "generation seed", 0, int),
-        _Flag("noise_seconds", "length of each noise recording", 40.0, float),
+        _Flag("noise_seconds", "length of each noise recording", NOISE_SECONDS, float),
     )),
     "learn-dict": (_cmd_learn_dict, "learn a dictionary bank from a corpus", (
         _Flag("corpus", "corpus directory"),
@@ -194,8 +157,6 @@ _COMMANDS: dict[str, tuple[Callable[[Any], dict], str, tuple[_Flag, ...]]] = {
     "evaluate": (_cmd_evaluate, "run a full campaign and write report files", (
         _Flag("manifest", "manifest JSON file"),
         _Flag("out", "output directory"),
-        _Flag("regimes", "comma-separated regimes overriding the manifest", None, _csv,
-              ALL_REGIMES),
         _Flag("resume", "reuse completed rows found in the output directory", True,
               parse_bool),
         _Flag("bank", "use this prebuilt bank instead of learning per method", None),
@@ -215,47 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sparsescene",
         description="Dictionary-based speech/noise scene analysis tools.",
     )
-    parser.add_argument("--config", help="key = value options file")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug-level logging")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag in flags:
-            # None marks "not given", so the environment and the file can fill it.
             p.add_argument(
-                "--" + flag.name.replace("_", "-"), type=flag.parse, help=_help(flag)
+                "--" + flag.name.replace("_", "-"),
+                type=flag.parse,
+                default=None if flag.default is REQUIRED else flag.default,
+                required=flag.default is REQUIRED,
+                choices=flag.choices or None,
+                metavar=flag.name.upper(),
+                help=_help(flag),
             )
     return parser
-
-
-def _resolve(args: argparse.Namespace, conf: dict[str, str]) -> argparse.Namespace:
-    """Every flag of ``args.command``: explicit flag > environment > ``conf`` > default."""
-    resolved = argparse.Namespace()
-    for flag in _COMMANDS[args.command][2]:
-        env_key = ENV_PREFIX + flag.name.upper()
-        value = getattr(args, flag.name)
-        try:
-            if value is None and env_key in os.environ:
-                where = f"value for {env_key}"
-                value = flag.parse(os.environ[env_key])
-            elif value is None and flag.name in conf:
-                where = f"config value for {flag.name!r}"
-                value = flag.parse(conf[flag.name])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid {where}: {exc}") from exc
-        if value is None:
-            value = flag.default
-        if value is REQUIRED:
-            raise _UsageError(f"missing --{flag.name.replace('_', '-')} (or {env_key})")
-        if flag.choices and value is not None:
-            values = value if isinstance(value, tuple) else (value,)
-            if not values:
-                raise _UsageError(f"--{flag.name} given but empty")
-            bad = [v for v in values if v not in flag.choices]
-            if bad:
-                raise _UsageError(f"unknown {flag.name} {bad}; choose from {flag.choices}")
-        setattr(resolved, flag.name, value)
-    return resolved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -273,13 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        options = _resolve(args, load_config_file(args.config))
-        summary = _COMMANDS[args.command][0](options)
+        summary = _COMMANDS[args.command][0](args)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
-    except _UsageError as exc:
-        print(f"sparsescene: error: {exc}", file=sys.stderr)
-        return 1
     except (DataError, OSError) as exc:
         log.error("%s", exc)
         return 2

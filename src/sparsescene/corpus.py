@@ -36,6 +36,11 @@ __all__ = ["generate_corpus", "Corpus", "read_wav", "write_wav"]
 
 log = logging.getLogger(__name__)
 
+#: the bundled corpus's sample rate (Hz), also the STFT's default
+SAMPLE_RATE = 8000
+#: default length of each noise recording (s); the first half trains dictionaries
+NOISE_SECONDS = 40.0
+
 NOISE_LABELS = ("am", "band", "bursts", "hum")
 SPEAKER_LABELS = ("spk1", "spk2", "spk3", "spk4")
 
@@ -224,8 +229,8 @@ def _synth_utterance(rng: np.random.Generator, voice: dict, sr: int) -> np.ndarr
 def generate_corpus(
     out_dir: Path,
     seed: int = 0,
-    sample_rate: int = 8000,
-    noise_seconds: float = 40.0,
+    sample_rate: int = SAMPLE_RATE,
+    noise_seconds: float = NOISE_SECONDS,
 ) -> Path:
     """Write the synthetic corpus under ``out_dir``; returns ``out_dir``.
 
@@ -287,17 +292,18 @@ def generate_corpus(
 def _read_meta(path: Path) -> tuple[int, float]:
     """Sample rate and noise training seconds from ``corpus.json``.
 
-    A missing file gives the defaults, 8000 Hz and 20 s; a file that cannot
+    A missing file gives the defaults, :data:`SAMPLE_RATE` and half of
+    :data:`NOISE_SECONDS` (8000 Hz and 20 s); a file that cannot
     be read as an object with positive values is a :class:`DataError`.
     """
     if not path.is_file():
-        return 8000, 20.0
+        return SAMPLE_RATE, NOISE_SECONDS / 2.0
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("it must hold a JSON object")
-        sample_rate = int(meta.get("sample_rate", 8000))
-        noise_train_seconds = float(meta.get("noise_train_seconds", 20.0))
+        sample_rate = int(meta.get("sample_rate", SAMPLE_RATE))
+        noise_train_seconds = float(meta.get("noise_train_seconds", NOISE_SECONDS / 2.0))
         if sample_rate < 1 or not 0 < noise_train_seconds < float("inf"):
             raise ValueError("sample_rate and noise_train_seconds must be positive")
     except (OSError, ValueError, TypeError, OverflowError) as exc:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .corpus import SAMPLE_RATE
+
 __all__ = ["StftConfig", "stft", "istft", "magnitudes", "frame_times", "frame_energies"]
 
 #: frames per block of the transforms' work buffers
@@ -42,7 +44,7 @@ class StftConfig:
         50% overlap with a square-root Hann window satisfies this.
     """
 
-    sample_rate: int = 8000
+    sample_rate: int = SAMPLE_RATE
     n_fft: int = 256
     hop: int = 128
 

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .corpus import NOISE_SECONDS
 from .dictionary import METHODS, RECIPE, recipe_problem
 from .errors import DataError
 from .regimes import ALL_REGIMES, EvalParams
+from .scenario import HALF_DURATION_S, UTTERANCES_PER_HALF
 
 __all__ = ["Manifest", "MANIFEST_SCHEMA_VERSION"]
 
@@ -29,11 +31,11 @@ class Manifest:
 
     corpus_dir: Path
     generate_corpus_seed: int | None = None
-    corpus_noise_seconds: float = 40.0
+    corpus_noise_seconds: float = NOISE_SECONDS
     seed: int = 0
     n_scenarios: int = 8
-    half_duration_s: float = 10.0
-    utterances_per_half: int = 2
+    half_duration_s: float = HALF_DURATION_S
+    utterances_per_half: int = UTTERANCES_PER_HALF
     methods: tuple[str, ...] = ("kmeans",)
     n_atoms: int = RECIPE["n_atoms"]
     tw: float = RECIPE["tw"]

@@ -33,6 +33,9 @@ __all__ = [
 
 #: shortest gap between an utterance and the edge of its half, in seconds
 MARGIN_S = 0.25
+#: default scene: the length of each half (s) and the utterances placed in it
+HALF_DURATION_S = 10.0
+UTTERANCES_PER_HALF = 2
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ def generate_scenarios(
     count: int,
     *,
     seed: int = 0,
-    half_duration_s: float = 10.0,
-    utterances_per_half: int = 2,
+    half_duration_s: float = HALF_DURATION_S,
+    utterances_per_half: int = UTTERANCES_PER_HALF,
 ) -> list[MixScenario]:
     """Deterministically generate scenario recipes.
 

@@ -105,6 +105,16 @@ def test_restricted_view_hides_sources_and_shares_counters(bank):
     assert bank.access_counts[("speaker", "alice")] == 0
 
 
+@pytest.mark.parametrize("entry", ["alice", ("weather", "x")], ids=["bare_label", "unknown_kind"])
+def test_restricted_rejects_an_entry_that_is_not_a_source(bank, entry):
+    with pytest.raises(ValueError, match="not \\(kind, label\\) sources"):
+        bank.restricted([entry])
+
+
+def test_restricted_drops_nothing_for_a_label_the_bank_lacks(bank):
+    assert bank.restricted([("noise", "absent")]).sources == bank.sources
+
+
 def test_replacement_creates_an_updated_copy(bank):
     rng = np.random.default_rng(9)
     repl = LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 2))) + 0.1), "kmeans")

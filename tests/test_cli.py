@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -62,8 +63,7 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_missing_required_flag_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.delenv("SPARSESCENE_OUT", raising=False)
+def test_missing_required_flag_is_a_usage_error(capsys):
     assert main(["make-corpus"]) == 1
     assert "--out" in capsys.readouterr().err
 
@@ -74,8 +74,9 @@ def test_missing_required_flag_is_a_usage_error(monkeypatch, capsys):
     ids=lambda v: v if isinstance(v, str) else v.name,
 )
 def test_every_flag_shows_its_default_and_reads_its_environment_variable(
-    monkeypatch, capsys, command, flag
+    capsys, command, flag
 ):
+    # Each flag is read from the command line; no environment variable fills it.
     option = "--" + flag.name.replace("_", "-")
     assert main([command, "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
@@ -86,13 +87,21 @@ def test_every_flag_shows_its_default_and_reads_its_environment_variable(
 
     samples = {str: "given", int: "7", float: "0.5", cli.parse_bool: "false"}
     text = flag.choices[0] if flag.choices else samples[flag.parse]
-    monkeypatch.setenv(f"SPARSESCENE_{flag.name.upper()}", text)
-    argv = [command]
+    argv = [command, option, text]
     for other in cli._COMMANDS[command][2]:
         if other.default is cli.REQUIRED and other is not flag:
             argv += ["--" + other.name.replace("_", "-"), "given"]
-    options = cli._resolve(cli.build_parser().parse_args(argv), {})
+    options = cli.build_parser().parse_args(argv)
     assert getattr(options, flag.name) == flag.parse(text)
+
+
+def test_parse_bool_accepts_common_spellings():
+    for text in ("1", "true", "YES", " on "):
+        assert cli.parse_bool(text) is True
+    for text in ("0", "false", "No", "off"):
+        assert cli.parse_bool(text) is False
+    with pytest.raises(ValueError):
+        cli.parse_bool("maybe")
 
 
 @pytest.mark.parametrize(
@@ -145,24 +154,6 @@ def test_make_corpus_writes_a_corpus(tmp_path, capsys):
     assert code == 0
     assert summary["noises"] == ["am", "band", "bursts", "hum"]
     assert (out / "corpus.json").exists()
-
-
-def test_make_corpus_reads_flags_from_environment(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "envcorpus"
-    monkeypatch.setenv("SPARSESCENE_OUT", str(out))
-    monkeypatch.setenv("SPARSESCENE_NOISE_SECONDS", "12")
-    code, summary = _run(capsys, ["make-corpus"])
-    assert code == 0
-    assert summary["corpus_dir"] == str(out)
-
-
-def test_make_corpus_reads_flags_from_config_file(tmp_path, capsys):
-    out = tmp_path / "confcorpus"
-    conf = tmp_path / "tool.conf"
-    conf.write_text(f"out = {out}\nnoise-seconds = 12\n")
-    code, summary = _run(capsys, ["--config", str(conf), "make-corpus"])
-    assert code == 0
-    assert summary["corpus_dir"] == str(out)
 
 
 def test_learn_dict_summary_describes_the_bank(corpus_root, tmp_path, capsys):
@@ -450,21 +441,45 @@ def test_simulate_and_evaluate_via_manifest(corpus_root, cli_bank, tmp_path, cap
     assert summary["n_skipped"] == 1
 
 
-def test_evaluate_rejects_unknown_regimes(corpus_root, tmp_path, capsys):
+def test_a_run_ignores_its_environment(corpus_root, cli_bank, tmp_path, monkeypatch, capsys):
+    # A run is its command line and its manifest: no variable fills or overrides a flag.
+    monkeypatch.setenv("SPARSESCENE_OUT", str(tmp_path / "env_out"))
+    monkeypatch.setenv("SPARSESCENE_BANK", str(cli_bank))
+    monkeypatch.setenv("SPARSESCENE_REGIMES", "complete")
+    monkeypatch.setenv("SPARSESCENE_RESUME", "false")
+
+    assert main(["make-corpus"]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "env_out").exists()
+
+    manifest = {
+        "corpus_dir": str(corpus_root),
+        "n_scenarios": 1,
+        "half_duration_s": 4.0,
+        "utterances_per_half": 1,
+        "n_atoms": 4,
+        "regimes": ["ground_truth"],
+    }
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root)}))
-    code = main(
-        [
-            "evaluate",
-            "--manifest",
-            str(mpath),
-            "--regimes",
-            "imaginary",
-            "--out",
-            str(tmp_path / "out"),
-        ]
-    )
-    assert code == 1
+    mpath.write_text(json.dumps(manifest))
+    argv = ["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "eval")]
+    code, summary = _run(capsys, argv)
+    assert code == 0 and summary["n_computed"] == 1
+    learned = ss.DictionaryBank.load(tmp_path / "eval" / "banks" / "kmeans.npz")
+    assert learned.params["n_atoms"] == 4
+    with open(tmp_path / "eval" / "report.csv", newline="") as f:
+        assert [row["regime"] for row in csv.DictReader(f)] == ["ground_truth"]
+
+    code, summary = _run(capsys, argv)
+    assert code == 0 and summary["n_skipped"] == 1 and summary["n_computed"] == 0
+
+
+def test_evaluate_rejects_unknown_regimes(corpus_root, tmp_path, caplog):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), "regimes": ["imaginary"]}))
+    code = main(["evaluate", "--manifest", str(mpath), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown regimes ['imaginary']" in caplog.text
 
 
 def test_evaluate_with_missing_manifest_is_a_data_error(tmp_path, capsys):
@@ -578,7 +593,8 @@ def test_evaluate_with_a_bank_whose_atom_count_is_a_float_is_a_data_error(
     bank = tmp_path / "bank.npz"
     np.savez(bank, **arrays)
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps({"corpus_dir": str(corpus_root), "n_scenarios": 1}))
+    manifest = {"corpus_dir": str(corpus_root), "n_scenarios": 1, "regimes": ["updated_speaker"]}
+    mpath.write_text(json.dumps(manifest))
     argv = ["evaluate", "--manifest", str(mpath), "--bank", str(bank)]
-    assert main([*argv, "--regimes", "updated_speaker", "--out", str(tmp_path / "out")]) == 2
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "n_atoms must be a positive integer, not 4.0" in caplog.text
