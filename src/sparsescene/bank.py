@@ -219,8 +219,9 @@ class DictionaryBank:
     def _problem(self) -> str | None:
         """What keeps this bank from being a whole one that ``save`` writes, or None.
 
-        A whole bank holds at least one speaker and one noise, each with at
-        least one atom and one ``appended`` flag per atom.
+        A whole bank holds at least one speaker and one noise, each learned
+        by one of :data:`METHODS`, with at least one atom and one ``appended``
+        flag per atom.
         """
         if self.method not in METHODS:
             return f"method {self.method!r} is not one of {METHODS}"
@@ -237,6 +238,8 @@ class DictionaryBank:
                 return f"it holds no {kind} dictionary"
         for (kind, label), d in self._sources.items():
             atoms, where = d.atoms, f"{kind} {label!r}"
+            if d.method not in METHODS:
+                return f"{where} was learned by {d.method!r}, which is not one of {METHODS}"
             if atoms.ndim != 2 or atoms.shape[0] != n_bins:
                 shape, n_fft = atoms.shape, fp["n_fft"]
                 return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
@@ -274,10 +277,7 @@ def _meta_problem(meta: dict) -> str | None:
     for key in ("speakers", "noises"):
         if not (isinstance(meta[key], list) and all(isinstance(v, str) for v in meta[key])):
             return f"{key} {meta[key]!r} is not a list of labels"
-    methods = meta["dict_methods"]
-    if not (isinstance(methods, dict) and all(v in METHODS for v in methods.values())):
-        return f"dict_methods {methods!r} is not an object of methods from {METHODS}"
-    for key in ("params", "feature_params"):
+    for key in ("dict_methods", "params", "feature_params"):
         if not isinstance(meta[key], dict):
             return f"{key} {meta[key]!r} is not an object"
     return None

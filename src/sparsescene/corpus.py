@@ -41,9 +41,6 @@ SAMPLE_RATE = 8000
 #: default length of each noise recording (s); the first half trains dictionaries
 NOISE_SECONDS = 40.0
 
-NOISE_LABELS = ("am", "band", "bursts", "hum")
-SPEAKER_LABELS = ("spk1", "spk2", "spk3", "spk4")
-
 #: fundamental range (Hz) and formant-like resonances (centre Hz, bandwidth Hz)
 SPEAKER_VOICES = {
     "spk1": {"f0": (100.0, 128.0), "formants": ((480.0, 90.0), (1450.0, 160.0))},
@@ -51,6 +48,7 @@ SPEAKER_VOICES = {
     "spk3": {"f0": (212.0, 258.0), "formants": ((420.0, 80.0), (2500.0, 220.0))},
     "spk4": {"f0": (288.0, 350.0), "formants": ((850.0, 120.0), (3000.0, 260.0))},
 }
+SPEAKER_LABELS = tuple(SPEAKER_VOICES)
 
 UTTERANCES_PER_SPEAKER = 12
 SPLITS = {"train": range(0, 6), "update": range(6, 9), "test": range(9, 12)}
@@ -170,6 +168,7 @@ _NOISE_SYNTHS = {
     "bursts": _noise_bursts,
     "hum": _noise_hum,
 }
+NOISE_LABELS = tuple(_NOISE_SYNTHS)
 
 
 # -- speaker synthesis --------------------------------------------------------

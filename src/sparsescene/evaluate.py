@@ -1,57 +1,41 @@
 """Campaign driver: scenarios × regimes × SNRs × methods → report files.
 
-Each run is content-addressed by a hash of the scenario, regime, SNR, bank
-and pipeline parameters; completed rows are stored as ``rows/<key>.json``
-and skipped on resume.  The runs of one (method, scenario, SNR) share a
-mixture: it is rendered once, and its regimes read one
-:class:`~.regimes.FrontEnd`, so its frame energies, detector passes and STFT
-are computed once between them.  Such groups are independent and may
-execute in a thread pool; all files are written by the coordinating thread
-only.
+Each run is content-addressed (:func:`~.report.run_key`) by a hash of the
+scenario, regime, SNR, bank and pipeline parameters; completed rows are
+stored as ``rows/<key>.json`` and skipped on resume.  The runs of one
+(method, scenario, SNR) share a mixture: it is rendered once, and its
+regimes read one :class:`~.regimes.FrontEnd`, so its frame energies,
+detector passes and STFT are computed once between them.  Such groups are independent and may
+execute in a thread pool; the coordinating thread alone reads and writes
+files, all through :mod:`.report`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .bank import DictionaryBank
-from .corpus import Corpus, generate_corpus, write_wav
+from .corpus import Corpus, write_wav
 from .errors import DataError
 from .manifest import Manifest
 from .regimes import EvalParams, FrontEnd, RegimeContext, analyze, run_regime
-from .report import result_to_json, write_aggregate, write_csv
+from .report import read_row, result_to_json, run_key, write_aggregate, write_csv, write_json
 from .scenario import MixScenario, generate_scenarios, render_scenario
 from .separate import SeparationResult, estimate_snr_db
 from .training import learn_bank
 
-__all__ = ["run_manifest", "simulate_manifest", "prepare_corpus", "analyze_signal"]
+__all__ = ["run_manifest", "simulate_manifest", "analyze_signal"]
 
 log = logging.getLogger(__name__)
 
 
-def prepare_corpus(manifest: Manifest) -> Corpus:
-    """Load the manifest's corpus, synthesising it first when requested."""
-    root = manifest.corpus_dir
-    if manifest.generate_corpus_seed is not None and not (root / "corpus.json").exists():
-        log.info("synthesising corpus at %s (seed %d)", root, manifest.generate_corpus_seed)
-        generate_corpus(
-            root,
-            seed=manifest.generate_corpus_seed,
-            noise_seconds=manifest.corpus_noise_seconds,
-        )
-    return Corpus.from_dir(root)
-
-
 def _corpus_and_scenarios(manifest: Manifest, out_dir: Path) -> tuple[Corpus, list[MixScenario]]:
     """The manifest's corpus and scenarios; the scenarios are written to ``scenarios.json``."""
-    corpus = prepare_corpus(manifest)
+    corpus = Corpus.from_dir(manifest.corpus_dir)
     scenarios = generate_scenarios(
         corpus,
         manifest.n_scenarios,
@@ -59,9 +43,7 @@ def _corpus_and_scenarios(manifest: Manifest, out_dir: Path) -> tuple[Corpus, li
         half_duration_s=manifest.half_duration_s,
         utterances_per_half=manifest.utterances_per_half,
     )
-    _write_json_atomic(
-        out_dir / "scenarios.json", {"scenarios": [s.to_dict() for s in scenarios]}
-    )
+    write_json({"scenarios": [s.to_dict() for s in scenarios]}, out_dir / "scenarios.json")
     return corpus, scenarios
 
 
@@ -83,41 +65,6 @@ def _bank_for(
     path.parent.mkdir(parents=True, exist_ok=True)
     bank.save(path)
     return bank
-
-
-def run_key(
-    scenario: MixScenario,
-    regime: str,
-    snr_db: float,
-    bank_hash: str,
-    params: EvalParams,
-    method: str,
-) -> str:
-    """Content address of one run (stable across resumes and row ordering).
-
-    ``method`` is the bank's learning method: only a ``ksvd`` key records
-    K-SVD's schedule, with which that campaign relearns.
-    """
-    payload = json.dumps(
-        {
-            "scenario": scenario.to_dict(),
-            "regime": regime,
-            "snr_db": snr_db,
-            "bank": bank_hash,
-            "eval": params.to_dict(method),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:20]
-
-
-def _write_json_atomic(path: Path, data: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def run_manifest(
@@ -166,16 +113,10 @@ def run_manifest(
                         continue
                     seen_keys.add(key)
                     row_path = rows_dir / f"{key}.json"
-                    if resume and row_path.exists():
-                        try:
-                            with open(row_path) as fh:
-                                row = json.load(fh)
-                            if row.get("run_key") == key:
-                                skipped_rows.append(row)
-                                continue
-                            log.warning("row %s has a mismatched key; recomputing", row_path)
-                        except (OSError, json.JSONDecodeError) as exc:
-                            log.warning("cannot reuse row %s (%s); recomputing", row_path, exc)
+                    row = read_row(row_path, key) if resume and row_path.exists() else None
+                    if row is not None:
+                        skipped_rows.append(row)
+                        continue
                     groups.setdefault((method, i, snr), []).append((key, regime))
 
     n_stale = sum(1 for path in rows_dir.glob("*.json") if path.stem not in seen_keys)
@@ -212,7 +153,7 @@ def run_manifest(
         produced = map(execute, work) if manifest.parallelism == 1 else pool.map(execute, work)
         for rows in produced:
             for row in rows:
-                _write_json_atomic(rows_dir / f"{row['run_key']}.json", row)
+                write_json(row, rows_dir / f"{row['run_key']}.json")
                 computed_rows.append(row)
     n_failed = sum(1 for row in computed_rows if row.get("failure_stage"))
 

@@ -3,7 +3,8 @@
 A manifest pins everything that affects the result — corpus, scenario
 generation, dictionary learning, regimes, SNRs and pipeline knobs — so a
 campaign can be re-run, resumed, or verified byte-for-byte from the file
-alone.
+alone.  A campaign reads the corpus at ``corpus_dir``; ``make-corpus``
+synthesises one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .corpus import NOISE_SECONDS
 from .dictionary import METHODS, RECIPE, recipe_problem
 from .errors import DataError
 from .regimes import ALL_REGIMES, EvalParams
@@ -30,8 +30,6 @@ class Manifest:
     """Validated evaluation campaign description."""
 
     corpus_dir: Path
-    generate_corpus_seed: int | None = None
-    corpus_noise_seconds: float = NOISE_SECONDS
     seed: int = 0
     n_scenarios: int = 8
     half_duration_s: float = HALF_DURATION_S
@@ -64,17 +62,15 @@ class Manifest:
             raise DataError(f"snrs_db must be finite, not {list(self.snrs_db)}")
         if self.n_scenarios < 1:
             raise DataError("n_scenarios must be at least 1")
-        for name in ("seed", "bank_seed", "generate_corpus_seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name, value in (("seed", self.seed), ("bank_seed", self.bank_seed)):
+            if value < 0:
                 raise DataError(f"{name} must be a non-negative integer, not {value}")
         problem = recipe_problem(self.recipe)
         if problem:
             raise DataError(problem)
-        for name in ("half_duration_s", "corpus_noise_seconds"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DataError(f"{name} must be finite and positive, not {value}")
+        half = self.half_duration_s
+        if not (math.isfinite(half) and half > 0):
+            raise DataError(f"half_duration_s must be finite and positive, not {half}")
         if self.parallelism < 1:
             raise DataError("parallelism must be at least 1")
 
@@ -135,14 +131,11 @@ def _typed(cls, d: dict, what: str, exclude: str = "") -> dict:
 
 
 def _convert(tp, value):
-    """``value`` as a ``tp``: a plain type, ``tuple[T, ...]`` or ``T | None``."""
-    args = [a for a in get_args(tp) if a is not type(None)]
+    """``value`` as a ``tp``: a plain type or ``tuple[T, ...]``."""
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a JSON list, not {value!r}")
-        return tuple(_convert(args[0], v) for v in value)
-    if args:
-        return None if value is None else _convert(args[0], value)
+        return tuple(_convert(get_args(tp)[0], v) for v in value)
     if tp in (int, float) and isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     if tp is int and isinstance(value, float) and not value.is_integer():

@@ -186,6 +186,18 @@ def _two_flags_for_three_atoms(bank):
     )
 
 
+def _bogus_method(bank):
+    return bank.with_replaced(
+        "speaker", "alice", LearnedDictionary(bank.get("speaker", "alice").atoms, "bogus")
+    )
+
+
+def _bogus_method_meta(arrays):
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["dict_methods"]["speaker/alice"] = "bogus"
+    return {**arrays, "meta": _meta_array(meta)}
+
+
 @pytest.mark.parametrize(
     "tamper_bank, tamper_arrays, message",
     [
@@ -205,8 +217,15 @@ def _two_flags_for_three_atoms(bank):
             lambda arrays: {**arrays, "noise/hiss/appended": np.zeros(2, dtype=bool)},
             "noise 'hiss' has appended flags of shape (2,) for 3 atoms",
         ),
+        (_bogus_method, _bogus_method_meta, "speaker 'alice' was learned by 'bogus'"),
     ],
-    ids=["no_noises", "no_speakers", "zero_atom_source", "too_few_appended_flags"],
+    ids=[
+        "no_noises",
+        "no_speakers",
+        "zero_atom_source",
+        "too_few_appended_flags",
+        "unknown_source_method",
+    ],
 )
 def test_a_bank_short_of_sources_atoms_or_flags_is_a_data_error(
     bank, saved_bank, tmp_path, tamper_bank, tamper_arrays, message

@@ -566,10 +566,9 @@ def test_negative_seeds_are_data_errors(corpus_root, tmp_path, caplog, argv):
     [
         ({"seed": -2}, "seed must be a non-negative integer, not -2"),
         ({"bank_seed": -2}, "bank_seed must be a non-negative integer, not -2"),
-        ({"generate_corpus_seed": -2}, "generate_corpus_seed must be a non-negative integer"),
         ({"snrs_db": [4000]}, "snr_db 4000.0 cannot be rendered"),
     ],
-    ids=["seed", "bank_seed", "generate_corpus_seed", "snr"],
+    ids=["seed", "bank_seed", "snr"],
 )
 def test_evaluate_with_an_unusable_manifest_value_is_a_data_error(
     corpus_root, cli_bank, tmp_path, caplog, setting, message

@@ -13,9 +13,8 @@ from sparsescene import classify, evaluate, features, regimes, solvers, training
 from sparsescene.bank import DictionaryBank
 from sparsescene.dictionary import METHODS, LearnedDictionary, normalize_atoms
 from sparsescene.errors import DataError
-from sparsescene.evaluate import prepare_corpus, run_key
 from sparsescene.manifest import Manifest
-from sparsescene.report import result_to_json
+from sparsescene.report import result_to_json, run_key
 from sparsescene.scenario import MixScenario, UtterancePlacement
 
 
@@ -168,6 +167,27 @@ def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, t
     fresh = ss.run_manifest(manifest, out, resume=False, banks={"kmeans": kmeans_bank})
     assert fresh["n_computed"] == 1
     assert (out / "report.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b"\xff\xfe", b"[]", b'{"run_key": "other"}'],
+    ids=["not_json", "not_utf8", "not_an_object", "other_key"],
+)
+def test_resume_recomputes_a_row_it_cannot_reuse(
+    corpus_root, kmeans_bank, tmp_path, caplog, content
+):
+    manifest = _small_manifest(corpus_root)
+    out = tmp_path / "out"
+    ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    first = (out / "report.csv").read_bytes()
+    (row,) = (out / "rows").glob("*.json")
+    row.write_bytes(content)
+    with caplog.at_level("WARNING", logger="sparsescene.report"):
+        again = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
+    assert (again["n_computed"], again["n_skipped"]) == (1, 0)
+    assert (out / "report.csv").read_bytes() == first
+    assert "recomputing" in caplog.text
 
 
 def test_resume_reports_rows_of_other_runs_and_keeps_them(
@@ -361,19 +381,6 @@ def test_missing_corpus_is_a_data_error(tmp_path):
     manifest = _small_manifest(tmp_path / "no_such_corpus")
     with pytest.raises(DataError):
         ss.run_manifest(manifest, tmp_path / "out")
-
-
-def test_prepare_corpus_synthesises_on_demand(tmp_path):
-    root = tmp_path / "auto"
-    manifest = _small_manifest(
-        root, generate_corpus_seed=3, corpus_noise_seconds=16.0
-    )
-    corpus = prepare_corpus(manifest)
-    assert (root / "corpus.json").exists()
-    assert sorted(corpus.noises) == ["am", "band", "bursts", "hum"]
-    # Second call loads the existing corpus instead of regenerating.
-    again = prepare_corpus(manifest)
-    assert sorted(again.noises) == sorted(corpus.noises)
 
 
 def test_simulate_manifest_writes_component_wavs(corpus_root, tmp_path):

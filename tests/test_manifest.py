@@ -37,7 +37,6 @@ def test_defaults_are_sensible(tmp_path):
         dict(eval_params=dict(solver="nmf")),
         dict(eval_params=dict(coding_iters=0)),
         dict(n_atoms=0),
-        dict(corpus_noise_seconds=0.0),
         dict(snrs_db=(0.0, float("inf"))),
         dict(snrs_db=(float("nan"),)),
         dict(half_duration_s=0.0),
@@ -45,7 +44,6 @@ def test_defaults_are_sensible(tmp_path):
         dict(half_duration_s=float("inf")),
         dict(seed=-2),
         dict(bank_seed=-2),
-        dict(generate_corpus_seed=-1),
         dict(tw=float("nan")),
         dict(tb=float("inf")),
         dict(tw=float("-inf")),
@@ -84,13 +82,11 @@ def test_values_take_their_field_types(tmp_path):
     m = Manifest.from_dict(
         {
             "corpus_dir": str(tmp_path),
-            "generate_corpus_seed": None,
             "half_duration_s": 6,
             "snrs_db": [-5, 10],
             "eval": {"coding_iters": "50"},
         }
     )
-    assert m.generate_corpus_seed is None
     assert m.half_duration_s == 6.0 and isinstance(m.half_duration_s, float)
     assert m.snrs_db == (-5.0, 10.0) and all(isinstance(v, float) for v in m.snrs_db)
     assert m.eval_params == EvalParams(coding_iters=50)
@@ -109,7 +105,6 @@ def test_values_take_their_field_types(tmp_path):
         ({"half_duration_s": True}, "half_duration_s"),
         ({"snrs_db": [0.0, True]}, "snrs_db"),
         ({"eval": {"coding_iters": True}}, "coding_iters"),
-        ({"generate_corpus_seed": False}, "generate_corpus_seed"),
     ],
 )
 def test_booleans_are_not_numbers(tmp_path, extra, key):
@@ -153,10 +148,13 @@ def test_unknown_eval_keys_are_rejected(tmp_path):
         ({"eval": {"min_speech_frames": 3}}, "min_speech_frames"),
         ({"eval": {"snr_reference": "active_span"}}, "snr_reference"),
         ({"speaker_split": "test"}, "speaker_split"),
+        ({"generate_corpus_seed": 1}, "generate_corpus_seed"),
+        ({"corpus_noise_seconds": 12.0}, "corpus_noise_seconds"),
     ],
 )
 def test_removed_settings_are_unknown_keys(tmp_path, extra, key):
-    # The VAD constants, the SNR reference and the scenario split are fixed.
+    # The VAD constants, the SNR reference and the scenario split are fixed, and
+    # a campaign reads the corpus at corpus_dir: make-corpus synthesises one.
     with pytest.raises(DataError, match=rf"unknown (eval|manifest) keys \['{key}'\]"):
         Manifest.from_dict({"corpus_dir": str(tmp_path), **extra})
 
@@ -220,8 +218,6 @@ _JSON = _SCALAR | st.recursive(
 _VALID = {
     "schema_version": MANIFEST_SCHEMA_VERSION,
     "corpus_dir": "corpus",
-    "generate_corpus_seed": 3,
-    "corpus_noise_seconds": 40.0,
     "seed": 0,
     "n_scenarios": 2,
     "half_duration_s": 4.0,

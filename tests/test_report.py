@@ -201,3 +201,29 @@ def test_report_columns_keep_their_order(tmp_path):
         "transition_abs_error_s,input_snr_db,sdr_db,sdr_gain_db,est_snr_db,"
         "snr_error_db,vad_rates,failure_stage,error\n"
     )
+
+
+def test_a_write_that_fails_part_way_keeps_the_previous_file_whole(tmp_path, monkeypatch):
+    rows = [_row(), _row(run_key="k1", scenario_id="s0001")]
+    csv_path, agg_path = tmp_path / "report.csv", tmp_path / "aggregate.json"
+    report.write_csv(rows, csv_path)
+    report.write_aggregate(rows, agg_path)
+    before = csv_path.read_bytes(), agg_path.read_bytes()
+
+    format_row = report.format_row
+    formatted = []
+
+    def fail_on_the_second_row(row):
+        formatted.append(row)
+        if len(formatted) == 2:
+            raise RuntimeError("disk gone")
+        return format_row(row)
+
+    monkeypatch.setattr(report, "format_row", fail_on_the_second_row)
+    monkeypatch.setattr(report, "aggregate_rows", lambda rows: {"n_rows": object()})
+    with pytest.raises(RuntimeError, match="disk gone"):
+        report.write_csv(rows, csv_path)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.write_aggregate(rows, agg_path)
+    assert (csv_path.read_bytes(), agg_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.json", "report.csv"]
