@@ -17,13 +17,14 @@ Noise recordings are split into a training region (first half) and an
 evaluation region (second half); mixtures only ever draw from the evaluation
 region, so learned dictionaries never see the exact evaluation samples.
 
-Everything is deterministic given the seed.
+:class:`Corpus` lists these files without reading them; a WAV is read, by
+:func:`read_wav`, when it is loaded, and one that cannot be used is a
+:class:`~.errors.DataError` naming it.  Generation is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,8 +34,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = ["generate_corpus", "Corpus", "read_wav", "write_wav"]
-
-log = logging.getLogger(__name__)
 
 #: the bundled corpus's sample rate (Hz), also the STFT's default
 SAMPLE_RATE = 8000
@@ -66,20 +65,13 @@ def write_wav(path: Path, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def read_wav(path: Path, expect_sr: int | None = None) -> tuple[int, np.ndarray]:
-    """Read a mono WAV as float64 in [-1, 1]; raises DataError on problems.
+    """Read a mono WAV as float64 in [-1, 1]: the one reader of every WAV.
 
-    Problems include a file that cannot be parsed as mono audio at
-    ``expect_sr`` and samples that are NaN or infinite.
+    A file that cannot be parsed, is not mono, is not at ``expect_sr`` or
+    holds NaN or infinite samples is a :class:`DataError` naming the file.
     """
-    sr, x = _parse_wav(path, expect_sr)
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{path}: non-finite samples (NaN or Inf)")
-    return sr, x
-
-
-def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
-    """:func:`read_wav` without the check on sample values."""
-    from scipy.io import wavfile  # outside the try: a missing SciPy is not a bad file
+    # imported here as in write_wav, and outside the try: a missing SciPy is not a bad file
+    from scipy.io import wavfile
 
     try:
         sr, data = wavfile.read(path)
@@ -87,16 +79,14 @@ def _parse_wav(path: Path, expect_sr: int | None) -> tuple[int, np.ndarray]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if data.ndim != 1:
         raise DataError(f"{path}: expected mono audio")
-    if data.dtype == np.int16:
-        x = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        x = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
-    else:
+    scale = {"int16": 32768.0, "int32": 2147483648.0, "float32": 1.0, "float64": 1.0}
+    if data.dtype.name not in scale:
         raise DataError(f"{path}: unsupported sample format {data.dtype}")
+    x = data.astype(np.float64) / scale[data.dtype.name]
     if expect_sr is not None and sr != expect_sr:
         raise DataError(f"{path}: sample rate {sr} != expected {expect_sr}")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{path}: non-finite samples (NaN or Inf)")
     return sr, x
 
 
@@ -292,8 +282,10 @@ def _read_meta(path: Path) -> tuple[int, float]:
     """Sample rate and noise training seconds from ``corpus.json``.
 
     A missing file gives the defaults, :data:`SAMPLE_RATE` and half of
-    :data:`NOISE_SECONDS` (8000 Hz and 20 s); a file that cannot
-    be read as an object with positive values is a :class:`DataError`.
+    :data:`NOISE_SECONDS` (8000 Hz and 20 s).  A file that cannot be read as
+    an object whose ``sample_rate`` is a positive integer and whose
+    ``noise_train_seconds`` is a positive finite number (neither a boolean)
+    is a :class:`DataError`.
     """
     if not path.is_file():
         return SAMPLE_RATE, NOISE_SECONDS / 2.0
@@ -301,22 +293,38 @@ def _read_meta(path: Path) -> tuple[int, float]:
         meta = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("it must hold a JSON object")
-        sample_rate = int(meta.get("sample_rate", SAMPLE_RATE))
-        noise_train_seconds = float(meta.get("noise_train_seconds", NOISE_SECONDS / 2.0))
-        if sample_rate < 1 or not 0 < noise_train_seconds < float("inf"):
-            raise ValueError("sample_rate and noise_train_seconds must be positive")
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        sample_rate = meta.get("sample_rate", SAMPLE_RATE)
+        if type(sample_rate) is not int or sample_rate < 1:
+            raise ValueError(f"sample_rate must be a positive integer, not {sample_rate!r}")
+        seconds = meta.get("noise_train_seconds", NOISE_SECONDS / 2.0)
+        if type(seconds) not in (int, float) or not 0 < seconds < float("inf"):
+            raise ValueError(f"noise_train_seconds must be a positive number, not {seconds!r}")
+        noise_train_seconds = float(seconds)
+    except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return sample_rate, noise_train_seconds
 
 
+def _listed(split_file: Path) -> list[Path]:
+    """The utterances a split file names, one per non-blank line; none if it is absent."""
+    if not split_file.is_file():
+        return []
+    try:
+        lines = split_file.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {split_file}: {exc}") from exc
+    return [split_file.parent / name for name in map(str.strip, lines) if name]
+
+
 @dataclass
 class Corpus:
-    """Index over a corpus directory; unreadable entries are skipped with warnings.
+    """Listing of a corpus directory: which WAVs it holds, none of them read.
 
-    An entry that reads as audio but holds non-finite samples stays listed and
-    raises :class:`DataError`, naming its file, when it is loaded: dropping it
-    would silently change the set of sources a bank is learned from.
+    :meth:`from_dir` reads ``corpus.json`` and the split files only.  A WAV
+    is read, through :func:`read_wav`, when it is loaded, and a file that
+    cannot be used there is a :class:`DataError` naming it.  No entry is
+    ever dropped: that would silently change the set of sources a bank is
+    learned from.
     """
 
     root: Path
@@ -327,48 +335,23 @@ class Corpus:
 
     @classmethod
     def from_dir(cls, root: Path | str) -> "Corpus":
+        """List ``noise/*.wav`` and each speaker's :data:`SPLITS` files under ``root``.
+
+        A speaker whose split files list no utterance is left out; a corpus
+        that lists no noise or no speaker is a :class:`DataError`.
+        """
         root = Path(root)
         if not root.is_dir():
             raise DataError(f"corpus directory {root} does not exist")
         sample_rate, noise_train_seconds = _read_meta(root / "corpus.json")
-
-        noises: dict[str, Path] = {}
-        noise_dir = root / "noise"
-        if noise_dir.is_dir():
-            for wav in sorted(noise_dir.glob("*.wav")):
-                try:
-                    _parse_wav(wav, sample_rate)
-                except DataError as exc:
-                    log.warning("skipping noise entry: %s", exc)
-                    continue
-                noises[wav.stem] = wav
-
+        noises = {wav.stem: wav for wav in sorted((root / "noise").glob("*.wav"))}
         speakers: dict[str, dict[str, list[Path]]] = {}
-        speaker_dir = root / "speaker"
-        if speaker_dir.is_dir():
-            for spk in sorted(p for p in speaker_dir.iterdir() if p.is_dir()):
-                splits: dict[str, list[Path]] = {}
-                for split in ("train", "update", "test"):
-                    split_file = spk / f"{split}.txt"
-                    paths: list[Path] = []
-                    if split_file.is_file():
-                        for line in split_file.read_text(encoding="utf-8").splitlines():
-                            name = line.strip()
-                            if not name:
-                                continue
-                            wav = spk / name
-                            try:
-                                _parse_wav(wav, sample_rate)
-                            except DataError as exc:
-                                log.warning("skipping utterance: %s", exc)
-                                continue
-                            paths.append(wav)
-                    splits[split] = paths
-                if any(splits.values()):
-                    speakers[spk.name] = splits
-
+        for spk in sorted(p for p in (root / "speaker").glob("*") if p.is_dir()):
+            splits = {split: _listed(spk / f"{split}.txt") for split in SPLITS}
+            if any(splits.values()):
+                speakers[spk.name] = splits
         if not noises or not speakers:
-            raise DataError(f"{root} holds no usable corpus entries")
+            raise DataError(f"{root} lists no noise recording or no speaker utterance")
         return cls(
             root=root,
             sample_rate=sample_rate,

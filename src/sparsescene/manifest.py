@@ -60,8 +60,9 @@ class Manifest:
             raise DataError("manifest lists no SNRs")
         if not all(math.isfinite(snr) for snr in self.snrs_db):
             raise DataError(f"snrs_db must be finite, not {list(self.snrs_db)}")
-        if self.n_scenarios < 1:
-            raise DataError("n_scenarios must be at least 1")
+        for name in ("n_scenarios", "utterances_per_half", "parallelism"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1")
         for name, value in (("seed", self.seed), ("bank_seed", self.bank_seed)):
             if value < 0:
                 raise DataError(f"{name} must be a non-negative integer, not {value}")
@@ -71,8 +72,6 @@ class Manifest:
         half = self.half_duration_s
         if not (math.isfinite(half) and half > 0):
             raise DataError(f"half_duration_s must be finite and positive, not {half}")
-        if self.parallelism < 1:
-            raise DataError("parallelism must be at least 1")
 
     @property
     def recipe(self) -> dict:

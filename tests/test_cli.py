@@ -231,16 +231,18 @@ def test_classify_with_a_truncated_wav_is_a_data_error(cli_bank, short_wav, tmp_
     assert f"cannot read {wav}" in caplog.text
 
 
-def test_learn_dict_skips_a_truncated_noise_with_a_warning(corpus_root, tmp_path, capsys, caplog):
+def test_learn_dict_on_a_corpus_with_a_truncated_noise_names_the_file(
+    corpus_root, tmp_path, caplog
+):
     corpus = tmp_path / "corpus"
     shutil.copytree(corpus_root, corpus)
     wav = corpus / "noise" / "hum.wav"
     wav.write_bytes(wav.read_bytes()[:7])
+    out = tmp_path / "bank.npz"
     argv = ["learn-dict", "--corpus", str(corpus), "--method", "random", "--atoms", "2"]
-    code, summary = _run(capsys, [*argv, "--out", str(tmp_path / "bank.npz")])
-    assert code == 0
-    assert summary["noises"] == ["am", "band", "bursts"]
-    assert f"skipping noise entry: cannot read {wav}" in caplog.text
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"cannot read {wav}" in caplog.text
+    assert not out.exists()
 
 
 def _negate_first_atom(meta, arrays):

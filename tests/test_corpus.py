@@ -1,9 +1,11 @@
-import logging
+import re
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 import sparsescene as ss
 from sparsescene.corpus import read_wav, write_wav
@@ -99,17 +101,53 @@ def test_sample_rate_mismatch_is_a_data_error(tmp_path):
         read_wav(path, expect_sr=16000)
 
 
-def test_unreadable_entries_are_skipped_with_a_warning(tmp_path, caplog):
-    root = ss.generate_corpus(tmp_path / "c", seed=0)
-    (root / "noise" / "band.wav").write_bytes(b"ruined")
-    hum = root / "noise" / "hum.wav"
+def test_opening_a_corpus_reads_no_wav(corpus_root, monkeypatch):
+    reads = []
+    real_read = wavfile.read
+    monkeypatch.setattr(wavfile, "read", lambda path: reads.append(path) or real_read(path))
+    corpus = ss.Corpus.from_dir(corpus_root)
+    utterances = [p for splits in corpus.speakers.values() for ps in splits.values() for p in ps]
+    assert len(corpus.noises) + len(utterances) == 52 and reads == []
+    corpus.load_noise("am")
+    assert reads == [corpus.noises["am"]]
+
+
+@pytest.fixture
+def copied_root(corpus_root, tmp_path):
+    """A copy of the bundled corpus that a test may damage."""
+    return shutil.copytree(corpus_root, tmp_path / "c")
+
+
+def test_a_damaged_noise_stays_listed_and_is_a_data_error_when_loaded(copied_root):
+    noise = copied_root / "noise"
+    (noise / "band.wav").write_bytes(b"ruined")
+    hum = noise / "hum.wav"
     hum.write_bytes(hum.read_bytes()[:7])  # cut inside the RIFF header
-    with caplog.at_level(logging.WARNING):
-        corpus = ss.Corpus.from_dir(root)
-    assert "band" not in corpus.noises
-    assert sorted(corpus.noises) == ["am", "bursts"]
-    assert any("band" in r.getMessage() for r in caplog.records)
-    assert any(str(hum) in r.getMessage() for r in caplog.records)
+    write_wav(noise / "bursts.wav", np.zeros(1600), 16000)
+    corpus = ss.Corpus.from_dir(copied_root)
+    assert sorted(corpus.noises) == ["am", "band", "bursts", "hum"]
+    problems = {"band": "cannot read", "hum": "cannot read", "bursts": "sample rate 16000"}
+    for label, problem in problems.items():
+        wav = str(noise / f"{label}.wav")
+        with pytest.raises(DataError, match=re.escape(wav)) as caught:
+            corpus.load_noise(label)
+        assert problem in str(caught.value)
+
+
+def test_a_truncated_training_utterance_is_a_data_error_in_learn_bank(copied_root):
+    wav = copied_root / "speaker" / "spk2" / "utt03.wav"
+    assert "utt03.wav" in (wav.parent / "train.txt").read_text().split()
+    wav.write_bytes(wav.read_bytes()[:30])
+    corpus = ss.Corpus.from_dir(copied_root)
+    with pytest.raises(DataError, match=re.escape(f"cannot read {wav}")):
+        ss.learn_bank(corpus, "random", 2, seed=0)
+
+
+def test_a_split_file_that_is_not_utf8_is_a_data_error_naming_it(copied_root):
+    split_file = copied_root / "speaker" / "spk1" / "train.txt"
+    split_file.write_bytes(b"\xff\xfe utt01.wav\n")
+    with pytest.raises(DataError, match=re.escape(f"cannot read {split_file}")):
+        ss.Corpus.from_dir(copied_root)
 
 
 def test_empty_directory_is_a_data_error(tmp_path):
@@ -147,6 +185,10 @@ def test_missing_corpus_json_keeps_the_defaults(minimal_root):
         '{"noise_train_seconds": "long"}',
         '{"noise_train_seconds": NaN}',
         '{"noise_train_seconds": -1}',
+        '{"sample_rate": 8000.5}',
+        '{"sample_rate": "8000"}',
+        '{"sample_rate": true}',
+        '{"noise_train_seconds": true}',
     ],
 )
 def test_malformed_corpus_json_is_a_data_error(minimal_root, text):

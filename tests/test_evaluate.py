@@ -423,6 +423,25 @@ def test_analyze_signal_runs_the_blind_pipeline(corpus, kmeans_bank):
     assert sep.noise.shape == rendered.mixture.shape
 
 
+def test_scaling_a_clip_moves_no_decision(corpus, kmeans_bank):
+    """The noise pair, switch, speaker ranking and speech spans ignore the clip's level.
+
+    Twelve recipes, each at one of -5/0/+5 dB and scaled by one of 1e-4, 1e-2
+    and 1e2, so that every SNR meets every gain.  Powers of two would leave
+    ``solve_mu`` bit for bit unchanged; these gains do not.
+    """
+    keys = (
+        "noise_first", "noise_second", "noise_transition_s", "speaker_ranking", "speech_spans_s"
+    )
+    for i, scenario in enumerate(ss.generate_scenarios(corpus, 12, seed=1901)):
+        snr_db, gain = (-5.0, 0.0, 5.0)[i % 3], (1e-4, 1e-2, 1e2)[i // 3 % 3]
+        mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
+        base, _ = ss.analyze_signal(kmeans_bank, mixture)
+        scaled, _ = ss.analyze_signal(kmeans_bank, gain * mixture)
+        moved = {k: (base[k], scaled[k]) for k in keys if scaled[k] != base[k]}
+        assert not moved, (scenario.scenario_id, snr_db, gain, moved)
+
+
 @pytest.fixture()
 def coding_calls(monkeypatch):
     """Record every ``code_frames`` call through every sparsescene module binding."""

@@ -49,6 +49,7 @@ def test_defaults_are_sensible(tmp_path):
         dict(tw=float("-inf")),
         dict(n_atoms=4.0),
         dict(bank_seed=1.5),
+        dict(utterances_per_half=0),
     ],
 )
 def test_invalid_settings_raise_data_errors(tmp_path, kwargs):
