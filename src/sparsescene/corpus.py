@@ -8,18 +8,18 @@ formant-like resonances, shaped by a syllable-style amplitude envelope.
 
 On disk the corpus follows the layout::
 
-    corpus.json
-    noise/<label>.wav                 one long recording per noise type
-    speaker/<label>/<utt>.wav         individual utterances
-    speaker/<label>/{train,update,test}.txt   split files, one filename per line
+    corpus.json                       the sources: "noises" and "speakers" labels
+    noise/<label>.wav                 one long recording per listed noise type
+    speaker/<label>/<utt>.wav         utterances of each listed speaker
+    speaker/<label>/{train,update,test}.txt   split files, one utterance per line
 
 Noise recordings are split into a training region (first half) and an
 evaluation region (second half); mixtures only ever draw from the evaluation
 region, so learned dictionaries never see the exact evaluation samples.
 
-:class:`Corpus` lists these files without reading them; a WAV is read, by
-:func:`read_wav`, when it is loaded, and one that cannot be used is a
-:class:`~.errors.DataError` naming it.  Generation is deterministic given the seed.
+:class:`Corpus` lists the files ``corpus.json`` names, reading none; a WAV is
+read, by :func:`read_wav`, when it is loaded, and one that is missing or cannot
+be used is a :class:`~.errors.DataError` naming it.  Generation is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -278,86 +278,83 @@ def generate_corpus(
 # -- corpus access ------------------------------------------------------------
 
 
-def _read_meta(path: Path) -> tuple[int, float]:
-    """Sample rate and noise training seconds from ``corpus.json``.
+def _read_meta(path: Path) -> tuple[int, float, list[str], list[str]]:
+    """Sample rate, noise training seconds and noise and speaker labels from ``corpus.json``.
 
-    A missing file gives the defaults, :data:`SAMPLE_RATE` and half of
-    :data:`NOISE_SECONDS` (8000 Hz and 20 s).  A file that cannot be read as
-    an object whose ``sample_rate`` is a positive integer and whose
-    ``noise_train_seconds`` is a positive finite number (neither a boolean)
-    is a :class:`DataError`.
+    A missing file, or one that is not an object whose ``sample_rate`` is a
+    positive integer, whose ``noise_train_seconds`` is a positive finite
+    number (neither a boolean) and whose ``noises`` and ``speakers`` are
+    non-empty lists of plain file names, is a :class:`DataError` naming it.
     """
-    if not path.is_file():
-        return SAMPLE_RATE, NOISE_SECONDS / 2.0
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("it must hold a JSON object")
-        sample_rate = meta.get("sample_rate", SAMPLE_RATE)
+        sample_rate = meta.get("sample_rate")
         if type(sample_rate) is not int or sample_rate < 1:
             raise ValueError(f"sample_rate must be a positive integer, not {sample_rate!r}")
-        seconds = meta.get("noise_train_seconds", NOISE_SECONDS / 2.0)
+        seconds = meta.get("noise_train_seconds")
         if type(seconds) not in (int, float) or not 0 < seconds < float("inf"):
             raise ValueError(f"noise_train_seconds must be a positive number, not {seconds!r}")
-        noise_train_seconds = float(seconds)
+        for key in ("noises", "speakers"):
+            labels = meta.get(key)
+            if not labels or type(labels) is not list or not all(
+                type(x) is str and x not in ("", "..") and Path(x).name == x for x in labels
+            ):
+                raise ValueError(f"{key} must be a non-empty list of file names, not {labels!r}")
     except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return sample_rate, noise_train_seconds
+    return sample_rate, float(seconds), meta["noises"], meta["speakers"]
 
 
-def _listed(split_file: Path) -> list[Path]:
-    """The utterances a split file names, one per non-blank line; none if it is absent."""
+def _listed(split_file: Path) -> list[str]:
+    """The utterance names (``spk1/utt10.wav``) a split file lists; none if it is absent."""
     if not split_file.is_file():
         return []
     try:
         lines = split_file.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {split_file}: {exc}") from exc
-    return [split_file.parent / name for name in map(str.strip, lines) if name]
+    entries = [Path(name) for name in map(str.strip, lines) if name]
+    for entry in entries:
+        if entry.is_absolute() or ".." in entry.parts:
+            raise DataError(f"{split_file}: entry {entry} leaves the speaker's directory")
+    return [str(split_file.parent.name / entry) for entry in entries]
 
 
 @dataclass
 class Corpus:
-    """Listing of a corpus directory: which WAVs it holds, none of them read.
+    """The sources ``corpus.json`` lists, none of their WAVs read.
 
-    :meth:`from_dir` reads ``corpus.json`` and the split files only.  A WAV
-    is read, through :func:`read_wav`, when it is loaded, and a file that
-    cannot be used there is a :class:`DataError` naming it.  No entry is
-    ever dropped: that would silently change the set of sources a bank is
-    learned from.
+    A WAV is read, through :func:`read_wav`, when it is loaded, and one that
+    is missing or cannot be used is then a :class:`DataError` naming it.
+    The directory is never searched: an unlisted file is no source, and a
+    listed one is never dropped.
     """
 
     root: Path
     sample_rate: int
     noise_train_seconds: float
     noises: dict[str, Path]
-    speakers: dict[str, dict[str, list[Path]]]
+    speakers: dict[str, dict[str, list[str]]]
 
     @classmethod
     def from_dir(cls, root: Path | str) -> "Corpus":
-        """List ``noise/*.wav`` and each speaker's :data:`SPLITS` files under ``root``.
+        """List ``noise/<label>.wav`` and the ``speaker/<label>/<split>.txt`` entries.
 
-        A speaker whose split files list no utterance is left out; a corpus
-        that lists no noise or no speaker is a :class:`DataError`.
+        A speaker whose splits list nothing is a :class:`DataError` naming it when used.
         """
         root = Path(root)
-        if not root.is_dir():
-            raise DataError(f"corpus directory {root} does not exist")
-        sample_rate, noise_train_seconds = _read_meta(root / "corpus.json")
-        noises = {wav.stem: wav for wav in sorted((root / "noise").glob("*.wav"))}
-        speakers: dict[str, dict[str, list[Path]]] = {}
-        for spk in sorted(p for p in (root / "speaker").glob("*") if p.is_dir()):
-            splits = {split: _listed(spk / f"{split}.txt") for split in SPLITS}
-            if any(splits.values()):
-                speakers[spk.name] = splits
-        if not noises or not speakers:
-            raise DataError(f"{root} lists no noise recording or no speaker utterance")
+        sample_rate, noise_train_seconds, noises, speakers = _read_meta(root / "corpus.json")
         return cls(
             root=root,
             sample_rate=sample_rate,
             noise_train_seconds=noise_train_seconds,
-            noises=noises,
-            speakers=speakers,
+            noises={label: root / "noise" / f"{label}.wav" for label in noises},
+            speakers={
+                label: {s: _listed(root / "speaker" / label / f"{s}.txt") for s in SPLITS}
+                for label in speakers
+            },
         )
 
     def load_noise(self, label: str) -> np.ndarray:
@@ -373,12 +370,14 @@ class Corpus:
         x = self.load_noise(label)
         return x[int(self.noise_train_seconds * self.sample_rate) :]
 
-    def utterances(self, speaker: str, split: str) -> list[Path]:
+    def utterances(self, speaker: str, split: str) -> list[str]:
+        """The names of ``speaker``'s utterances in ``split``, relative to ``speaker/``."""
         if speaker not in self.speakers:
             raise DataError(f"speaker {speaker!r} not in corpus")
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r}; expected one of {sorted(SPLITS)}")
-        return list(self.speakers[speaker].get(split, []))
+        return list(self.speakers[speaker][split])
 
-    def load_utterance(self, path: Path) -> np.ndarray:
-        return read_wav(path, expect_sr=self.sample_rate)[1]
+    def load_utterance(self, name: str) -> np.ndarray:
+        """The samples of the utterance ``name``, relative to ``speaker/`` (``spk1/utt10.wav``)."""
+        return read_wav(self.root / "speaker" / name, expect_sr=self.sample_rate)[1]

@@ -15,7 +15,6 @@ float32 sum, so the stored components add up to the mixture bit-exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +41,7 @@ UTTERANCES_PER_HALF = 2
 class UtterancePlacement:
     """One utterance inserted into the mixture."""
 
-    utterance: str  # path relative to the corpus "speaker" directory
+    utterance: str  # a Corpus.load_utterance name, relative to the corpus "speaker" directory
     start_s: float
     duration_s: float
     half: int  # 0 = first half, 1 = second half
@@ -175,11 +174,10 @@ def generate_scenarios(
 
     pools: dict[str, list[tuple[str, float]]] = {}
     for spk in speakers:
-        pool = []
-        for path in corpus.utterances(spk, "test"):
-            samples = corpus.load_utterance(path)
-            rel = str(Path(spk) / path.name)
-            pool.append((rel, len(samples) / corpus.sample_rate))
+        pool = [
+            (name, len(corpus.load_utterance(name)) / corpus.sample_rate)
+            for name in corpus.utterances(spk, "test")
+        ]
         if not pool:
             raise DataError(f"speaker {spk!r} has no 'test' utterances")
         pools[spk] = pool
@@ -245,8 +243,7 @@ def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> Ren
 
     speech = np.zeros(n_total, dtype=np.float64)
     for u in scenario.utterances:
-        path = corpus.root / "speaker" / u.utterance
-        samples = corpus.load_utterance(path)
+        samples = corpus.load_utterance(u.utterance)
         start = int(round(u.start_s * sr))
         stop = min(start + len(samples), n_total)
         speech[start:stop] += samples[: stop - start]

@@ -48,8 +48,8 @@ def speaker_training_features(
     """Energy-gated magnitude frames pooled over the speaker's utterances."""
     parts = []
     for split in splits:
-        for path in corpus.utterances(label, split):
-            parts.append(magnitudes(corpus.load_utterance(path), config))
+        for name in corpus.utterances(label, split):
+            parts.append(magnitudes(corpus.load_utterance(name), config))
     if not parts:
         raise DataError(f"speaker {label!r} has no utterances in splits {splits}")
     return _gate_silence(np.concatenate(parts, axis=1))

@@ -1,3 +1,4 @@
+import json
 import re
 import shutil
 
@@ -157,7 +158,7 @@ def test_empty_directory_is_a_data_error(tmp_path):
 
 @pytest.fixture
 def minimal_root(tmp_path):
-    """One noise and one speaker utterance at 8000 Hz, without ``corpus.json``."""
+    """One noise and one speaker utterance at 8000 Hz, with a complete ``corpus.json``."""
     (tmp_path / "noise").mkdir()
     spk = tmp_path / "speaker" / "spk1"
     spk.mkdir(parents=True)
@@ -165,13 +166,18 @@ def minimal_root(tmp_path):
     write_wav(tmp_path / "noise" / "hum.wav", tone, 8000)
     write_wav(spk / "utt01.wav", tone, 8000)
     (spk / "train.txt").write_text("utt01.wav\n")
+    meta = {"sample_rate": 8000, "noise_train_seconds": 0.05, "noises": ["hum"]}
+    (tmp_path / "corpus.json").write_text(json.dumps({**meta, "speakers": ["spk1"]}))
     return tmp_path
 
 
-def test_missing_corpus_json_keeps_the_defaults(minimal_root):
+def test_missing_corpus_json_is_a_data_error_naming_it(minimal_root):
     corpus = ss.Corpus.from_dir(minimal_root)
-    assert corpus.sample_rate == 8000
-    assert corpus.noise_train_seconds == 20.0
+    assert (corpus.sample_rate, corpus.noise_train_seconds) == (8000, 0.05)
+    assert corpus.utterances("spk1", "train") == ["spk1/utt01.wav"]
+    (minimal_root / "corpus.json").unlink()
+    with pytest.raises(DataError, match=re.escape(f"cannot read {minimal_root / 'corpus.json'}")):
+        ss.Corpus.from_dir(minimal_root)
 
 
 @pytest.mark.parametrize(
@@ -189,9 +195,85 @@ def test_missing_corpus_json_keeps_the_defaults(minimal_root):
         '{"sample_rate": "8000"}',
         '{"sample_rate": true}',
         '{"noise_train_seconds": true}',
+        '{"noises": []}',
+        '{"speakers": "spk1"}',
+        '{"noises": ["../x"]}',
+        '{"noises": ["a/b"]}',
+        '{"speakers": [".."]}',
+        '{"noises": [1]}',
     ],
 )
 def test_malformed_corpus_json_is_a_data_error(minimal_root, text):
-    (minimal_root / "corpus.json").write_text(text)
+    meta_file = minimal_root / "corpus.json"
+    if text.startswith('{"'):  # one key overridden in the otherwise complete file
+        text = json.dumps({**json.loads(meta_file.read_text()), **json.loads(text)})
+    meta_file.write_text(text)
     with pytest.raises(DataError, match=r"corpus\.json"):
         ss.Corpus.from_dir(minimal_root)
+
+
+@pytest.mark.parametrize("key", ["sample_rate", "noise_train_seconds", "noises", "speakers"])
+def test_corpus_json_without_a_key_is_a_data_error(minimal_root, key):
+    meta_file = minimal_root / "corpus.json"
+    meta = json.loads(meta_file.read_text())
+    del meta[key]
+    meta_file.write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=rf"corpus\.json: {key} must be"):
+        ss.Corpus.from_dir(minimal_root)
+
+
+def test_a_deleted_listed_noise_is_a_data_error_naming_it_in_learn_bank(copied_root):
+    wav = copied_root / "noise" / "am.wav"
+    wav.unlink()
+    corpus = ss.Corpus.from_dir(copied_root)
+    assert sorted(corpus.noises) == ["am", "band", "bursts", "hum"]
+    with pytest.raises(DataError, match=re.escape(f"cannot read {wav}")):
+        ss.learn_bank(corpus, "random", 2, seed=0)
+
+
+def test_a_deleted_listed_speaker_is_a_data_error_naming_it(copied_root):
+    shutil.rmtree(copied_root / "speaker" / "spk4")
+    corpus = ss.Corpus.from_dir(copied_root)
+    assert sorted(corpus.speakers) == ["spk1", "spk2", "spk3", "spk4"]
+    with pytest.raises(DataError, match="'spk4'"):
+        ss.learn_bank(corpus, "random", 2, seed=0)
+    with pytest.raises(DataError, match="'spk4'"):
+        ss.generate_scenarios(corpus, 4, seed=0)
+
+
+def test_an_unlisted_wav_is_no_source(copied_root):
+    shutil.copy(copied_root / "noise" / "hum.wav", copied_root / "noise" / "babble.wav")
+    shutil.copytree(copied_root / "speaker" / "spk1", copied_root / "speaker" / "spk5")
+    corpus = ss.Corpus.from_dir(copied_root)
+    assert sorted(corpus.noises) == ["am", "band", "bursts", "hum"]
+    assert sorted(corpus.speakers) == ["spk1", "spk2", "spk3", "spk4"]
+
+
+@pytest.mark.parametrize("entry", ["../spk2/utt01.wav", "sub/../../spk2/utt01.wav", "/x/utt01.wav"])
+def test_a_split_entry_that_leaves_its_speaker_is_a_data_error_naming_the_file(copied_root, entry):
+    split_file = copied_root / "speaker" / "spk1" / "train.txt"
+    split_file.write_text(split_file.read_text() + entry + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{split_file}: entry {entry}")):
+        ss.Corpus.from_dir(copied_root)
+
+
+def test_split_entries_in_a_subdirectory_are_recorded_and_rendered_from_there(
+    copied_root, monkeypatch
+):
+    spk = copied_root / "speaker" / "spk1"
+    names = (spk / "test.txt").read_text().split()
+    (spk / "sub").mkdir()
+    for name in names:
+        (spk / name).rename(spk / "sub" / name)
+    (spk / "test.txt").write_text("".join(f"sub/{name}\n" for name in names))
+    corpus = ss.Corpus.from_dir(copied_root)
+    scenario = ss.generate_scenarios(corpus, 1, seed=0)[0]
+    assert scenario.speaker == "spk1"
+    recorded = [u.utterance for u in scenario.utterances]
+    assert set(recorded) <= {f"spk1/sub/{name}" for name in names}
+    reads = []
+    real_read = wavfile.read
+    monkeypatch.setattr(wavfile, "read", lambda path: reads.append(path) or real_read(path))
+    ss.render_scenario(corpus, scenario, snr_db=0.0)
+    utterance_reads = [path for path in reads if "speaker" in path.parts]
+    assert utterance_reads == [copied_root / "speaker" / name for name in recorded]

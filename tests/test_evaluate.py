@@ -442,6 +442,29 @@ def test_scaling_a_clip_moves_no_decision(corpus, kmeans_bank):
         assert not moved, (scenario.scenario_id, snr_db, gain, moved)
 
 
+def test_swapping_a_clips_halves_swaps_the_noise_pair_and_keeps_the_ranking(corpus, kmeans_bank):
+    """Swapping the halves at the true switch swaps the noise pair, keeps the
+    speaker ranking and moves the switch by at most one hop.
+
+    The same twelve recipes and SNRs as the scaling test.  Speech spans are
+    not compared: one frame straddles the new junction.
+    """
+    hop_s = kmeans_bank.stft_config.hop / corpus.sample_rate
+    for i, scenario in enumerate(ss.generate_scenarios(corpus, 12, seed=1901)):
+        snr_db = (-5.0, 0.0, 5.0)[i % 3]
+        mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
+        half = mixture.size // 2
+        base, _ = ss.analyze_signal(kmeans_bank, mixture)
+        swapped, _ = ss.analyze_signal(kmeans_bank, np.roll(mixture, half))
+        where = (scenario.scenario_id, snr_db)
+        assert (swapped["noise_first"], swapped["noise_second"]) == (
+            base["noise_second"], base["noise_first"]
+        ), where
+        assert swapped["speaker_ranking"] == base["speaker_ranking"], where
+        shift = abs(swapped["noise_transition_s"] - base["noise_transition_s"])
+        assert shift <= hop_s + 1e-9, (where, shift)
+
+
 @pytest.fixture()
 def coding_calls(monkeypatch):
     """Record every ``code_frames`` call through every sparsescene module binding."""
