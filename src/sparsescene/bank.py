@@ -94,14 +94,6 @@ class DictionaryBank:
         self.access_counts[(kind, label)] += 1
         return self._sources[(kind, label)]
 
-    def noise_dictionaries(self) -> dict[str, LearnedDictionary]:
-        """Copy of the noise dictionaries by label, for building another bank.
-
-        Unlike :meth:`get` it counts no access: copying a dictionary into
-        another bank is not consulting it.
-        """
-        return {label: d for (kind, label), d in self._sources.items() if kind == "noise"}
-
     def concatenated(self) -> tuple[np.ndarray, list[tuple[str, str, slice]]]:
         """Stack every source's atoms in the bank's order: speakers, then noises.
 

@@ -50,7 +50,6 @@ __all__ = [
     "LearnedDictionary",
     "learn_dictionary",
     "normalize_atoms",
-    "cosine_similarities",
 ]
 
 METHODS = ("random", "kmeans", "kmedoid", "ksvd", "tdcs")
@@ -107,11 +106,6 @@ def normalize_atoms(columns: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(A, axis=0)
     keep = norms > 1e-12
     return A[:, keep] / norms[keep][None, :]
-
-
-def cosine_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between unit-norm columns of ``a`` and ``b``."""
-    return a.T @ b
 
 
 def _select_random(frames: np.ndarray, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,8 +213,9 @@ def _learn_ksvd(
 
     Each of ``n_iter`` rounds codes ``frames`` with ``solve_mu``'s
     over-relaxed sweeps (``relaxed=True``), keeps the ``sparsity`` largest
-    weights per frame, then sweeps the atoms in order.  The frames are
-    scaled and cast to float32 once, before the first round.  The first round codes from the uniform start with
+    weights per frame, then sweeps the atoms in order.  ``frames`` are
+    :func:`learn_dictionary`'s checked float64 frames, scaled and cast to
+    float32 once, before the first round.  The first round codes from the uniform start with
     :data:`KSVD_COLD_SWEEPS` sweeps.  Every later round starts from the
     previous round's float32 weights, taken before the sparsification, and
     runs :data:`KSVD_WARM_SWEEPS` sweeps: the frames are the same and the
@@ -246,7 +241,6 @@ def _learn_ksvd(
 
     atoms = normalize_atoms(_select_random(frames, n_atoms, rng))
     k = atoms.shape[1]
-    frames, _, _, _ = solvers._check_inputs(frames, atoms)
     obs, scaled = solvers._prepare(frames, k)
     dense = np.zeros((k, frames.shape[1]))
     for i in range(n_iter):

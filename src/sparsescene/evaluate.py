@@ -20,6 +20,7 @@ import numpy as np
 
 from .bank import DictionaryBank
 from .corpus import Corpus, write_wav
+from .dictionary import recipe_problem
 from .errors import DataError
 from .manifest import Manifest
 from .regimes import EvalParams, FrontEnd, RegimeContext, analyze, run_regime
@@ -81,7 +82,8 @@ def run_manifest(
     its ``n_stale`` counts the files in ``rows/`` whose name is none of this
     campaign's run keys (rows of an earlier manifest or bank), which are
     kept and logged.
-    Raises :class:`DataError` when the campaign yields no rows at all.
+    Raises :class:`DataError` when the campaign yields no rows at all, and
+    before any run when a bank with a pending ``updated_*`` run lacks its recipe.
     """
     out_dir = Path(out_dir)
     rows_dir = out_dir / "rows"
@@ -126,8 +128,12 @@ def run_manifest(
         )
 
     for (method, _, _), runs in groups.items():
-        if any(regime == "updated_speaker" for _, regime in runs):
-            contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
+        ctx, pending = contexts[method], {regime for _, regime in runs}
+        problem = recipe_problem(ctx.bank.params)
+        if problem and pending & {"updated_noise", "updated_speaker"}:
+            raise DataError(problem)  # a bank without its recipe cannot be relearned
+        if "updated_speaker" in pending:
+            ctx.updated_speaker_bank()  # learn once, before any threads share ctx
 
     def execute(group: tuple[tuple[str, int, float], list[tuple[str, str]]]) -> list[dict]:
         """Render one mixture and run each of its regimes on one shared front end."""

@@ -85,10 +85,10 @@ def relearn_speakers(bank: DictionaryBank, corpus: Corpus) -> DictionaryBank:
     settings exactly as :func:`learn_bank` learns it: the same child seed
     and, as the earlier sources, the bank's noises in label order.  For a
     bank learned from ``corpus`` the result is what :func:`learn_bank` gives
-    when every speaker also trains on ``update``.  Reading the noises counts
-    no access on ``bank``.
+    when every speaker also trains on ``update``.  Each noise is read once
+    through :meth:`~.bank.DictionaryBank.get`.
     """
-    noises = bank.noise_dictionaries()
+    noises = {label: bank.get("noise", label) for label in bank.noise_labels}
     return _learn_sources(
         corpus, bank.method, bank.params, bank.stft_config, ("train", "update"), noises
     )
@@ -102,40 +102,40 @@ def _learn_sources(
     speaker_splits: tuple[str, ...],
     noises: Mapping[str, LearnedDictionary] | None,
 ) -> DictionaryBank:
-    """Learn the corpus's noises, or keep ``noises`` in their place, then its speakers."""
+    """Learn the corpus's noises, or keep ``noises`` in their place, then its speakers.
+
+    Every source's frames are read before any is learned, so a listed source
+    that cannot be read fails first.  Kept noises still take their child seeds.
+    """
     if method not in METHODS:
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
     problem = recipe_problem(recipe)
     if problem:
         raise DataError(problem)
-    order = [("noise", label) for label in sorted(corpus.noises if noises is None else noises)]
-    order += [("speaker", label) for label in sorted(corpus.speakers)]
-    children = np.random.SeedSequence(recipe["seed"]).spawn(len(order))
+    sources = {("noise", label): noises[label] for label in sorted(noises or {})}
+    frames: dict[tuple[str, str], np.ndarray] = {}
+    if noises is None:
+        for label in sorted(corpus.noises):
+            frames["noise", label] = noise_training_features(corpus, label, config)
+    for label in sorted(corpus.speakers):
+        frames["speaker", label] = speaker_training_features(corpus, label, config, speaker_splits)
+    children = np.random.SeedSequence(recipe["seed"]).spawn(len(sources) + len(frames))
 
-    prior: list[np.ndarray] = []
-    sources: dict[tuple[str, str], LearnedDictionary] = {}
-    for (kind, label), child in zip(order, children):
-        if kind == "noise" and noises is not None:
-            learned = noises[label]
-        else:
-            feats = (
-                noise_training_features(corpus, label, config)
-                if kind == "noise"
-                else speaker_training_features(corpus, label, config, speaker_splits)
+    prior = [learned.atoms for learned in sources.values()]
+    for (kind, label), child in zip(frames, children[len(sources) :]):
+        try:
+            learned = learn_dictionary(
+                frames[kind, label],
+                method,
+                recipe["n_atoms"],
+                tw=recipe["tw"],
+                tb=recipe["tb"],
+                prior_atoms=np.concatenate(prior, axis=1) if prior else None,
+                rng=np.random.default_rng(child),
             )
-            try:
-                learned = learn_dictionary(
-                    feats,
-                    method,
-                    recipe["n_atoms"],
-                    tw=recipe["tw"],
-                    tb=recipe["tb"],
-                    prior_atoms=np.concatenate(prior, axis=1) if prior else None,
-                    rng=np.random.default_rng(child),
-                )
-            except DataError as exc:
-                raise DataError(f"{kind} {label!r}: {exc}") from None
-            log.debug("learned %s/%s: %d atoms", kind, label, learned.atoms.shape[1])
+        except DataError as exc:
+            raise DataError(f"{kind} {label!r}: {exc}") from None
+        log.debug("learned %s/%s: %d atoms", kind, label, learned.atoms.shape[1])
         prior.append(learned.atoms)
         sources[kind, label] = learned
 

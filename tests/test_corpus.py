@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import sparsescene as ss
+from sparsescene import training
 from sparsescene.corpus import read_wav, write_wav
 from sparsescene.errors import DataError
 
@@ -239,6 +240,39 @@ def test_a_deleted_listed_speaker_is_a_data_error_naming_it(copied_root):
         ss.learn_bank(corpus, "random", 2, seed=0)
     with pytest.raises(DataError, match="'spk4'"):
         ss.generate_scenarios(corpus, 4, seed=0)
+
+
+def _cut(wav):
+    wav.write_bytes(wav.read_bytes()[:7])
+
+
+@pytest.mark.parametrize(
+    "damage, named, relearn",
+    [
+        (lambda root: shutil.rmtree(root / "speaker" / "spk4"), "speaker 'spk4'", False),
+        (lambda root: _cut(root / "noise" / "hum.wav"), "noise/hum.wav", False),
+        (lambda root: _cut(root / "speaker" / "spk4" / "utt07.wav"), "spk4/utt07.wav", True),
+    ],
+    ids=["learn_bank_without_spk4", "learn_bank_with_a_cut_noise", "relearn_with_a_cut_update"],
+)
+def test_every_listed_source_is_read_before_any_is_learned(
+    copied_root, monkeypatch, damage, named, relearn
+):
+    bank = ss.learn_bank(ss.Corpus.from_dir(copied_root), "random", 2) if relearn else None
+    assert "utt07.wav" in (copied_root / "speaker" / "spk4" / "update.txt").read_text().split()
+    damage(copied_root)
+    corpus = ss.Corpus.from_dir(copied_root)
+    learned = []
+    learn = training.learn_dictionary
+    monkeypatch.setattr(
+        training, "learn_dictionary", lambda *a, **k: learned.append(a[1]) or learn(*a, **k)
+    )
+    with pytest.raises(DataError, match=re.escape(named)):
+        if relearn:
+            training.relearn_speakers(bank, corpus)
+        else:
+            ss.learn_bank(corpus, "random", 2, seed=0)
+    assert learned == []
 
 
 def test_an_unlisted_wav_is_no_source(copied_root):

@@ -269,7 +269,8 @@ def test_updated_speaker_bank_equals_the_bank_learned_on_the_update_split(corpus
     )
     assert updated.content_hash() == relearned.content_hash()
     assert updated.content_hash() != bank.content_hash()
-    assert not any(bank.access_counts.values())
+    # the relearn reads each of the bank's noises once, through get, and no speaker
+    assert bank.access_counts == {source: int(source[0] == "noise") for source in bank.sources}
 
 
 def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
@@ -295,14 +296,16 @@ def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
 
     assert learned == ["kmeans"] * len(corpus.speakers) and noise_features == []
     assert updated.speaker_labels == tuple(sorted(corpus.speakers))
-    kept, own = updated.noise_dictionaries(), bank.noise_dictionaries()
-    assert kept.keys() == own.keys() and all(kept[n] is own[n] for n in own)
-    assert np.array_equal(kept[label].atoms, swapped.atoms)
-    assert bank.access_counts == counts_before
+    read_once = {("noise", name) for name in bank.noise_labels}
+    assert bank.access_counts == {key: n + (key in read_once) for key, n in counts_before.items()}
+    assert updated.noise_labels == bank.noise_labels
+    assert all(updated.get("noise", n) is bank.get("noise", n) for n in bank.noise_labels)
+    assert np.array_equal(updated.get("noise", label).atoms, swapped.atoms)
 
 
+@pytest.mark.parametrize("regime", ["updated_noise", "updated_speaker"], ids=["noise", "speaker"])
 def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
-    corpus_root, tmp_path
+    corpus_root, tmp_path, regime
 ):
     atoms = normalize_atoms(np.random.default_rng(0).random((129, 2)))
     hand_built = DictionaryBank(
@@ -312,9 +315,10 @@ def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
         },
         method="kmeans",
     )
-    manifest = _small_manifest(corpus_root, regimes=("updated_speaker",))
+    manifest = _small_manifest(corpus_root, regimes=("complete", regime))
     with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
         ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": hand_built})
+    assert not list((tmp_path / "out" / "rows").iterdir())
 
 
 @pytest.mark.parametrize(
@@ -463,6 +467,28 @@ def test_swapping_a_clips_halves_swaps_the_noise_pair_and_keeps_the_ranking(corp
         assert swapped["speaker_ranking"] == base["speaker_ranking"], where
         shift = abs(swapped["noise_transition_s"] - base["noise_transition_s"])
         assert shift <= hop_s + 1e-9, (where, shift)
+
+
+def test_trimming_a_clips_start_moves_the_switch_by_the_trimmed_time(corpus, kmeans_bank):
+    """Cutting 0.5, 1 or 3 s off the start keeps the noise pair and the top
+    speaker and moves the switch earlier by the cut, within one hop.
+
+    The same twelve recipes and SNRs as the scaling test, each SNR meeting
+    each cut.  The full ranking and the speech spans are not compared: the
+    frame grid moves with the cut.
+    """
+    hop_s = kmeans_bank.stft_config.hop / corpus.sample_rate
+    for i, scenario in enumerate(ss.generate_scenarios(corpus, 12, seed=1901)):
+        snr_db, cut_s = (-5.0, 0.0, 5.0)[i % 3], (0.5, 1.0, 3.0)[i // 3 % 3]
+        mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
+        base, _ = ss.analyze_signal(kmeans_bank, mixture)
+        trimmed, _ = ss.analyze_signal(kmeans_bank, mixture[round(cut_s * corpus.sample_rate) :])
+        where = (scenario.scenario_id, snr_db, cut_s)
+        pair = ("noise_first", "noise_second")
+        assert [trimmed[k] for k in pair] == [base[k] for k in pair], where
+        assert trimmed["speaker"] == base["speaker"], where
+        miss = abs(trimmed["noise_transition_s"] - (base["noise_transition_s"] - cut_s))
+        assert miss <= hop_s + 1e-9, (where, miss)
 
 
 @pytest.fixture()
