@@ -49,6 +49,7 @@ __all__ = [
     "recipe_problem",
     "LearnedDictionary",
     "learn_dictionary",
+    "live_frames",
     "normalize_atoms",
 ]
 
@@ -98,6 +99,11 @@ class LearnedDictionary:
     def __post_init__(self) -> None:
         if self.appended is None:
             self.appended = np.zeros(self.atoms.shape[1], dtype=bool)
+
+
+def live_frames(frames: np.ndarray) -> np.ndarray:
+    """Mask of the frame columns that are not silent: those whose L2 norm is above 1e-12."""
+    return np.linalg.norm(frames, axis=0) > 1e-12
 
 
 def normalize_atoms(columns: np.ndarray) -> np.ndarray:
@@ -363,8 +369,7 @@ def learn_dictionary(
         raise ValueError("features must be finite")
     if np.any(F < 0):
         raise ValueError("features must be non-negative")
-    live = np.linalg.norm(F, axis=0) > 1e-12
-    F = F[:, live]
+    F = F[:, live_frames(F)]
     if F.shape[1] == 0:
         raise DataError("no non-silent frames to learn from")
     if n_atoms < 1:

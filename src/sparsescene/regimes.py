@@ -22,10 +22,10 @@ answers when a rendered scenario is scored:
     remaining dictionaries.  Removal is enforced through a restricted bank
     view whose access counters prove the removed entries are never read.
 ``updated_noise``
-    The bank's noise dictionaries are replaced by two learned from the
-    noise-only frames, in the mixture's own spectrogram, on each side of its
-    switch (the switch and the ground-truth utterance spans are assumed
-    known).
+    The bank's noise dictionaries are replaced by one learned per true
+    segment of the scene from that segment's noise-only frames in the
+    mixture's own spectrogram (the segments and the ground-truth utterance
+    spans are assumed known).
 ``updated_speaker``
     The speaker dictionaries are relearned with the bank's own method,
     parameters and STFT settings on additional speaker enrollment material
@@ -58,7 +58,7 @@ from .dictionary import KSVD_COLD_SWEEPS, KSVD_WARM_SWEEPS, LearnedDictionary, l
 from .errors import DataError, SparseSceneError
 from .features import StftConfig, frame_energies, frame_times, stft
 from .metrics import restrict_to_spans, si_sdr_db, snr_db
-from .scenario import RenderedScenario
+from .scenario import RenderedScenario, segment_bounds
 from .separate import SeparationResult, estimate_snr_db, separate
 from .solvers import CHECK_EVERY, RELAX_EXPONENT, code_frames
 from .training import _gate_silence, relearn_speakers
@@ -248,7 +248,7 @@ class RegimeContext:
         """
         sc = rendered.scenario
         speaker = {("speaker", sc.speaker)}
-        noises = {("noise", sc.noise_first), ("noise", sc.noise_second)}
+        noises = {("noise", noise) for _, noise in sc.segments}
         everything = set(self.bank.sources)
         if regime == "ground_truth":
             missing = sorted(label for _, label in (speaker | noises) - everything)
@@ -256,11 +256,10 @@ class RegimeContext:
                 raise KeyError(f"bank lacks the true sources {missing}")
             return self.bank.restricted(everything - speaker - noises)
         if regime == "updated_noise":
-            first, second = _adapted_noises(rendered, front, self)
             view = self.bank.restricted(source for source in everything if source[0] == "noise")
-            return view.with_replaced("noise", "adapted_first", first).with_replaced(
-                "noise", "adapted_second", second
-            )
+            for k, learned in enumerate(_adapted_noises(rendered, front, self)):
+                view = view.with_replaced("noise", f"adapted_{k}", learned)
+            return view
         if regime == "out_of_set_noise":
             return self.bank.restricted(noises)
         if regime == "out_of_set_speaker":
@@ -306,30 +305,26 @@ class RunResult:
 
 def _adapted_noises(
     rendered: RenderedScenario, front: FrontEnd, ctx: RegimeContext
-) -> tuple[LearnedDictionary, LearnedDictionary]:
-    """Learn one noise dictionary per side of the scenario's switch from its noise-only frames.
+) -> list[LearnedDictionary]:
+    """Learn one noise dictionary per true segment of the scenario from its noise-only frames.
 
     ``front`` is the front end of ``rendered``'s mixture; its magnitude is
-    the feature matrix.
+    the feature matrix.  A frame belongs to the segment its centre lies in.
     """
     config = ctx.bank.stft_config
     mag = front.magnitude()
-    n_frames = mag.shape[1]
-    speech_mask = intervals_to_frame_mask(rendered.speech_spans, n_frames, config)
-    first_half = frame_times(n_frames, config) < rendered.transition_s
-    p = ctx.bank.params
+    speech_mask = intervals_to_frame_mask(rendered.speech_spans, mag.shape[1], config)
+    times = frame_times(mag.shape[1], config)
+    method, p = ctx.bank.method, ctx.bank.params
     out = []
-    for half, in_half in enumerate((first_half, ~first_half)):
-        feats = _gate_silence(mag[:, in_half & ~speech_mask])
+    for k, (start, end) in enumerate(segment_bounds(rendered.scenario.segments)):
+        in_segment = (start <= times) & (times < end)
+        feats = _gate_silence(mag[:, in_segment & ~speech_mask])
         if feats.shape[1] == 0:
-            feats = mag[:, in_half]
-        rng = np.random.default_rng(np.random.SeedSequence([rendered.scenario.seed, half]))
-        out.append(
-            learn_dictionary(
-                feats, ctx.bank.method, p["n_atoms"], tw=p["tw"], tb=p["tb"], rng=rng
-            )
-        )
-    return out[0], out[1]
+            feats = mag[:, in_segment]
+        rng = np.random.default_rng(np.random.SeedSequence([rendered.scenario.seed, k]))
+        out.append(learn_dictionary(feats, method, p["n_atoms"], tw=p["tw"], tb=p["tb"], rng=rng))
+    return out
 
 
 @dataclass

@@ -1,11 +1,11 @@
-"""Two-noise mixture scenarios: specification, generation, and rendering.
+"""Noise-switching mixture scenarios: specification, generation, and rendering.
 
-A scenario is a 2x10-second (configurable) mixture: the first half carries
-one noise type, the second half a different one, and utterances of a single
-speaker, drawn from the corpus's ``test`` split, are inserted at randomly
-selected locations inside each half.  The noise level is scaled per half to
-hit a target signal-to-noise ratio measured over the half's speech-active
-span.
+A scenario is a list of ``(duration_s, noise)`` segments that run back to
+back from 0 s, adjacent ones with different noise types.  Utterances of a
+single speaker, drawn from the corpus's ``test`` split, lie inside the
+segments, at least one in each.  The noise level is scaled per segment to
+hit a target signal-to-noise ratio measured over the segment's
+speech-active span.  :func:`generate_scenarios` draws two equal segments.
 
 Rendering stores the clean speech track and the scaled noise track alongside
 the mixture; all three are float32 and the mixture is computed as their
@@ -15,6 +15,7 @@ float32 sum, so the stored components add up to the mixture bit-exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,23 +29,29 @@ __all__ = [
     "RenderedScenario",
     "generate_scenarios",
     "render_scenario",
+    "segment_bounds",
 ]
 
-#: shortest gap between an utterance and the edge of its half, in seconds
+#: shortest gap between a generated utterance and the edge of its segment, in seconds
 MARGIN_S = 0.25
-#: default scene: the length of each half (s) and the utterances placed in it
+#: the generator's default scene: two segments of this length (s), this many utterances in each
 HALF_DURATION_S = 10.0
 UTTERANCES_PER_HALF = 2
 
 
+def segment_bounds(segments: tuple[tuple[float, str], ...]) -> list[tuple[float, float]]:
+    """Each ``(duration_s, noise)`` segment's ``(start_s, end_s)``, back to back from 0 s."""
+    ends = list(accumulate(duration for duration, _ in segments))
+    return list(zip([0.0, *ends], ends))
+
+
 @dataclass(frozen=True)
 class UtterancePlacement:
-    """One utterance inserted into the mixture."""
+    """One utterance inserted into the mixture; it belongs to the segment its span lies in."""
 
     utterance: str  # a Corpus.load_utterance name, relative to the corpus "speaker" directory
     start_s: float
     duration_s: float
-    half: int  # 0 = first half, 1 = second half
 
     @property
     def end_s(self) -> float:
@@ -53,13 +60,14 @@ class UtterancePlacement:
 
 @dataclass(frozen=True)
 class MixScenario:
-    """Complete recipe for one mixture; validated on construction."""
+    """Complete recipe for one mixture; validated on construction.
+
+    ``segments`` holds ``(duration_s, noise)`` pairs that run back to back from 0 s.
+    """
 
     scenario_id: str
     speaker: str
-    noise_first: str
-    noise_second: str
-    half_duration_s: float
+    segments: tuple[tuple[float, str], ...]
     utterances: tuple[UtterancePlacement, ...]
     seed: int
 
@@ -67,8 +75,18 @@ class MixScenario:
         self.validate()
 
     @property
+    def noise_first(self) -> str:
+        return self.segments[0][1]
+
+    @property
+    def noise_second(self) -> str:
+        """The last segment's noise: the second of a two-segment scene."""
+        return self.segments[-1][1]
+
+    @property
     def transition_s(self) -> float:
-        return self.half_duration_s
+        """The end of the first segment: the switch of a two-segment scene."""
+        return self.segments[0][0]
 
     @property
     def speech_spans(self) -> list[tuple[float, float]]:
@@ -77,62 +95,56 @@ class MixScenario:
     def validate(self) -> None:
         if not self.scenario_id or not self.speaker:
             raise ValueError("scenario_id and speaker must be non-empty")
-        if not self.noise_first or not self.noise_second:
-            raise ValueError("noise labels must be non-empty")
-        if self.noise_first == self.noise_second:
-            raise ValueError("the two halves must carry different noise types")
-        if not self.half_duration_s > 0:
-            raise ValueError("half_duration_s must be positive")
-        halves_seen = set()
+        if not self.segments or not all(
+            noise and np.isfinite(duration) and duration > 0 for duration, noise in self.segments
+        ):
+            raise ValueError("every segment needs a finite positive duration and a noise label")
+        if any(a[1] == b[1] for a, b in zip(self.segments, self.segments[1:])):
+            raise ValueError("adjacent segments must carry different noise types")
+        bounds = segment_bounds(self.segments)
         spans = sorted(self.utterances, key=lambda u: u.start_s)
         for u in spans:
-            if u.half not in (0, 1):
-                raise ValueError("utterance half must be 0 or 1")
-            lo = u.half * self.half_duration_s
-            hi = lo + self.half_duration_s
-            if not (lo <= u.start_s and u.end_s <= hi):
+            if u.duration_s <= 0 or not any(lo <= u.start_s and u.end_s <= hi for lo, hi in bounds):
                 raise ValueError(
                     f"utterance {u.utterance} ({u.start_s:.2f}-{u.end_s:.2f}s) "
-                    f"crosses its half boundary [{lo:.2f}, {hi:.2f}]"
+                    "needs a positive duration inside one segment"
                 )
-            if u.duration_s <= 0:
-                raise ValueError("utterance duration must be positive")
-            halves_seen.add(u.half)
         for a, b in zip(spans, spans[1:]):
             if b.start_s < a.end_s:
                 raise ValueError("utterance placements overlap")
-        if halves_seen != {0, 1}:
-            raise ValueError("each half needs at least one utterance")
+        if not all(any(lo <= u.start_s < hi for u in spans) for lo, hi in bounds):
+            raise ValueError("each segment needs at least one utterance")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixScenario":
+        """The scenario of a :meth:`to_dict` dictionary, also one read back from JSON."""
+        segments = tuple((duration, noise) for duration, noise in d["segments"])
         utterances = tuple(UtterancePlacement(**u) for u in d["utterances"])
-        return cls(**{**d, "utterances": utterances})
+        return cls(**{**d, "segments": segments, "utterances": utterances})
 
 
 def _place_utterances(
     rng: np.random.Generator,
     pool: list[tuple[str, float]],
-    half: int,
-    half_duration: float,
+    start_s: float,
+    end_s: float,
     count: int,
 ) -> list[UtterancePlacement]:
     placements: list[UtterancePlacement] = []
-    base = half * half_duration
     for _ in range(count):
         rel, dur = pool[int(rng.integers(len(pool)))]
-        lo = base + MARGIN_S
-        hi = base + half_duration - MARGIN_S - dur
+        lo = start_s + MARGIN_S
+        hi = end_s - MARGIN_S - dur
         if hi <= lo:
             raise DataError(
-                f"utterance {rel} ({dur:.2f}s) does not fit a {half_duration:.2f}s half"
+                f"utterance {rel} ({dur:.2f}s) does not fit a {end_s - start_s:.2f}s segment"
             )
         for _attempt in range(200):
             start = float(rng.uniform(lo, hi))
-            candidate = UtterancePlacement(rel, round(start, 4), round(dur, 4), half)
+            candidate = UtterancePlacement(rel, round(start, 4), round(dur, 4))
             if all(
                 candidate.end_s <= p.start_s or candidate.start_s >= p.end_s
                 for p in placements
@@ -140,7 +152,7 @@ def _place_utterances(
                 placements.append(candidate)
                 break
         else:
-            # the half is too crowded; accept fewer utterances here
+            # the segment is too crowded; accept fewer utterances here
             break
     return placements
 
@@ -153,16 +165,18 @@ def generate_scenarios(
     half_duration_s: float = HALF_DURATION_S,
     utterances_per_half: int = UTTERANCES_PER_HALF,
 ) -> list[MixScenario]:
-    """Deterministically generate scenario recipes.
+    """Deterministically generate scenario recipes of two ``half_duration_s`` segments.
 
     The pairing scheme is fixed and seed-driven: speakers cycle through the
     sorted speaker list; noise pairs cycle through a seed-shuffled list of
-    all ordered pairs of distinct noise types; utterances are drawn from the
-    speaker's ``test`` files and placed uniformly at random without overlap,
-    entirely inside their half.  The ``train`` and ``update`` splits are left
-    to the dictionaries, so no scenario scores the system on its own
-    training audio.
+    all ordered pairs of distinct noise types; ``utterances_per_half``
+    utterances are drawn from the speaker's ``test`` files and placed
+    uniformly at random without overlap, entirely inside each segment.  The
+    ``train`` and ``update`` splits are left to the dictionaries, so no
+    scenario scores the system on its own training audio.
     """
+    if not (np.isfinite(half_duration_s) and half_duration_s > 0):
+        raise DataError(f"half_duration_s must be finite and positive, not {half_duration_s}")
     speakers = sorted(corpus.speakers)
     noise_labels = sorted(corpus.noises)
     if len(noise_labels) < 2:
@@ -187,22 +201,18 @@ def generate_scenarios(
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         speaker = speakers[i % len(speakers)]
-        noise_first, noise_second = pair_order[i % len(pair_order)]
+        segments = tuple((half_duration_s, noise) for noise in pair_order[i % len(pair_order)])
         placements: list[UtterancePlacement] = []
-        for half in (0, 1):
-            placed = _place_utterances(
-                rng, pools[speaker], half, half_duration_s, utterances_per_half
-            )
+        for start, end in segment_bounds(segments):
+            placed = _place_utterances(rng, pools[speaker], start, end, utterances_per_half)
             if not placed:
-                raise DataError("could not place any utterance in a half; shorten utterances")
+                raise DataError("could not place any utterance in a segment; shorten utterances")
             placements.extend(placed)
         scenarios.append(
             MixScenario(
                 scenario_id=f"s{i:04d}",
                 speaker=speaker,
-                noise_first=noise_first,
-                noise_second=noise_second,
-                half_duration_s=half_duration_s,
+                segments=segments,
                 utterances=tuple(sorted(placements, key=lambda u: u.start_s)),
                 seed=int(rng.integers(2**31 - 1)),
             )
@@ -233,13 +243,13 @@ class RenderedScenario:
 def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> RenderedScenario:
     """Mix a scenario at the requested SNR.
 
-    The noise for each half is a random crop (seeded by the scenario) of that
-    noise type's evaluation region, scaled so the half's speech-to-noise
+    Each segment's noise is a random crop (seeded by the scenario) of that
+    noise type's evaluation region, scaled so the segment's speech-to-noise
     energy ratio over its speech-active samples equals ``snr_db``.
     """
     sr = corpus.sample_rate
-    n_half = int(round(scenario.half_duration_s * sr))
-    n_total = 2 * n_half
+    edges = [0, *accumulate(int(round(duration * sr)) for duration, _ in scenario.segments)]
+    n_total = edges[-1]
 
     speech = np.zeros(n_total, dtype=np.float64)
     for u in scenario.utterances:
@@ -250,24 +260,18 @@ def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> Ren
 
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
     noise = np.zeros(n_total, dtype=np.float64)
-    for half, label in ((0, scenario.noise_first), (1, scenario.noise_second)):
-        segment = corpus.noise_eval_segment(label)
-        if len(segment) < n_half:
-            raise DataError(
-                f"noise {label!r} evaluation region is shorter than a mixture half"
-            )
-        offset = int(rng.integers(0, len(segment) - n_half + 1))
-        crop = segment[offset : offset + n_half]
-        lo, hi = half * n_half, (half + 1) * n_half
-        span_mask = spans_to_sample_mask(
-            [(u.start_s, u.end_s) for u in scenario.utterances if u.half == half],
-            n_total,
-            sr,
-        )[lo:hi]
+    speech_mask = spans_to_sample_mask(scenario.speech_spans, n_total, sr)
+    for k, ((_, label), lo, hi) in enumerate(zip(scenario.segments, edges, edges[1:])):
+        region = corpus.noise_eval_segment(label)
+        if len(region) < hi - lo:
+            raise DataError(f"noise {label!r} evaluation region is shorter than segment {k}")
+        offset = int(rng.integers(0, len(region) - (hi - lo) + 1))
+        crop = region[offset : offset + hi - lo]
+        span_mask = speech_mask[lo:hi]
         p_speech = float(np.sum(speech[lo:hi][span_mask] ** 2))
         p_noise = float(np.sum(crop[span_mask] ** 2))
         if p_speech <= 0 or p_noise <= 0:
-            raise DataError(f"degenerate energy in half {half} of {scenario.scenario_id}")
+            raise DataError(f"degenerate energy in segment {k} of {scenario.scenario_id}")
         with np.errstate(all="ignore"):  # an SNR float32 cannot hold is caught below
             try:
                 scale = np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0)))
@@ -275,13 +279,13 @@ def render_scenario(corpus: Corpus, scenario: MixScenario, snr_db: float) -> Ren
                 scale = 0.0
             except ZeroDivisionError:  # the scaled noise energy underflows to zero
                 scale = np.inf
-            half_noise = (scale * crop).astype(np.float32)
-        if not (np.all(np.isfinite(half_noise)) and np.any(half_noise[span_mask])):
+            segment_noise = (scale * crop).astype(np.float32)
+        if not (np.all(np.isfinite(segment_noise)) and np.any(segment_noise[span_mask])):
             raise DataError(
-                f"snr_db {snr_db} cannot be rendered in float32: half {half} of "
+                f"snr_db {snr_db} cannot be rendered in float32: segment {k} of "
                 f"{scenario.scenario_id} would hold no finite noise energy over its speech"
             )
-        noise[lo:hi] = half_noise
+        noise[lo:hi] = segment_noise
 
     speech32 = speech.astype(np.float32)
     noise32 = noise.astype(np.float32)

@@ -10,7 +10,14 @@ import numpy as np
 
 from .bank import DictionaryBank
 from .corpus import Corpus
-from .dictionary import METHODS, RECIPE, LearnedDictionary, learn_dictionary, recipe_problem
+from .dictionary import (
+    METHODS,
+    RECIPE,
+    LearnedDictionary,
+    learn_dictionary,
+    live_frames,
+    recipe_problem,
+)
 from .errors import DataError
 from .features import StftConfig, magnitudes
 
@@ -104,8 +111,9 @@ def _learn_sources(
 ) -> DictionaryBank:
     """Learn the corpus's noises, or keep ``noises`` in their place, then its speakers.
 
-    Every source's frames are read before any is learned, so a listed source
-    that cannot be read fails first.  Kept noises still take their child seeds.
+    Every source's frames are read and checked before any is learned, so a
+    listed source that cannot be read, or has no non-silent frame, fails
+    first.  Kept noises still take their child seeds.
     """
     if method not in METHODS:
         raise DataError(f"unknown dictionary method {method!r}; choose from {METHODS}")
@@ -119,22 +127,22 @@ def _learn_sources(
             frames["noise", label] = noise_training_features(corpus, label, config)
     for label in sorted(corpus.speakers):
         frames["speaker", label] = speaker_training_features(corpus, label, config, speaker_splits)
+    for (kind, label), feats in frames.items():
+        if not live_frames(feats).any():
+            raise DataError(f"{kind} {label!r}: no non-silent frames to learn from")
     children = np.random.SeedSequence(recipe["seed"]).spawn(len(sources) + len(frames))
 
     prior = [learned.atoms for learned in sources.values()]
     for (kind, label), child in zip(frames, children[len(sources) :]):
-        try:
-            learned = learn_dictionary(
-                frames[kind, label],
-                method,
-                recipe["n_atoms"],
-                tw=recipe["tw"],
-                tb=recipe["tb"],
-                prior_atoms=np.concatenate(prior, axis=1) if prior else None,
-                rng=np.random.default_rng(child),
-            )
-        except DataError as exc:
-            raise DataError(f"{kind} {label!r}: {exc}") from None
+        learned = learn_dictionary(
+            frames[kind, label],
+            method,
+            recipe["n_atoms"],
+            tw=recipe["tw"],
+            tb=recipe["tb"],
+            prior_atoms=np.concatenate(prior, axis=1) if prior else None,
+            rng=np.random.default_rng(child),
+        )
         log.debug("learned %s/%s: %d atoms", kind, label, learned.atoms.shape[1])
         prior.append(learned.atoms)
         sources[kind, label] = learned

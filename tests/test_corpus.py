@@ -246,14 +246,29 @@ def _cut(wav):
     wav.write_bytes(wav.read_bytes()[:7])
 
 
+def _silence(wav):
+    sample_rate, samples = read_wav(wav)
+    write_wav(wav, np.zeros_like(samples), sample_rate)
+
+
 @pytest.mark.parametrize(
     "damage, named, relearn",
     [
         (lambda root: shutil.rmtree(root / "speaker" / "spk4"), "speaker 'spk4'", False),
         (lambda root: _cut(root / "noise" / "hum.wav"), "noise/hum.wav", False),
         (lambda root: _cut(root / "speaker" / "spk4" / "utt07.wav"), "spk4/utt07.wav", True),
+        (
+            lambda root: _silence(root / "noise" / "hum.wav"),
+            "noise 'hum': no non-silent frames to learn from",
+            False,
+        ),
     ],
-    ids=["learn_bank_without_spk4", "learn_bank_with_a_cut_noise", "relearn_with_a_cut_update"],
+    ids=[
+        "learn_bank_without_spk4",
+        "learn_bank_with_a_cut_noise",
+        "relearn_with_a_cut_update",
+        "learn_bank_with_a_silent_noise",
+    ],
 )
 def test_every_listed_source_is_read_before_any_is_learned(
     copied_root, monkeypatch, damage, named, relearn

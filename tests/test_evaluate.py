@@ -105,17 +105,31 @@ def _before_the_relaxed_stage_2(params, method=None):
     }
 
 
+def _before_the_segments(scenario):
+    """``MixScenario.to_dict`` as it was while a scene was two halves of one length."""
+    (half, first), (_, second) = scenario.segments
+    return {
+        "scenario_id": scenario.scenario_id,
+        "speaker": scenario.speaker,
+        "noise_first": first,
+        "noise_second": second,
+        "half_duration_s": half,
+        "utterances": [
+            {**dataclasses.asdict(u), "half": int(u.start_s >= half)} for u in scenario.utterances
+        ],
+        "seed": scenario.seed,
+    }
+
+
 def test_run_key_is_pinned(monkeypatch):
     # Resuming an existing campaign depends on keys staying the same.
     scenario = MixScenario(
         scenario_id="s0007",
         speaker="spk2",
-        noise_first="hum",
-        noise_second="band",
-        half_duration_s=6.0,
+        segments=((6.0, "hum"), (6.0, "band")),
         utterances=(
-            UtterancePlacement("spk2/utt09.wav", 1.25, 2.5, 0),
-            UtterancePlacement("spk2/utt10.wav", 7.5, 1.75, 1),
+            UtterancePlacement("spk2/utt09.wav", 1.25, 2.5),
+            UtterancePlacement("spk2/utt10.wav", 7.5, 1.75),
         ),
         seed=12345,
     )
@@ -126,13 +140,17 @@ def test_run_key_is_pinned(monkeypatch):
         )
 
     # only a ksvd bank's key records K-SVD's schedule
-    assert key_for("kmeans") == "fcf2aa20af6d4f82e021"
+    assert key_for("kmeans") == "63c3e319a7f3e46e88f5"
     assert key_for("tdcs") == key_for("kmeans")
-    assert key_for("ksvd") == "0a4ab8ee697ac43c6454"
+    assert key_for("ksvd") == "ec408f49d538d0fd1a09"
     with monkeypatch.context() as patched:
         patched.setattr(regimes, "KSVD_WARM_SWEEPS", 13)
-        assert key_for("kmeans") == "fcf2aa20af6d4f82e021"
-        assert key_for("ksvd") != "0a4ab8ee697ac43c6454"
+        assert key_for("kmeans") == "63c3e319a7f3e46e88f5"
+        assert key_for("ksvd") != "ec408f49d538d0fd1a09"
+    # the keys this run had while a scene was two halves of one length
+    monkeypatch.setattr(MixScenario, "to_dict", _before_the_segments)
+    assert key_for("kmeans") == "fcf2aa20af6d4f82e021"
+    assert key_for("ksvd") == "0a4ab8ee697ac43c6454"
     # the key this run had while the shortlist coded plain sweeps at tol 2e-4
     monkeypatch.setattr(ss.EvalParams, "to_dict", _before_the_relaxed_stage_2)
     assert key_for("kmeans") == key_for("ksvd") == "2b7dbe43a21a389fe1aa"
