@@ -6,7 +6,9 @@ source.  Restricted views (with some sources removed) share the parent's
 counters, so a test can run a pipeline on a view and then assert that the
 removed sources were never consulted.  The bank
 also records how it was made (learning method, ``learn_bank`` parameters and
-STFT settings), and :meth:`DictionaryBank.load` accepts only what ``save`` writes.
+STFT settings); its ``method`` is the one record of how every source was
+learned.  :meth:`DictionaryBank.load` accepts only what ``save`` writes, and
+``save`` replaces its file only once the new one is whole.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .dictionary import METHODS, LearnedDictionary, recipe_problem
 from .errors import DataError
 from .features import StftConfig
+from .files import replace_file
 
 __all__ = ["KINDS", "DictionaryBank"]
 
@@ -159,19 +162,19 @@ class DictionaryBank:
             "version": 1,
             **self._recipe,
             **{f"{kind}s": list(self._labels(kind)) for kind in KINDS},
-            "dict_methods": {
-                f"{kind}/{label}": d.method for (kind, label), d in self._sources.items()
-            },
         }
         arrays["meta"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        replace_file(path, lambda fh: np.savez(fh, **arrays))
 
     @classmethod
     def load(cls, path) -> "DictionaryBank":
-        """Read a bank written by :meth:`save`; anything else is a :class:`DataError`."""
+        """Read a bank written by :meth:`save`; anything else is a :class:`DataError`.
+
+        A meta key it does not read is ignored, such as older files' per-source
+        ``dict_methods``, which the bank's ``method`` replaced.
+        """
         try:
             with np.load(path, allow_pickle=False) as archive:
                 data = {key: archive[key] for key in archive.files}
@@ -187,7 +190,6 @@ class DictionaryBank:
             sources = {
                 (kind, label): LearnedDictionary(
                     atoms=np.asarray(data[f"{kind}/{label}/atoms"], dtype=np.float64),
-                    method=meta["dict_methods"][f"{kind}/{label}"],
                     appended=np.asarray(data[f"{kind}/{label}/appended"], dtype=bool),
                 )
                 for kind in KINDS
@@ -211,9 +213,9 @@ class DictionaryBank:
     def _problem(self) -> str | None:
         """What keeps this bank from being a whole one that ``save`` writes, or None.
 
-        A whole bank holds at least one speaker and one noise, each learned
-        by one of :data:`METHODS`, with at least one atom and one ``appended``
-        flag per atom.
+        A whole bank is learned by one of :data:`METHODS` and holds at least
+        one speaker and one noise, each with at least one atom and one
+        ``appended`` flag per atom.
         """
         if self.method not in METHODS:
             return f"method {self.method!r} is not one of {METHODS}"
@@ -230,8 +232,6 @@ class DictionaryBank:
                 return f"it holds no {kind} dictionary"
         for (kind, label), d in self._sources.items():
             atoms, where = d.atoms, f"{kind} {label!r}"
-            if d.method not in METHODS:
-                return f"{where} was learned by {d.method!r}, which is not one of {METHODS}"
             if atoms.ndim != 2 or atoms.shape[0] != n_bins:
                 shape, n_fft = atoms.shape, fp["n_fft"]
                 return f"{where} atoms have shape {shape}; n_fft {n_fft} needs {n_bins} rows"
@@ -253,7 +253,8 @@ class DictionaryBank:
         h = hashlib.sha256()
         h.update(json.dumps(self._recipe, sort_keys=True).encode("utf-8"))
         for (kind, label), d in self._sources.items():
-            h.update(f"{kind}/{label}/{d.method}".encode("utf-8"))
+            # the method per source keeps the hashes of banks whose sources each recorded it
+            h.update(f"{kind}/{label}/{self.method}".encode("utf-8"))
             h.update(np.ascontiguousarray(d.atoms).tobytes())
             h.update(np.ascontiguousarray(d.appended).tobytes())
         return h.hexdigest()
@@ -269,7 +270,7 @@ def _meta_problem(meta: dict) -> str | None:
     for key in ("speakers", "noises"):
         if not (isinstance(meta[key], list) and all(isinstance(v, str) for v in meta[key])):
             return f"{key} {meta[key]!r} is not a list of labels"
-    for key in ("dict_methods", "params", "feature_params"):
+    for key in ("params", "feature_params"):
         if not isinstance(meta[key], dict):
             return f"{key} {meta[key]!r} is not an object"
     return None

@@ -73,12 +73,10 @@ def _cmd_make_corpus(o) -> dict:
 def _cmd_learn_dict(o) -> dict:
     corpus = Corpus.from_dir(o.corpus)
     bank = learn_bank(corpus, o.method, o.atoms, tw=o.tw, tb=o.tb, seed=o.seed)
-    out_path = Path(o.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    bank.save(out_path)
+    bank.save(o.out)
     _, groups = bank.concatenated()
     return {
-        "bank": str(out_path),
+        "bank": str(Path(o.out)),
         "method": o.method,
         "noises": list(bank.noise_labels),
         "speakers": list(bank.speaker_labels),

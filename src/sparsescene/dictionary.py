@@ -81,19 +81,19 @@ def recipe_problem(params: dict) -> str | None:
 class LearnedDictionary:
     """Atoms plus the bookkeeping needed for structural checks.
 
+    How the atoms were learned is recorded once, as the ``method`` of the
+    :class:`~.bank.DictionaryBank` that holds them.
+
     Attributes
     ----------
     atoms : np.ndarray
         Unit-norm non-negative columns, ``(P, K)``.
-    method : str
-        Learning method name.
     appended : np.ndarray
         Boolean mask ``(K,)``; True marks atoms appended past the
         threshold-accepted set (only the threshold method sets these).
     """
 
     atoms: np.ndarray
-    method: str
     appended: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -387,4 +387,4 @@ def learn_dictionary(
         atoms = _learn_ksvd(F, n_atoms, rng)
     else:  # tdcs
         atoms, appended = _learn_threshold(F, n_atoms, tw, tb, prior_atoms, rng)
-    return LearnedDictionary(atoms=normalize_atoms(atoms), method=method, appended=appended)
+    return LearnedDictionary(atoms=normalize_atoms(atoms), appended=appended)

@@ -2,12 +2,15 @@
 
 Each run is content-addressed (:func:`~.report.run_key`) by a hash of the
 scenario, regime, SNR, bank and pipeline parameters; completed rows are
-stored as ``rows/<key>.json`` and skipped on resume.  The runs of one
+stored as ``rows/<key>.json`` and skipped on resume.  A campaign's bank is
+the one it is given or the one it learns from its own corpus on this run,
+written to ``banks/<method>.npz`` and never read back, so the bank hash in
+every run key is that of the bank the run is coded with.  The runs of one
 (method, scenario, SNR) share a mixture: it is rendered once, and its
 regimes read one :class:`~.regimes.FrontEnd`, so its frame energies,
 detector passes and STFT are computed once between them.  Such groups are independent and may
 execute in a thread pool; the coordinating thread alone reads and writes
-files, all through :mod:`.report`.
+files, all through :mod:`.report` but for the banks it saves.
 """
 
 from __future__ import annotations
@@ -48,26 +51,6 @@ def _corpus_and_scenarios(manifest: Manifest, out_dir: Path) -> tuple[Corpus, li
     return corpus, scenarios
 
 
-def _bank_for(
-    manifest: Manifest, corpus: Corpus, method: str, out_dir: Path, resume: bool
-) -> DictionaryBank:
-    """Learn (or reload) the dictionary bank for one method."""
-    path = out_dir / "banks" / f"{method}.npz"
-    if resume and path.exists():
-        try:
-            bank = DictionaryBank.load(path)
-            if bank.method == method and bank.params == manifest.recipe:
-                log.info("reusing bank %s", path)
-                return bank
-            log.warning("bank %s does not match the manifest; relearning", path)
-        except DataError as exc:
-            log.warning("cannot reuse bank %s (%s); relearning", path, exc)
-    bank = learn_bank(corpus, method, **manifest.recipe)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    bank.save(path)
-    return bank
-
-
 def run_manifest(
     manifest: Manifest,
     out_dir: Path | str,
@@ -78,10 +61,13 @@ def run_manifest(
     """Execute a whole campaign and write ``report.csv`` / ``aggregate.json``.
 
     ``banks`` optionally maps method names to prebuilt banks, bypassing
-    dictionary learning for those methods.  Returns a summary dictionary;
-    its ``n_stale`` counts the files in ``rows/`` whose name is none of this
-    campaign's run keys (rows of an earlier manifest or bank), which are
-    kept and logged.
+    dictionary learning for those methods.  Every other method's bank is
+    learned from the manifest's corpus on each call, resumed or not, and
+    saved to ``banks/<method>.npz``; no bank file is ever loaded, so a
+    directory that holds another corpus's campaign cannot lend it its bank.
+    Returns a summary dictionary; its ``n_stale`` counts the files in
+    ``rows/`` whose name is none of this campaign's run keys (rows of an
+    earlier manifest or bank), which are kept and logged.
     Raises :class:`DataError` when the campaign yields no rows at all, and
     before any run when a bank with a pending ``updated_*`` run lacks its recipe.
     """
@@ -96,7 +82,8 @@ def run_manifest(
         if banks is not None and method in banks:
             bank = banks[method]
         else:
-            bank = _bank_for(manifest, corpus, method, out_dir, resume)
+            bank = learn_bank(corpus, method, **manifest.recipe)
+            bank.save(out_dir / "banks" / f"{method}.npz")
         contexts[method] = RegimeContext(bank, corpus, manifest.eval_params)
 
     # one group per rendered mixture: (method, scenario, SNR) -> its runs as (key, regime)

@@ -18,11 +18,11 @@ import io
 import json
 import logging
 import math
-import os
 from dataclasses import asdict, fields
 from pathlib import Path
 from statistics import fmean, pstdev
 
+from .files import replace_file
 from .regimes import EvalParams, RunResult
 from .scenario import MixScenario
 
@@ -114,15 +114,8 @@ def format_row(row: dict) -> dict[str, str]:
 
 
 def _replace(path: Path | str, text: str) -> None:
-    """Replace ``path`` with ``text`` through ``<name>.tmp``, which no ``*.json`` glob sees."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8", newline="")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Replace ``path`` with ``text`` in UTF-8, through :func:`~.files.replace_file`."""
+    replace_file(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def write_json(data: dict, path: Path | str) -> None:

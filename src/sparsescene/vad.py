@@ -63,19 +63,14 @@ def frames_to_intervals(
 ) -> list[tuple[float, float]]:
     """Contiguous True runs as (start_s, end_s) spans; runs shorter than
     ``min_frames`` are discarded as blips."""
-    mask = np.asarray(mask, dtype=bool)
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for i, on in enumerate(np.append(mask, False)):
-        if on and start is None:
-            start = i
-        elif not on and start is not None:
-            if i - start >= min_frames:
-                t0 = start * config.hop / config.sample_rate
-                t1 = ((i - 1) * config.hop + config.n_fft) / config.sample_rate
-                intervals.append((t0, t1))
-            start = None
-    return intervals
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool).ravel(), [False]))
+    edges = np.flatnonzero(np.diff(padded)).tolist()  # run starts and ends, alternating
+    hop, n_fft, sr = config.hop, config.n_fft, config.sample_rate
+    return [
+        (start * hop / sr, ((end - 1) * hop + n_fft) / sr)
+        for start, end in zip(edges[::2], edges[1::2])
+        if end - start >= min_frames
+    ]
 
 
 def intervals_to_frame_mask(

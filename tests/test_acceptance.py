@@ -163,7 +163,7 @@ def test_single_atom_observations_recover_exactly():
     rng = np.random.default_rng(7)
     sources = {
         ("noise", f"src{i}"): LearnedDictionary(
-            normalize_atoms(rng.uniform(0.05, 1.0, size=(32, 8))), "random"
+            normalize_atoms(rng.uniform(0.05, 1.0, size=(32, 8)))
         )
         for i in range(5)
     }

@@ -28,9 +28,7 @@ def toy_bank():
     Bins 0-1: noise 'alpha'; bins 2-3: noise 'beta';
     bins 4-5: speaker 'sA'; bins 6-7: speaker 'sB'.
     """
-    mk = lambda rows: LearnedDictionary(
-        _unit_columns(rows, [(1.0, 0.2), (0.2, 1.0)]), "random"
-    )
+    mk = lambda rows: LearnedDictionary(_unit_columns(rows, [(1.0, 0.2), (0.2, 1.0)]))
     return DictionaryBank(
         {
             ("speaker", "sA"): mk((4, 5)),

@@ -281,7 +281,6 @@ def _one_appended_flag_short(meta, arrays):
         (_one_dimensional_atoms, "noise 'hum' atoms have shape (129,)"),
         (lambda meta, arrays: meta["params"].update(n_atoms="4"), "are not numbers"),
         (lambda meta, arrays: meta.update(speakers=None), "speakers None is not a list"),
-        (lambda meta, arrays: meta.update(dict_methods=None), "dict_methods None is not"),
         (lambda meta, arrays: meta.update(params=[4]), "params [4] is not an object"),
         (lambda meta, arrays: meta.update(feature_params=8000), "feature_params 8000 is not"),
         (lambda meta, arrays: meta.update(method="pca"), "method 'pca' is not one of"),
@@ -311,7 +310,6 @@ def _one_appended_flag_short(meta, arrays):
         "one_dimensional_atoms",
         "text_params",
         "null_speakers",
-        "null_dict_methods",
         "list_params",
         "number_feature_params",
         "unknown_method",

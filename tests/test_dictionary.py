@@ -47,7 +47,6 @@ def test_normalize_drops_zero_columns_and_unit_scales():
 @pytest.mark.parametrize("method", METHODS)
 def test_each_method_yields_valid_atoms(frames, method):
     d = learn_dictionary(frames, method, 12, rng=np.random.default_rng(0))
-    assert d.method == method
     assert d.atoms.shape[0] == 30
     assert 1 <= d.atoms.shape[1] <= 12
     assert np.all(d.atoms >= 0)

@@ -187,6 +187,22 @@ def test_resume_skips_completed_rows_and_keeps_bytes(corpus_root, kmeans_bank, t
     assert (out / "report.csv").read_bytes() == first
 
 
+def test_a_campaign_learns_its_bank_from_its_own_corpus_whatever_its_directory_holds(
+    corpus_root, tmp_path
+):
+    # The directory already holds a campaign over another corpus, with its bank.
+    other_root = ss.generate_corpus(tmp_path / "other", seed=1, noise_seconds=12)
+    out = tmp_path / "out"
+    for root in (corpus_root, other_root):
+        summary = ss.run_manifest(_small_manifest(root, half_duration_s=4.0, n_atoms=8), out)
+    learned = ss.learn_bank(ss.Corpus.from_dir(other_root), "kmeans", 8)
+    saved = DictionaryBank.load(out / "banks" / "kmeans.npz")
+    assert saved.content_hash() == learned.content_hash()
+    # its row is coded with that bank, under a key of its own
+    assert (summary["n_computed"], summary["n_skipped"], summary["n_stale"]) == (1, 0, 1)
+    assert sorted(path.name for path in (out / "banks").iterdir()) == ["kmeans.npz"]
+
+
 @pytest.mark.parametrize(
     "content",
     [b"{not json", b"\xff\xfe", b"[]", b'{"run_key": "other"}'],
@@ -296,7 +312,7 @@ def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
 ):
     label = kmeans_bank.noise_labels[1]
     rng = np.random.default_rng(7)
-    swapped = LearnedDictionary(normalize_atoms(rng.random((129, 5))), "random")
+    swapped = LearnedDictionary(normalize_atoms(rng.random((129, 5))))
     bank = kmeans_bank.with_replaced("noise", label, swapped)
     counts_before = dict(bank.access_counts)
     learned, noise_features = [], []
@@ -328,8 +344,8 @@ def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
     atoms = normalize_atoms(np.random.default_rng(0).random((129, 2)))
     hand_built = DictionaryBank(
         {
-            ("speaker", "ghost"): LearnedDictionary(atoms, "kmeans"),
-            ("noise", "static"): LearnedDictionary(atoms, "kmeans"),
+            ("speaker", "ghost"): LearnedDictionary(atoms),
+            ("noise", "static"): LearnedDictionary(atoms),
         },
         method="kmeans",
     )
@@ -375,8 +391,8 @@ def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
     atoms /= np.linalg.norm(atoms, axis=0)
     toy = DictionaryBank(
         {
-            ("speaker", "ghost"): LearnedDictionary(atoms, "kmeans"),
-            ("noise", "static"): LearnedDictionary(atoms, "kmeans"),
+            ("speaker", "ghost"): LearnedDictionary(atoms),
+            ("noise", "static"): LearnedDictionary(atoms),
         },
         method="kmeans",
     )

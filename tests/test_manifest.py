@@ -254,7 +254,7 @@ def test_a_manifest_with_one_value_replaced_reads_whole_or_is_a_data_error(data)
     # What an accepted manifest hands to learn_bank is a recipe a bank can record.
     recipe = {"n_atoms": m.n_atoms, "tw": m.tw, "tb": m.tb, "seed": m.bank_seed}
     n_bins = StftConfig().n_bins
-    one_atom = LearnedDictionary(np.full((n_bins, 1), n_bins**-0.5), "kmeans")  # unit norm
+    one_atom = LearnedDictionary(np.full((n_bins, 1), n_bins**-0.5))  # unit norm
     bank = DictionaryBank(
         {("speaker", "s"): one_atom, ("noise", "n"): one_atom},
         method="kmeans",

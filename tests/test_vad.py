@@ -45,6 +45,38 @@ def test_short_runs_are_discarded():
     assert t1 == pytest.approx((5 * CFG.hop + CFG.n_fft) / CFG.sample_rate)
 
 
+def _intervals_frame_by_frame(mask, config, min_frames):
+    """``frames_to_intervals`` as a loop over the frames, which the run search replaced."""
+    intervals, start = [], None
+    for i, on in enumerate(np.append(mask, False)):
+        if on and start is None:
+            start = i
+        elif not on and start is not None:
+            if i - start >= min_frames:
+                t0 = start * config.hop / config.sample_rate
+                t1 = ((i - 1) * config.hop + config.n_fft) / config.sample_rate
+                intervals.append((t0, t1))
+            start = None
+    return intervals
+
+
+@pytest.mark.parametrize("min_frames", [0, 1, 3, 5])
+def test_runs_match_the_frame_by_frame_loop_float_for_float(min_frames):
+    rng = np.random.default_rng(min_frames)
+    masks = [np.zeros(0, dtype=bool), np.ones(7, dtype=bool), np.array([True, False, True])]
+    for _ in range(300):
+        n = int(rng.integers(0, 400))
+        # runs of random length, so long runs and runs at both edges are common
+        mask = np.repeat(rng.random(n) < 0.5, rng.integers(1, 12, size=n))[:n]
+        masks.append(mask)
+    config = StftConfig(sample_rate=16000, n_fft=400, hop=160)
+    for mask in masks:
+        for cfg in (CFG, config):
+            got = frames_to_intervals(mask, cfg, min_frames)
+            assert got == _intervals_frame_by_frame(mask, cfg, min_frames)
+            assert all(type(t) is float for span in got for t in span)
+
+
 def test_intervals_round_trip_through_frame_mask():
     mask = np.zeros(40, dtype=bool)
     mask[5:12] = True
