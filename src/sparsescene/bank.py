@@ -4,10 +4,11 @@ The bank maps each source, a ``(kind, label)`` pair naming a speaker or a
 noise type, to its learned dictionary and keeps a shared access counter per
 source.  Restricted views (with some sources removed) share the parent's
 counters, so a test can run a pipeline on a view and then assert that the
-removed sources were never consulted.  The bank
-also records how it was made (learning method, ``learn_bank`` parameters and
-STFT settings); its ``method`` is the one record of how every source was
-learned.  :meth:`DictionaryBank.load` accepts only what ``save`` writes, and
+removed sources were never consulted.  The bank also records how it was made
+(learning method, ``learn_bank`` parameters and STFT settings); its
+``method`` is the one record of how every source was learned.  Every bank,
+learned, loaded, built by hand or a view, is whole: the constructor is its
+one check.  :meth:`DictionaryBank.load` reads only what ``save`` writes, and
 ``save`` replaces its file only once the new one is whole.
 """
 
@@ -36,7 +37,7 @@ class DictionaryBank:
 
     ``sources`` maps each source, named ``(kind, label)``, to its learned
     dictionary.  The bank keeps them in :data:`KINDS` order, labels sorted
-    within each kind.
+    within each kind.  A bank that is not whole is a :class:`DataError`.
     """
 
     def __init__(
@@ -44,8 +45,8 @@ class DictionaryBank:
         sources: Mapping[tuple[str, str], LearnedDictionary],
         *,
         method: str,
-        params: Mapping[str, object] | None = None,
-        feature_params: Mapping[str, object] | None = None,
+        params: Mapping[str, object],
+        feature_params: Mapping[str, object],
         _counters: dict[tuple[str, str], int] | None = None,
     ) -> None:
         unknown = sorted({kind for kind, _ in sources} - set(KINDS))
@@ -54,8 +55,11 @@ class DictionaryBank:
         order = sorted(sources, key=lambda key: (KINDS.index(key[0]), key[1]))
         self._sources = {key: sources[key] for key in order}
         self.method = method
-        self.params = dict(params or {})
-        self.feature_params = dict(feature_params or {})
+        self.params = dict(params)
+        self.feature_params = dict(feature_params)
+        problem = self._problem()
+        if problem:
+            raise DataError(f"not a whole dictionary bank: {problem}")
         self.access_counts: dict[tuple[str, str], int] = (
             _counters if _counters is not None else {}
         )
@@ -112,8 +116,6 @@ class DictionaryBank:
             blocks.append(atoms)
             groups.append((kind, label, slice(start, start + atoms.shape[1])))
             start += atoms.shape[1]
-        if not blocks:
-            raise ValueError("bank holds no dictionaries")
         return np.concatenate(blocks, axis=1), groups
 
     # -- derived banks --------------------------------------------------------
@@ -149,10 +151,7 @@ class DictionaryBank:
     # -- serialisation --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the bank to ``path``; a bank :meth:`load` would reject is a :class:`DataError`."""
-        problem = self._problem()
-        if problem:
-            raise DataError(f"cannot save dictionary bank {path}: {problem}")
+        """Write the bank to ``path`` through a ``*.tmp`` file that replaces it."""
         arrays: dict[str, np.ndarray] = {}
         for (kind, label), d in self._sources.items():
             arrays[f"{kind}/{label}/atoms"] = d.atoms
@@ -186,7 +185,7 @@ class DictionaryBank:
                 raise KeyError("format")
             problem = _meta_problem(meta)
             if problem:
-                raise DataError(f"{path} is not a valid dictionary bank: {problem}")
+                raise ValueError(problem)
             sources = {
                 (kind, label): LearnedDictionary(
                     atoms=np.asarray(data[f"{kind}/{label}/atoms"], dtype=np.float64),
@@ -195,7 +194,7 @@ class DictionaryBank:
                 for kind in KINDS
                 for label in meta[f"{kind}s"]
             }
-            bank = cls(
+            return cls(
                 sources,
                 method=meta["method"],
                 params=meta["params"],
@@ -203,19 +202,18 @@ class DictionaryBank:
             )
         except KeyError as exc:
             raise DataError(f"{path} is not a valid dictionary bank: no {exc}") from exc
-        except ValueError as exc:  # meta that is not UTF-8 JSON, atoms that are not numbers
+        except ValueError as exc:  # meta not of save's shape or not UTF-8 JSON, atoms not numbers
             raise DataError(f"{path} is not a valid dictionary bank: {exc}") from exc
-        problem = bank._problem()
-        if problem:
-            raise DataError(f"dictionary bank {path}: {problem}")
-        return bank
+        except DataError as exc:  # a bank that is not whole
+            raise DataError(f"{path}: {exc}") from exc
 
     def _problem(self) -> str | None:
-        """What keeps this bank from being a whole one that ``save`` writes, or None.
+        """What keeps this bank from being whole, or None.
 
-        A whole bank is learned by one of :data:`METHODS` and holds at least
-        one speaker and one noise, each with at least one atom and one
-        ``appended`` flag per atom.
+        A whole bank is learned by one of :data:`METHODS` with a whole recipe,
+        its STFT settings are positive integers with ``hop < n_fft``, and it
+        holds a speaker and a noise, each with one ``appended`` flag per atom and
+        at least one finite, non-negative, unit-norm atom of ``n_fft // 2 + 1`` rows.
         """
         if self.method not in METHODS:
             return f"method {self.method!r} is not one of {METHODS}"
@@ -226,6 +224,8 @@ class DictionaryBank:
         fp = self.feature_params
         if set(fp) != stft_keys or not all(type(v) is int and v > 0 for v in fp.values()):
             return f"feature_params {fp} are not positive integers for exactly {sorted(stft_keys)}"
+        if fp["hop"] >= fp["n_fft"]:
+            return f"feature_params {fp}: hop {fp['hop']} must be shorter than n_fft {fp['n_fft']}"
         n_bins = self.stft_config.n_bins
         for kind in KINDS:
             if not self._labels(kind):

@@ -120,8 +120,6 @@ def classify_noise(mag: np.ndarray, bank: DictionaryBank) -> tuple[NoiseDecision
 
     Returns the decision and the screen's coding, from which it was read.
     """
-    if not bank.noise_labels:
-        raise ValueError("bank holds no noise dictionaries")
     D, groups = bank.concatenated()
     weights = code_frames(mag, D, solver="mu", n_iter=SCREEN_ITERS, tol=0.0, relaxed=True)
     screen = Coding(D, groups, weights)

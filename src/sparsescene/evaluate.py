@@ -23,7 +23,6 @@ import numpy as np
 
 from .bank import DictionaryBank
 from .corpus import Corpus, write_wav
-from .dictionary import recipe_problem
 from .errors import DataError
 from .manifest import Manifest
 from .regimes import EvalParams, FrontEnd, RegimeContext, analyze, run_regime
@@ -68,8 +67,7 @@ def run_manifest(
     Returns a summary dictionary; its ``n_stale`` counts the files in
     ``rows/`` whose name is none of this campaign's run keys (rows of an
     earlier manifest or bank), which are kept and logged.
-    Raises :class:`DataError` when the campaign yields no rows at all, and
-    before any run when a bank with a pending ``updated_*`` run lacks its recipe.
+    Raises :class:`DataError` when the campaign yields no rows at all.
     """
     out_dir = Path(out_dir)
     rows_dir = out_dir / "rows"
@@ -115,12 +113,8 @@ def run_manifest(
         )
 
     for (method, _, _), runs in groups.items():
-        ctx, pending = contexts[method], {regime for _, regime in runs}
-        problem = recipe_problem(ctx.bank.params)
-        if problem and pending & {"updated_noise", "updated_speaker"}:
-            raise DataError(problem)  # a bank without its recipe cannot be relearned
-        if "updated_speaker" in pending:
-            ctx.updated_speaker_bank()  # learn once, before any threads share ctx
+        if any(regime == "updated_speaker" for _, regime in runs):
+            contexts[method].updated_speaker_bank()  # learn once, before any threads share ctx
 
     def execute(group: tuple[tuple[str, int, float], list[tuple[str, str]]]) -> list[dict]:
         """Render one mixture and run each of its regimes on one shared front end."""

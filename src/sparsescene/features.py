@@ -39,9 +39,9 @@ class StftConfig:
     n_fft : int
         Window and FFT length in samples.
     hop : int
-        Hop between successive frames in samples.  Must divide ``n_fft``
-        such that the squared window overlap-adds to a constant; the default
-        50% overlap with a square-root Hann window satisfies this.
+        Hop between successive frames in samples, shorter than ``n_fft``:
+        :func:`istft` divides by the overlap-added squared window, so any such
+        hop resynthesises exactly.
     """
 
     sample_rate: int = SAMPLE_RATE

@@ -256,10 +256,12 @@ class RegimeContext:
                 raise KeyError(f"bank lacks the true sources {missing}")
             return self.bank.restricted(everything - speaker - noises)
         if regime == "updated_noise":
-            view = self.bank.restricted(source for source in everything if source[0] == "noise")
+            # the adapted noises join before the bank's own leave, so no view lacks a noise
+            view, adapted = self.bank, set()
             for k, learned in enumerate(_adapted_noises(rendered, front, self)):
                 view = view.with_replaced("noise", f"adapted_{k}", learned)
-            return view
+                adapted.add(("noise", f"adapted_{k}"))
+            return view.restricted(s for s in everything if s[0] == "noise" and s not in adapted)
         if regime == "out_of_set_noise":
             return self.bank.restricted(noises)
         if regime == "out_of_set_speaker":

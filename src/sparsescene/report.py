@@ -124,15 +124,20 @@ def write_json(data: dict, path: Path | str) -> None:
 
 
 def read_row(path: Path, key: str) -> dict | None:
-    """The row stored at ``path`` if it is run ``key``'s, else None (logged, to recompute)."""
+    """The row stored at ``path`` if it is a whole row of run ``key``, else None (logged).
+
+    A whole row has exactly :data:`ROW_COLUMNS` as keys and the integer
+    :data:`SCHEMA_VERSION` as its ``schema_version``.
+    """
     try:
         row = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
         log.warning("cannot reuse row %s (%s); recomputing", path, exc)
         return None
-    if isinstance(row, dict) and row.get("run_key") == key:
-        return row
-    log.warning("row %s has a mismatched key; recomputing", path)
+    if isinstance(row, dict) and set(row) == set(ROW_COLUMNS) and row["run_key"] == key:
+        if type(row["schema_version"]) is int and row["schema_version"] == SCHEMA_VERSION:
+            return row
+    log.warning("row %s is not a whole row of its run and schema; recomputing", path)
     return None
 
 

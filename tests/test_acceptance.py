@@ -14,12 +14,7 @@ import pytest
 
 import sparsescene as ss
 from sparsescene import dictionary
-from sparsescene.bank import DictionaryBank
-from sparsescene.dictionary import (
-    LearnedDictionary,
-    _select_random,
-    normalize_atoms,
-)
+from sparsescene.dictionary import _select_random, normalize_atoms
 from sparsescene.features import istft, magnitudes, stft
 from sparsescene.solvers import generalized_kl, solve_asna, solve_mu
 from sparsescene.training import noise_training_features, speaker_training_features
@@ -161,19 +156,12 @@ def test_newton_solver_matches_long_multiplicative_baseline():
 def test_single_atom_observations_recover_exactly():
     """Coding an atom against its own dictionary returns only that atom."""
     rng = np.random.default_rng(7)
-    sources = {
-        ("noise", f"src{i}"): LearnedDictionary(
-            normalize_atoms(rng.uniform(0.05, 1.0, size=(32, 8)))
-        )
-        for i in range(5)
-    }
-    bank = DictionaryBank(sources, method="random")
+    dictionaries = [normalize_atoms(rng.uniform(0.05, 1.0, size=(32, 8))) for _ in range(5)]
     worst_off = 0.0
     worst_kl = 0.0
     all_single = True
     n_checked = 0
-    for label in bank.noise_labels:
-        D = bank.get("noise", label).atoms
+    for D in dictionaries:
         for k in range(D.shape[1]):
             y = D[:, k].copy()
             x = solve_asna(y, D)

@@ -16,9 +16,10 @@ def _unit(cols):
     return a / np.linalg.norm(a, axis=0)
 
 
-def _small_bank():
+def _small_bank(n_fft=10, hop=5):
     rng = np.random.default_rng(0)
-    mk = lambda: LearnedDictionary(_unit(np.abs(rng.standard_normal((6, 3))) + 0.1))
+    n_bins = n_fft // 2 + 1
+    mk = lambda: LearnedDictionary(_unit(np.abs(rng.standard_normal((n_bins, 3))) + 0.1))
     return DictionaryBank(
         {
             ("speaker", "alice"): mk(),
@@ -28,7 +29,7 @@ def _small_bank():
         },
         method="random",
         params={"n_atoms": 3, "tw": 0.8, "tb": 0.8, "seed": 0},
-        feature_params={"sample_rate": 8000, "n_fft": 10, "hop": 5},  # 6-row atoms
+        feature_params={"sample_rate": 8000, "n_fft": n_fft, "hop": hop},  # 6-row atoms at 10
     )
 
 
@@ -113,6 +114,45 @@ def test_restricted_rejects_an_entry_that_is_not_a_source(bank, entry):
 
 def test_restricted_drops_nothing_for_a_label_the_bank_lacks(bank):
     assert bank.restricted([("noise", "absent")]).sources == bank.sources
+
+
+def test_a_bank_without_its_recipe_is_a_data_error(bank):
+    sources = {key: bank.get(*key) for key in bank.sources}
+    with pytest.raises(TypeError):
+        DictionaryBank(sources, method="kmeans")  # the recipe and STFT settings are required
+    with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
+        DictionaryBank(sources, method="kmeans", params={}, feature_params=bank.feature_params)
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        (2 * _unit(np.ones((6, 2))), "noise 'hiss' has atoms that are not unit-norm"),
+        (_unit(np.ones((5, 2))), "noise 'hiss' atoms have shape (5, 2); n_fft 10 needs 6 rows"),
+    ],
+    ids=["not_unit_norm", "five_rows"],
+)
+def test_replacing_a_source_with_atoms_a_bank_cannot_hold_is_a_data_error(bank, atoms, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        bank.with_replaced("noise", "hiss", LearnedDictionary(atoms))
+
+
+@pytest.mark.parametrize("hop", [256, 300])
+def test_a_hop_not_shorter_than_the_window_is_a_data_error(tmp_path, hop):
+    message = f"hop {hop} must be shorter than n_fft 256"
+    with pytest.raises(DataError, match=message):
+        _small_bank(n_fft=256, hop=hop)
+    path = tmp_path / "bank.npz"
+    _small_bank(n_fft=256, hop=255).save(path)
+    assert DictionaryBank.load(path).stft_config.hop == 255
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["feature_params"]["hop"] = hop
+    np.savez(path, **{**arrays, "meta": _meta_array(meta)})
+    with pytest.raises(DataError, match=message) as raised:
+        DictionaryBank.load(path)
+    assert str(path) in str(raised.value)
 
 
 def test_replacement_creates_an_updated_copy(bank):
@@ -212,13 +252,11 @@ def _two_flags_for_three_atoms(bank):
 def test_a_bank_short_of_sources_atoms_or_flags_is_a_data_error(
     bank, saved_bank, tmp_path, tamper_bank, tamper_arrays, message
 ):
-    # ``save`` refuses the bank before it opens the file ...
+    # building such a bank (a view, for no_noises and no_speakers) is refused ...
+    with pytest.raises(DataError, match=re.escape(message)):
+        tamper_bank(bank)
+    # ... and ``load`` refuses the archive it would make.
     path = tmp_path / "short.npz"
-    with pytest.raises(DataError, match=re.escape(message)) as raised:
-        tamper_bank(bank).save(path)
-    assert str(path) in str(raised.value)
-    assert not path.exists()
-    # ... and ``load`` refuses the archive such a bank would make.
     _, arrays = saved_bank
     np.savez(path, **tamper_arrays(arrays))
     with pytest.raises(DataError, match=re.escape(message)) as raised:

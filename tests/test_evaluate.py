@@ -203,24 +203,47 @@ def test_a_campaign_learns_its_bank_from_its_own_corpus_whatever_its_directory_h
     assert sorted(path.name for path in (out / "banks").iterdir()) == ["kmeans.npz"]
 
 
+def _json(row):
+    return json.dumps(row).encode("utf-8")
+
+
 @pytest.mark.parametrize(
-    "content",
-    [b"{not json", b"\xff\xfe", b"[]", b'{"run_key": "other"}'],
-    ids=["not_json", "not_utf8", "not_an_object", "other_key"],
+    "tamper",
+    [
+        lambda row: b"{not json",
+        lambda row: b"\xff\xfe",
+        lambda row: b"[]",
+        lambda row: b'{"run_key": "other"}',
+        lambda row: _json({**row, "schema_version": 2}),
+        lambda row: _json({"run_key": row["run_key"]}),
+        lambda row: _json({key: value for key, value in row.items() if key != "sdr_db"}),
+        lambda row: _json({**row, "bss_sdr_db": 1.0}),
+    ],
+    ids=[
+        "not_json",
+        "not_utf8",
+        "not_an_object",
+        "other_key",
+        "next_schema",
+        "only_its_key",
+        "short_of_a_column",
+        "an_extra_column",
+    ],
 )
 def test_resume_recomputes_a_row_it_cannot_reuse(
-    corpus_root, kmeans_bank, tmp_path, caplog, content
+    corpus_root, kmeans_bank, tmp_path, caplog, tamper
 ):
     manifest = _small_manifest(corpus_root)
     out = tmp_path / "out"
     ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
-    first = (out / "report.csv").read_bytes()
+    reports = ("report.csv", "aggregate.json")
+    fresh = [(out / name).read_bytes() for name in reports]
     (row,) = (out / "rows").glob("*.json")
-    row.write_bytes(content)
+    row.write_bytes(tamper(json.loads(row.read_text())))
     with caplog.at_level("WARNING", logger="sparsescene.report"):
         again = ss.run_manifest(manifest, out, banks={"kmeans": kmeans_bank})
     assert (again["n_computed"], again["n_skipped"]) == (1, 0)
-    assert (out / "report.csv").read_bytes() == first
+    assert [(out / name).read_bytes() for name in reports] == fresh
     assert "recomputing" in caplog.text
 
 
@@ -337,24 +360,6 @@ def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
     assert np.array_equal(updated.get("noise", label).atoms, swapped.atoms)
 
 
-@pytest.mark.parametrize("regime", ["updated_noise", "updated_speaker"], ids=["noise", "speaker"])
-def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
-    corpus_root, tmp_path, regime
-):
-    atoms = normalize_atoms(np.random.default_rng(0).random((129, 2)))
-    hand_built = DictionaryBank(
-        {
-            ("speaker", "ghost"): LearnedDictionary(atoms),
-            ("noise", "static"): LearnedDictionary(atoms),
-        },
-        method="kmeans",
-    )
-    manifest = _small_manifest(corpus_root, regimes=("complete", regime))
-    with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
-        ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": hand_built})
-    assert not list((tmp_path / "out" / "rows").iterdir())
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -395,6 +400,8 @@ def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
             ("noise", "static"): LearnedDictionary(atoms),
         },
         method="kmeans",
+        params={"n_atoms": 2, "tw": 0.8, "tb": 0.8, "seed": 0},
+        feature_params={"sample_rate": 8000, "n_fft": 256, "hop": 128},
     )
     manifest = _small_manifest(corpus_root)
     summary = ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": toy})
@@ -403,6 +410,18 @@ def test_failed_runs_become_rows_not_exceptions(corpus_root, tmp_path):
     row = json.loads(next((tmp_path / "out" / "rows").glob("*.json")).read_text())
     assert row["failure_stage"] == "noise_id"
     assert row["error"]
+
+
+def test_a_regime_whose_view_would_hold_no_noise_fails_at_noise_id(
+    short_rendered, corpus, kmeans_bank
+):
+    true_noises = {("noise", noise) for _, noise in short_rendered.scenario.segments}
+    others = [s for s in kmeans_bank.sources if s[0] == "noise" and s not in true_noises]
+    only_true_noises = kmeans_bank.restricted(others)
+    ctx = ss.RegimeContext(only_true_noises, corpus, ss.EvalParams(coding_iters=5))
+    result = ss.run_regime(short_rendered, "out_of_set_noise", ctx)
+    assert result.failure_stage == "noise_id"
+    assert result.error.startswith("DataError: ") and "holds no noise dictionary" in result.error
 
 
 def test_programming_errors_in_a_stage_propagate(short_rendered, corpus, kmeans_bank, monkeypatch):
@@ -461,46 +480,62 @@ def test_analyze_signal_runs_the_blind_pipeline(corpus, kmeans_bank):
     assert sep.noise.shape == rendered.mixture.shape
 
 
-def test_scaling_a_clip_moves_no_decision(corpus, kmeans_bank):
+@pytest.fixture(scope="module")
+def relation_banks(corpus, kmeans_bank):
+    """The 20-atom banks at seed 0 of the learners the metamorphic relations are checked for."""
+    learned = {method: ss.learn_bank(corpus, method, 20, seed=0) for method in ("kmedoid", "tdcs")}
+    return {"kmeans": kmeans_bank, **learned}
+
+
+def test_scaling_a_clip_moves_no_decision(corpus, relation_banks):
     """The noise pair, switch, speaker ranking and speech spans ignore the clip's level.
 
     Twelve recipes, each at one of -5/0/+5 dB and scaled by one of 1e-4, 1e-2
-    and 1e2, so that every SNR meets every gain.  Powers of two would leave
-    ``solve_mu`` bit for bit unchanged; these gains do not.
+    and 1e2, so that every SNR meets every gain, for the ``kmeans``,
+    ``kmedoid`` and ``tdcs`` banks.  Powers of two would leave ``solve_mu``
+    bit for bit unchanged; these gains do not.
     """
     keys = (
         "noise_first", "noise_second", "noise_transition_s", "speaker_ranking", "speech_spans_s"
     )
-    for i, scenario in enumerate(ss.generate_scenarios(corpus, 12, seed=1901)):
-        snr_db, gain = (-5.0, 0.0, 5.0)[i % 3], (1e-4, 1e-2, 1e2)[i // 3 % 3]
-        mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
-        base, _ = ss.analyze_signal(kmeans_bank, mixture)
-        scaled, _ = ss.analyze_signal(kmeans_bank, gain * mixture)
-        moved = {k: (base[k], scaled[k]) for k in keys if scaled[k] != base[k]}
-        assert not moved, (scenario.scenario_id, snr_db, gain, moved)
+    scenarios = ss.generate_scenarios(corpus, 12, seed=1901)
+    for method, bank in relation_banks.items():
+        for i, scenario in enumerate(scenarios):
+            snr_db, gain = (-5.0, 0.0, 5.0)[i % 3], (1e-4, 1e-2, 1e2)[i // 3 % 3]
+            mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
+            base, _ = ss.analyze_signal(bank, mixture)
+            scaled, _ = ss.analyze_signal(bank, gain * mixture)
+            moved = {k: (base[k], scaled[k]) for k in keys if scaled[k] != base[k]}
+            assert not moved, (method, scenario.scenario_id, snr_db, gain, moved)
 
 
-def test_swapping_a_clips_halves_swaps_the_noise_pair_and_keeps_the_ranking(corpus, kmeans_bank):
+def test_swapping_a_clips_halves_swaps_the_noise_pair_and_keeps_the_ranking(
+    corpus, relation_banks
+):
     """Swapping the halves at the true switch swaps the noise pair, keeps the
     speaker ranking and moves the switch by at most one hop.
 
-    The same twelve recipes and SNRs as the scaling test.  Speech spans are
-    not compared: one frame straddles the new junction.
+    The same twelve recipes and SNRs as the scaling test, for the ``kmeans``
+    and ``kmedoid`` banks.  Speech spans are not compared: one frame
+    straddles the new junction.
     """
-    hop_s = kmeans_bank.stft_config.hop / corpus.sample_rate
-    for i, scenario in enumerate(ss.generate_scenarios(corpus, 12, seed=1901)):
-        snr_db = (-5.0, 0.0, 5.0)[i % 3]
-        mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
-        half = mixture.size // 2
-        base, _ = ss.analyze_signal(kmeans_bank, mixture)
-        swapped, _ = ss.analyze_signal(kmeans_bank, np.roll(mixture, half))
-        where = (scenario.scenario_id, snr_db)
-        assert (swapped["noise_first"], swapped["noise_second"]) == (
-            base["noise_second"], base["noise_first"]
-        ), where
-        assert swapped["speaker_ranking"] == base["speaker_ranking"], where
-        shift = abs(swapped["noise_transition_s"] - base["noise_transition_s"])
-        assert shift <= hop_s + 1e-9, (where, shift)
+    scenarios = ss.generate_scenarios(corpus, 12, seed=1901)
+    for method in ("kmeans", "kmedoid"):
+        bank = relation_banks[method]
+        hop_s = bank.stft_config.hop / corpus.sample_rate
+        for i, scenario in enumerate(scenarios):
+            snr_db = (-5.0, 0.0, 5.0)[i % 3]
+            mixture = ss.render_scenario(corpus, scenario, snr_db=snr_db).mixture
+            half = mixture.size // 2
+            base, _ = ss.analyze_signal(bank, mixture)
+            swapped, _ = ss.analyze_signal(bank, np.roll(mixture, half))
+            where = (method, scenario.scenario_id, snr_db)
+            assert (swapped["noise_first"], swapped["noise_second"]) == (
+                base["noise_second"], base["noise_first"]
+            ), where
+            assert swapped["speaker_ranking"] == base["speaker_ranking"], where
+            shift = abs(swapped["noise_transition_s"] - base["noise_transition_s"])
+            assert shift <= hop_s + 1e-9, (where, shift)
 
 
 def test_trimming_a_clips_start_moves_the_switch_by_the_trimmed_time(corpus, kmeans_bank):
