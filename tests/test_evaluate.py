@@ -360,6 +360,25 @@ def test_updated_speaker_bank_keeps_the_banks_noises_and_learns_only_speakers(
     assert np.array_equal(updated.get("noise", label).atoms, swapped.atoms)
 
 
+@pytest.mark.parametrize("regime", ["updated_noise", "updated_speaker"], ids=["noise", "speaker"])
+def test_updated_speaker_with_a_bank_that_lacks_its_recipe_is_a_data_error(
+    corpus_root, kmeans_bank, tmp_path, regime
+):
+    # a bank can only reach a campaign without its recipe as a file; reading it refuses it
+    path = tmp_path / "bank.npz"
+    kmeans_bank.save(path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["params"] = {}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    manifest = _small_manifest(corpus_root, regimes=("complete", regime))
+    with pytest.raises(DataError, match=r"\['n_atoms', 'tw', 'tb', 'seed'\]"):
+        ss.run_manifest(manifest, tmp_path / "out", banks={"kmeans": DictionaryBank.load(path)})
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
